@@ -29,18 +29,20 @@ def main():
     weights = rng.uniform(0.2, w_max, size=k)
     returns = rng.uniform(bounds.x_min, bounds.x_max, size=k)
 
+    # one array per leg: the stage-0 split followed by the running products
     trajectory = evolve(config, weights, returns)
+    v_long, v_short, total = trajectory.v_long, trajectory.v_short, trajectory.values
     print(f"\n{'stage':>5} {'w':>7} {'x':>8} {'long':>10} {'short':>10} {'total':>10}")
-    for stage, state in enumerate(trajectory.states):
+    for stage in range(k + 1):
         w = f"{weights[stage - 1]:7.3f}" if stage else " " * 7
         x = f"{returns[stage - 1]:+8.3f}" if stage else " " * 8
-        print(f"{stage:>5} {w} {x} {state.v_long:10.3f} {state.v_short:10.3f} {state.total:10.3f}")
+        legs = f"{v_long[stage]:10.3f} {v_short[stage]:10.3f} {total[stage]:10.3f}"
+        print(f"{stage:>5} {w} {x} {legs}")
 
     long_floor, short_floor = survivability_bound(config, k)
-    final = trajectory.states[-1]
     print(f"\nguaranteed floors after {k} stages (weights at w_max, returns at the bounds):")
-    print(f"  long  >= {long_floor:.6f}   realized {final.v_long:.3f}")
-    print(f"  short >= {short_floor:.6f}   realized {final.v_short:.3f}")
+    print(f"  long  >= {long_floor:.6f}   realized {v_long[-1]:.3f}")
+    print(f"  short >= {short_floor:.6f}   realized {v_short[-1]:.3f}")
     print("the account total stays positive on every admissible path, not just this one")
 
 

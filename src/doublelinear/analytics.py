@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .policy import AdmissibilityError, PolicyConfig, derive_w_max
+from .policy import PolicyConfig, check_mu, derive_w_max, validate_weights
 
 __all__ = [
     "ReturnMoments",
@@ -109,47 +109,58 @@ def _require_frictionless(config: PolicyConfig) -> None:
         )
 
 
-def _check_mu(mu: float) -> None:
-    if not abs(mu) < 1.0:
-        raise ValueError(f"|mu| must be < 1, got {mu}")
-
-
-def _schedule_head(config: PolicyConfig, weights: Sequence[float], k: int) -> np.ndarray:
-    """First k weights, validated admissible under the config bounds."""
+def _schedule_head(config: PolicyConfig, weights: Sequence[float], k):
+    """Weights up to the longest horizon in k (an int or a 1-d sequence of
+    ints), validated admissible under a frictionless config, and k - 1."""
+    _require_frictionless(config)
     w = np.asarray(weights, dtype=float)
     if w.ndim != 1:
         raise ValueError("weights must be one-dimensional")
-    if k < 1:
-        raise ValueError(f"horizon k must be >= 1, got {k}")
-    if w.size < k:
-        raise ValueError(f"horizon k={k} exceeds schedule length {w.size}")
-    head = w[:k]
-    w_max = derive_w_max(config.bounds)
-    bad = np.flatnonzero((head < 0.0) | (head > w_max))
-    if bad.size:
-        raise AdmissibilityError(
-            f"weight {head[bad[0]]} outside [0, {w_max}] at stage {int(bad[0])}"
-        )
-    return head
+    ks = np.asarray(k)
+    if ks.ndim > 1 or ks.size == 0 or ks.dtype.kind not in "iu":
+        raise ValueError(f"horizon k must be an int or a 1-d sequence of ints, got {k!r}")
+    if ks.min() < 1:
+        raise ValueError(f"horizon k must be >= 1, got {ks.min()}")
+    k_max = int(ks.max())
+    if w.size < k_max:
+        raise ValueError(f"horizon k={k_max} exceeds schedule length {w.size}")
+    return validate_weights(w[:k_max], derive_w_max(config.bounds)), ks - 1
+
+
+def _prefix_products(factors: list[np.ndarray], idx: np.ndarray) -> np.ndarray:
+    """Row i: the product of factors[i] over the first j+1 stages, for each j in idx.
+
+    Cumulative products run in stage order, so each prefix carries the
+    same bits as a sequential product over it.
+    """
+    return np.cumprod(np.stack(factors), axis=-1)[:, idx]
+
+
+def _at_k(values: np.ndarray, k):
+    return float(values) if np.ndim(k) == 0 else values
+
+
+def _mean_at(config: PolicyConfig, w: np.ndarray, mu: float, idx: np.ndarray) -> np.ndarray:
+    up, down = _prefix_products([1.0 + w * mu, 1.0 - w * mu], idx)
+    return config.v0 * (config.alpha * up + (1.0 - config.alpha) * down - 1.0)
 
 
 def expected_gain_loss(
-    config: PolicyConfig, weights: Sequence[float], mu: float, k: int
-) -> float:
+    config: PolicyConfig, weights: Sequence[float], mu: float, k: int | Sequence[int]
+) -> float | np.ndarray:
     """Expected terminal gain-loss at horizon k.
 
         v0 * (alpha*prod(1 + w_j*mu) + (1-alpha)*prod(1 - w_j*mu) - 1)
 
     over the first k schedule entries.  With alpha = 1/2, k > 1, mu != 0
     and at least two strictly positive weights among the first k, the
-    value is strictly positive regardless of the sign of mu.
+    value is strictly positive regardless of the sign of mu.  k may also
+    be a 1-d sequence of horizons; the result is then an array with one
+    entry per horizon, from a single pass of cumulative products.
     """
-    _require_frictionless(config)
-    _check_mu(mu)
-    w = _schedule_head(config, weights, k)
-    up = np.multiply.reduce(1.0 + w * mu)
-    down = np.multiply.reduce(1.0 - w * mu)
-    return float(config.v0 * (config.alpha * up + (1.0 - config.alpha) * down - 1.0))
+    check_mu(mu)
+    w, idx = _schedule_head(config, weights, k)
+    return _at_k(_mean_at(config, w, mu, idx), k)
 
 
 def expected_gain_loss_constant(
@@ -157,21 +168,33 @@ def expected_gain_loss_constant(
 ) -> float:
     """Constant-weight reduction: v0*(alpha*(1+w*mu)^k + (1-alpha)*(1-w*mu)^k - 1)."""
     _require_frictionless(config)
-    _check_mu(mu)
+    check_mu(mu)
     if k < 1:
         raise ValueError(f"horizon k must be >= 1, got {k}")
-    w_max = derive_w_max(config.bounds)
-    if not 0.0 <= w <= w_max:
-        raise AdmissibilityError(f"weight {w} outside [0, {w_max}]")
+    validate_weights(w, derive_w_max(config.bounds))
     a = config.alpha
     return float(
         config.v0 * (a * (1.0 + w * mu) ** k + (1.0 - a) * (1.0 - w * mu) ** k - 1.0)
     )
 
 
+def _moment_products(config, weights, moments: ReturnMoments, k):
+    """p_up2, p_down2, p_cross, p_mu, p_up, p_down of variance_gain_loss at each horizon in k."""
+    check_mu(moments.mu)
+    w, idx = _schedule_head(config, weights, k)
+    mu, s2 = moments.mu, moments.sigma2
+    up = 1.0 + w * mu
+    down = 1.0 - w * mu
+    ws2 = w * w * s2
+    cross = 1.0 - w * w * (s2 + mu * mu)
+    return _prefix_products(
+        [ws2 + up * up, ws2 + down * down, cross, 1.0 - (w * mu) ** 2, up, down], idx
+    )
+
+
 def variance_gain_loss(
-    config: PolicyConfig, weights: Sequence[float], moments: ReturnMoments, k: int
-) -> float:
+    config: PolicyConfig, weights: Sequence[float], moments: ReturnMoments, k: int | Sequence[int]
+) -> float | np.ndarray:
     """Variance of the terminal gain-loss from the six-product identity.
 
         v0^2 * [ alpha^2     * prod(w^2 s2 + (1+w mu)^2)
@@ -184,22 +207,13 @@ def variance_gain_loss(
     The six terms nearly cancel for small exposures, so the result can
     carry an absolute floating-point residue of order 1e-16*v0^2; values
     below -1e-12*v0^2 indicate a bug, not roundoff.  At k = 1 the whole
-    expression collapses to v0^2 * w^2 * s2 * (2 alpha - 1)^2.
+    expression collapses to v0^2 * w^2 * s2 * (2 alpha - 1)^2.  k may be
+    a 1-d sequence of horizons, as in expected_gain_loss.
     """
-    _require_frictionless(config)
-    _check_mu(moments.mu)
-    w = _schedule_head(config, weights, k)
+    p_up2, p_down2, p_cross, p_mu, p_up, p_down = _moment_products(
+        config, weights, moments, k
+    )
     a = config.alpha
-    mu, s2 = moments.mu, moments.sigma2
-    up = 1.0 + w * mu
-    down = 1.0 - w * mu
-    ws2 = w * w * s2
-    p_up2 = np.multiply.reduce(ws2 + up * up)
-    p_down2 = np.multiply.reduce(ws2 + down * down)
-    p_cross = np.multiply.reduce(1.0 - w * w * (s2 + mu * mu))
-    p_mu = np.multiply.reduce(1.0 - (w * mu) ** 2)
-    p_up = np.multiply.reduce(up)
-    p_down = np.multiply.reduce(down)
     value = (
         a * a * p_up2
         + (1.0 - a) ** 2 * p_down2
@@ -208,13 +222,13 @@ def variance_gain_loss(
         - a * a * p_up * p_up
         - (1.0 - a) ** 2 * p_down * p_down
     )
-    return float(config.v0 * config.v0 * value)
+    return _at_k(config.v0 * config.v0 * value, k)
 
 
 def second_moment_gain_loss(
-    config: PolicyConfig, weights: Sequence[float], moments: ReturnMoments, k: int
-) -> float:
-    """E[gain^2] at horizon k.
+    config: PolicyConfig, weights: Sequence[float], moments: ReturnMoments, k: int | Sequence[int]
+) -> float | np.ndarray:
+    """E[gain^2] at horizon k (an int or a 1-d sequence of horizons).
 
         v0^2 * [ alpha^2     * prod(w^2 s2 + (1+w mu)^2)
                + (1-alpha)^2 * prod(w^2 s2 + (1-w mu)^2)
@@ -227,19 +241,10 @@ def second_moment_gain_loss(
     suite checks against variance_gain_loss, which is evaluated from a
     different grouping of the same products).
     """
-    _require_frictionless(config)
-    _check_mu(moments.mu)
-    w = _schedule_head(config, weights, k)
+    p_up2, p_down2, p_cross, _, p_up, p_down = _moment_products(
+        config, weights, moments, k
+    )
     a = config.alpha
-    mu, s2 = moments.mu, moments.sigma2
-    up = 1.0 + w * mu
-    down = 1.0 - w * mu
-    ws2 = w * w * s2
-    p_up2 = np.multiply.reduce(ws2 + up * up)
-    p_down2 = np.multiply.reduce(ws2 + down * down)
-    p_cross = np.multiply.reduce(1.0 - w * w * (s2 + mu * mu))
-    p_up = np.multiply.reduce(up)
-    p_down = np.multiply.reduce(down)
     value = (
         a * a * p_up2
         + (1.0 - a) ** 2 * p_down2
@@ -248,7 +253,7 @@ def second_moment_gain_loss(
         - 2.0 * a * p_up
         - 2.0 * (1.0 - a) * p_down
     )
-    return float(config.v0 * config.v0 * value)
+    return _at_k(config.v0 * config.v0 * value, k)
 
 
 def gain_loss_stats(
@@ -273,10 +278,9 @@ def brute_force_moments(
     none of the closed forms above, so agreement with them is evidence,
     not circularity.  Exponential in k; capped at k = 25.
     """
-    _require_frictionless(config)
     if k > BRUTE_FORCE_MAX_K:
         raise ValueError(f"k={k} exceeds the 2^k enumeration cap of {BRUTE_FORCE_MAX_K}")
-    w = _schedule_head(config, weights, k)
+    w, _ = _schedule_head(config, weights, k)
     n = 1 << k
     idx = np.arange(n, dtype=np.uint32)
     growth_long = np.ones(n)
@@ -335,15 +339,14 @@ def rpe_scan(
     way.  Grid entries are mutually independent, so evaluation order
     cannot change the result.
     """
-    _require_frictionless(config)
     if k_max < 2:
         raise ValueError(f"k_max must be >= 2, got {k_max}")
     grid = tuple(float(m) for m in mu_grid)
     if not grid:
         raise ValueError("mu_grid must be nonempty")
     for m in grid:
-        _check_mu(m)
-    w = _schedule_head(config, weights, k_max)
+        check_mu(m)
+    w, _ = _schedule_head(config, weights, k_max)
 
     reason = None
     if config.alpha != 0.5:
@@ -357,14 +360,10 @@ def rpe_scan(
                 f"{int(lacking[0]) + 2} stages"
             )
 
+    idx = np.arange(1, k_max)  # horizons 2..k_max
     entries = np.empty((len(grid), k_max - 1))
     for i, mu in enumerate(grid):
-        up = np.cumprod(1.0 + w * mu)
-        down = np.cumprod(1.0 - w * mu)
-        totals = config.v0 * (
-            config.alpha * up + (1.0 - config.alpha) * down - 1.0
-        )
-        entries[i] = totals[1:]  # horizons 2..k_max
+        entries[i] = _mean_at(config, w, mu, idx)
 
     nonzero_rows = [i for i, mu in enumerate(grid) if mu != 0.0]
     min_gain = None

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import math
 from dataclasses import dataclass
 from pathlib import PurePath
 from typing import Optional, Sequence
@@ -41,7 +42,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PriceSeries:
-    """Validated price history: positive prices at strictly increasing times."""
+    """Validated price history: positive finite prices at strictly increasing times."""
 
     timestamps: np.ndarray
     prices: np.ndarray
@@ -56,8 +57,8 @@ class PriceSeries:
             raise ValueError("timestamps and prices must be equally long 1-d sequences")
         if ts.size == 0:
             raise ValueError("empty series")
-        if np.any(px <= 0.0):
-            raise ValueError("nonpositive price")
+        if not 0.0 < px.min() <= px.max() < np.inf:  # NaN fails too
+            raise ValueError("nonpositive or non-finite price")
         if ts.size > 1 and np.any(np.diff(ts) <= 0):
             raise ValueError("nonmonotone timestamps")
 
@@ -93,7 +94,7 @@ def ingest_csv(source, symbol: Optional[str] = None) -> PriceSeries:
     """Parse a `timestamp,price` CSV into a validated PriceSeries.
 
     timestamp is an integer (epoch seconds or a plain ordinal), price a
-    positive decimal.  Lines starting with '#' are skipped.  Bad rows
+    positive finite decimal.  Lines starting with '#' are skipped.  Bad rows
     are rejected with their 1-based row number, the header being row 1.
     """
     if hasattr(source, "read"):
@@ -126,6 +127,8 @@ def ingest_csv(source, symbol: Optional[str] = None) -> PriceSeries:
                 price = float(row[1])
             except ValueError:
                 raise ValueError(f"row {rownum}: could not parse {row[:2]!r}") from None
+            if not math.isfinite(price):
+                raise ValueError(f"row {rownum}: non-finite price {price}")
             if price <= 0.0:
                 raise ValueError(f"row {rownum}: nonpositive price {price}")
             timestamps.append(ts)
@@ -152,10 +155,35 @@ def sharpe_ratio(period_returns: Sequence[float]) -> float:
     r = np.asarray(period_returns, dtype=float)
     if r.ndim != 1 or r.size < 2:
         raise ValueError("need at least two period returns")
+    return _return_stats(r)[1]
+
+
+def _return_stats(r: np.ndarray) -> tuple[float, float, bool]:
+    """(variance, sharpe, degenerate) as the module docstring defines them.
+
+    Fewer than two returns have no spread to measure: degenerate."""
+    if r.size < 2:
+        return 0.0, 0.0, True
     sd = float(r.std(ddof=1))
     if sd == 0.0:
-        return 0.0
-    return float(r.mean()) / sd
+        return 0.0, 0.0, True
+    return sd * sd, float(r.mean()) / sd, False
+
+
+def _report(values: np.ndarray, v0: float, weights_used, symbol: str) -> BacktestReport:
+    """Report of one account-value curve V(0..n)."""
+    variance, sharpe, degenerate = _return_stats(values[1:] / values[:-1] - 1.0)
+    gains = values - v0
+    return BacktestReport(
+        gain_loss=float(gains[-1]),
+        variance=variance,
+        sharpe=sharpe,
+        degenerate_sharpe=degenerate,
+        n_periods=len(values) - 1,
+        curve=np.column_stack([np.arange(len(values), dtype=float), gains]),
+        weights_used=weights_used,
+        symbol=symbol,
+    )
 
 
 def _bounds_covering(base: MarketBounds, returns: np.ndarray) -> MarketBounds:
@@ -190,29 +218,7 @@ def run_backtest(
         cfg = dataclasses.replace(config, bounds=_bounds_covering(config.bounds, x))
     w = eval_schedule(spec, n, prices=series.prices if spec.price_driven else None)
 
-    trajectory = evolve(cfg, w, x)
-    values = trajectory.values
-    r = values[1:] / values[:-1] - 1.0
-    if n >= 2:
-        sd = float(r.std(ddof=1))
-        variance = sd * sd
-        degenerate = sd == 0.0
-        sharpe = 0.0 if degenerate else float(r.mean()) / sd
-    else:
-        # one period: no spread to measure
-        variance, sharpe, degenerate = 0.0, 0.0, True
-
-    curve = np.column_stack([np.arange(n + 1, dtype=float), trajectory.gains])
-    return BacktestReport(
-        gain_loss=float(trajectory.gains[-1]),
-        variance=variance,
-        sharpe=sharpe,
-        degenerate_sharpe=degenerate,
-        n_periods=n,
-        curve=curve,
-        weights_used=w,
-        symbol=series.symbol,
-    )
+    return _report(evolve(cfg, w, x).values, cfg.v0, w, series.symbol)
 
 
 def buy_and_hold_report(config: PolicyConfig, series: PriceSeries) -> BacktestReport:
@@ -229,26 +235,7 @@ def buy_and_hold_report(config: PolicyConfig, series: PriceSeries) -> BacktestRe
     if len(series) < 2:
         raise ValueError("series must contain at least two prices")
     values = config.v0 * series.prices / series.prices[0]
-    r = values[1:] / values[:-1] - 1.0
-    n = int(r.size)
-    if n >= 2:
-        sd = float(r.std(ddof=1))
-        variance = sd * sd
-        degenerate = sd == 0.0
-        sharpe = 0.0 if degenerate else float(r.mean()) / sd
-    else:
-        variance, sharpe, degenerate = 0.0, 0.0, True
-    curve = np.column_stack([np.arange(n + 1, dtype=float), values - config.v0])
-    return BacktestReport(
-        gain_loss=float(values[-1] - config.v0),
-        variance=variance,
-        sharpe=sharpe,
-        degenerate_sharpe=degenerate,
-        n_periods=n,
-        curve=curve,
-        weights_used=np.ones(n),
-        symbol=series.symbol,
-    )
+    return _report(values, config.v0, np.ones(len(series) - 1), series.symbol)
 
 
 def batch_backtest(

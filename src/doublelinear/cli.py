@@ -203,9 +203,18 @@ def _outdir(args) -> Path:
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    # Streamed to a sibling file and renamed into place: a result strict JSON
+    # cannot hold (nan, inf) leaves no file, and large grids are not buffered.
+    partial = path.with_name(path.name + ".partial")
+    try:
+        with open(partial, "w") as fh:
+            json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
+            fh.write("\n")
+        os.replace(partial, path)
+    except ValueError as exc:
+        raise ValueError(f"{path.name} not written, a result is inf or nan: {exc}") from None
+    finally:
+        partial.unlink(missing_ok=True)
 
 
 def _provenance_comment(command: str, effective: dict) -> str:
@@ -213,7 +222,7 @@ def _provenance_comment(command: str, effective: dict) -> str:
 
 
 def _print_payload(payload: dict) -> None:
-    print(json.dumps(payload, indent=2, sort_keys=True))
+    print(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False))
 
 
 def _policy(effective: dict) -> tuple[PolicyConfig, float]:
@@ -253,18 +262,16 @@ def cmd_analyze(args) -> int:
     sigma2 = effective["sigma2"]
     results = []
     for mu in mus:
-        for k in ks:
-            variance = (
-                variance_gain_loss(config, schedule, ReturnMoments(mu, sigma2), k)
-                if sigma2 is not None
-                else None
-            )
-            results.append({
-                "mu": mu,
-                "k": k,
-                "mean": expected_gain_loss(config, schedule, mu, k),
-                "variance": variance,
-            })
+        variances = (
+            variance_gain_loss(config, schedule, ReturnMoments(mu, sigma2), ks).tolist()
+            if sigma2 is not None
+            else [None] * len(ks)
+        )
+        means = expected_gain_loss(config, schedule, mu, ks).tolist()
+        results += [
+            {"mu": mu, "k": k, "mean": mean, "variance": variance}
+            for k, mean, variance in zip(ks, means, variances)
+        ]
     payload = {"command": "analyze", "config": effective, "results": results}
     _write_json(_outdir(args) / "analyze.json", payload)
     _print_payload(payload)

@@ -22,6 +22,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .policy import check_mu
+
 __all__ = [
     "EspTable",
     "esp_all",
@@ -62,11 +64,6 @@ def _sign_factor(sign) -> float:
     raise ValueError(f"sign must be +1, -1, '+' or '-', got {sign!r}")
 
 
-def _check_mu(mu: float) -> None:
-    if not abs(mu) < 1.0:
-        raise ValueError(f"|mu| must be < 1, got {mu}")
-
-
 def esp_all(weights: Sequence[float]) -> EspTable:
     """All elementary symmetric polynomials via the coefficient recurrence.
 
@@ -103,7 +100,7 @@ def expected_growth_product(weights: Sequence[float], mu: float, sign) -> float:
     """Expected growth factor of one leg, prod(1 + sign*w_j*mu)."""
     s = _sign_factor(sign)
     w = _as_weights(weights)
-    _check_mu(mu)
+    check_mu(mu)
     return float(np.prod(1.0 + s * w * mu))
 
 
@@ -117,7 +114,7 @@ def expected_growth_esp(esp: EspTable, mu: float, sign) -> float:
     legs, which is why the two legs average to 1 + (even block).
     """
     s = _sign_factor(sign)
-    _check_mu(mu)
+    check_mu(mu)
     k = esp.k
     m = (k - 1) // 2 if k % 2 else k // 2
     top_odd = m if k % 2 else m - 1

@@ -34,6 +34,10 @@ __all__ = [
     "step_account",
     "evolve",
     "survivability_bound",
+    "validate_weights",
+    "validate_returns",
+    "check_mu",
+    "leg_factors",
 ]
 
 
@@ -102,23 +106,36 @@ class AccountState:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """States and cumulative gains for stages 0..k."""
+    """Per-leg account values for stages 0..k; totals, gains and states derive from them."""
 
-    states: tuple[AccountState, ...]
-    gains: np.ndarray  # gains[j] = V(j) - v0
+    v_long: np.ndarray
+    v_short: np.ndarray
+    v0: float
 
     @property
     def values(self) -> np.ndarray:
         """Total account value per stage."""
-        return np.array([s.v_long + s.v_short for s in self.states])
+        return self.v_long + self.v_short
+
+    @property
+    def gains(self) -> np.ndarray:
+        """gains[j] = V(j) - v0."""
+        return self.values - self.v0
+
+    @property
+    def states(self) -> tuple[AccountState, ...]:
+        return tuple(
+            AccountState(lo, sh, j)
+            for j, (lo, sh) in enumerate(zip(self.v_long.tolist(), self.v_short.tolist()))
+        )
 
     @property
     def horizon(self) -> int:
-        return len(self.states) - 1
+        return len(self.v_long) - 1
 
     @property
     def final_gain(self) -> float:
-        return float(self.gains[-1])
+        return float(self.v_long[-1] + self.v_short[-1] - self.v0)
 
 
 def initial_state(config: PolicyConfig) -> AccountState:
@@ -126,43 +143,55 @@ def initial_state(config: PolicyConfig) -> AccountState:
     return AccountState(config.alpha * config.v0, (1.0 - config.alpha) * config.v0, 0)
 
 
-def _check_weight(w: float, w_max: float, stage=None) -> None:
-    if not 0.0 <= w <= w_max:
-        where = "" if stage is None else f" at stage {stage}"
-        raise AdmissibilityError(f"weight {w} outside [0, {w_max}]{where}")
+def _reject_outside(values, lo: float, hi: float, what: str) -> np.ndarray:
+    # ~(inside) rather than (outside): NaN fails every comparison.
+    v = np.asarray(values, dtype=float)
+    bad = np.flatnonzero(~((v >= lo) & (v <= hi)))
+    if bad.size:
+        where = f" at stage {int(bad[0])}" if v.ndim else ""
+        raise AdmissibilityError(f"{what} {float(v.flat[bad[0]])} outside [{lo}, {hi}]{where}")
+    return v
 
 
-def _check_return(x: float, bounds: MarketBounds, stage=None) -> None:
-    if not bounds.x_min <= x <= bounds.x_max:
-        where = "" if stage is None else f" at stage {stage}"
-        raise AdmissibilityError(
-            f"return {x} outside [{bounds.x_min}, {bounds.x_max}]{where}"
-        )
+def validate_weights(weights, w_max: float) -> np.ndarray:
+    """Weights (scalar or 1-d) as floats; AdmissibilityError, citing the
+    first offending stage, unless all lie in [0, w_max] (so never NaN or inf)."""
+    return _reject_outside(weights, 0, w_max, "weight")
 
 
-def _advance(state: AccountState, w: float, x: float, rf: float) -> AccountState:
-    # The recursion itself, shared by step_account and evolve so the two
-    # agree bit for bit.
-    v_long = state.v_long * (1.0 + w * x) + state.v_long * (1.0 - w) * rf
-    v_short = state.v_short * (1.0 - w * x)
-    return AccountState(v_long, v_short, state.stage + 1)
+def validate_returns(returns, bounds: MarketBounds) -> np.ndarray:
+    """Returns as a float array; AdmissibilityError unless every one lies in the bounds."""
+    return _reject_outside(returns, bounds.x_min, bounds.x_max, "return")
+
+
+def check_mu(mu: float) -> None:
+    """ValueError unless |mu| < 1 (NaN included)."""
+    if not abs(mu) < 1.0:
+        raise ValueError(f"|mu| must be < 1, got {mu}")
+
+
+def leg_factors(w, x, rf: float):
+    """Per-stage growth factors (long, short): 1 + w*x + (1 - w)*rf and 1 - w*x.
+
+    The long leg earns rf on its uninvested fraction; short proceeds earn
+    nothing.  step_account, evolve and the Monte Carlo path gain all use
+    this one form, so they agree bit for bit.
+    """
+    return 1.0 + w * x + (1.0 - w) * rf, 1.0 - w * x
 
 
 def step_account(
     state: AccountState, w: float, x: float, config: PolicyConfig
 ) -> AccountState:
-    """Advance one stage.
-
-    Long leg: v*(1 + w*x) + v*(1 - w)*rf, the second term being the
-    riskless rate earned on the uninvested fraction of the long capital.
-    Short leg: v*(1 - w*x); short proceeds earn nothing here.
+    """Advance one stage: each leg scales by its factor from leg_factors.
 
     Raises AdmissibilityError when w falls outside [0, w_max] or x
     outside the market bounds.
     """
-    _check_weight(w, derive_w_max(config.bounds))
-    _check_return(x, config.bounds)
-    return _advance(state, w, x, config.rf)
+    validate_weights(w, derive_w_max(config.bounds))
+    validate_returns(x, config.bounds)
+    f_long, f_short = leg_factors(w, x, config.rf)
+    return AccountState(state.v_long * f_long, state.v_short * f_short, state.stage + 1)
 
 
 def evolve(
@@ -174,9 +203,10 @@ def evolve(
 
     weights[k] is applied to returns[k]; both sequences must have equal
     length.  Every element is validated up front so rejection errors
-    cite the offending stage.  With rf = 0 the terminal value equals
-    v0*(alpha*prod(1 + w*x) + (1-alpha)*prod(1 - w*x)) up to
-    floating-point accumulation.
+    cite the offending stage.  Each leg is the cumulative product of its
+    leg_factors, started from the stage-0 split, so with rf = 0 the
+    terminal value is v0*(alpha*prod(1 + w*x) + (1-alpha)*prod(1 - w*x))
+    up to floating-point accumulation.
     """
     w = np.asarray(weights, dtype=float)
     x = np.asarray(returns, dtype=float)
@@ -185,21 +215,15 @@ def evolve(
             f"weights and returns must be equally long 1-d sequences, "
             f"got lengths {w.size} and {x.size}"
         )
-    w_max = derive_w_max(config.bounds)
-    bad = np.flatnonzero((w < 0.0) | (w > w_max))
-    if bad.size:
-        _check_weight(float(w[bad[0]]), w_max, stage=int(bad[0]))
-    bad = np.flatnonzero((x < config.bounds.x_min) | (x > config.bounds.x_max))
-    if bad.size:
-        _check_return(float(x[bad[0]]), config.bounds, stage=int(bad[0]))
-
-    state = initial_state(config)
-    states = [state]
-    for wk, xk in zip(w.tolist(), x.tolist()):
-        state = _advance(state, wk, xk, config.rf)
-        states.append(state)
-    gains = np.array([s.v_long + s.v_short for s in states]) - config.v0
-    return Trajectory(states=tuple(states), gains=gains)
+    validate_weights(w, derive_w_max(config.bounds))
+    validate_returns(x, config.bounds)
+    start = initial_state(config)
+    f_long, f_short = leg_factors(w, x, config.rf)
+    return Trajectory(
+        v_long=np.cumprod(np.concatenate(([start.v_long], f_long))),
+        v_short=np.cumprod(np.concatenate(([start.v_short], f_short))),
+        v0=config.v0,
+    )
 
 
 def survivability_bound(config: PolicyConfig, k: int) -> tuple[float, float]:

@@ -30,7 +30,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .analytics import TwoPointModel
-from .policy import AdmissibilityError, PolicyConfig, derive_w_max
+from .policy import PolicyConfig, derive_w_max, initial_state, leg_factors, validate_weights
 from .weights import WeightSpec, eval_schedule
 
 __all__ = [
@@ -124,8 +124,8 @@ def prices_to_returns(prices: Sequence[float]) -> np.ndarray:
     p = np.asarray(prices, dtype=float)
     if p.ndim != 1 or p.size < 2:
         raise ValueError("need a one-dimensional series of at least two prices")
-    if np.any(p <= 0.0):
-        raise ValueError("nonpositive price")
+    if not 0.0 < p.min() <= p.max() < np.inf:  # NaN fails too
+        raise ValueError("nonpositive or non-finite price")
     return p[1:] / p[:-1] - 1.0
 
 
@@ -138,20 +138,6 @@ def simulate_two_point(
     rng = path_rng(seed, path_index)
     u = rng.random(k)
     return np.where(u < model.p_up, model.x_up, model.x_down)
-
-
-def _terminal_gain(config: PolicyConfig, w: np.ndarray, x: np.ndarray) -> float:
-    # Per-leg product form of the account recursion; multiply.reduce runs
-    # in stage order, matching evolve's accumulation exactly when rf = 0.
-    if config.rf == 0.0:
-        growth_long = np.multiply.reduce(1.0 + w * x)
-    else:
-        growth_long = np.multiply.reduce(1.0 + w * x + (1.0 - w) * config.rf)
-    growth_short = np.multiply.reduce(1.0 - w * x)
-    return float(
-        config.v0
-        * (config.alpha * growth_long + (1.0 - config.alpha) * growth_short - 1.0)
-    )
 
 
 def monte_carlo_gain_loss(
@@ -209,17 +195,10 @@ def monte_carlo_gain_loss(
             "a two-point returns generator carries no prices"
         )
 
-    w_max = derive_w_max(config.bounds)
-    static_w = None
-    if not spec.price_driven:
-        static_w = eval_schedule(spec, horizon)
-        if np.any((static_w < 0.0) | (static_w > w_max)):
-            raise AdmissibilityError(
-                f"schedule exceeds the configured w_max={w_max}"
-            )
-    elif spec.w > w_max:
-        raise AdmissibilityError(f"indicator weight {spec.w} exceeds w_max={w_max}")
+    static_w = None if spec.price_driven else eval_schedule(spec, horizon)
+    validate_weights(spec.w if static_w is None else static_w, derive_w_max(config.bounds))
 
+    start = initial_state(config)
     gains = np.empty(n_paths)
 
     def run(i: int) -> None:
@@ -232,7 +211,13 @@ def monte_carlo_gain_loss(
             w = static_w
         if clip_returns:
             x = np.clip(x, config.bounds.x_min, config.bounds.x_max)
-        gains[i] = _terminal_gain(config, w, x)
+        # The same stage-order fold as evolve, without keeping the prefixes.
+        f_long, f_short = leg_factors(w, x, config.rf)
+        gains[i] = (
+            np.multiply.reduce(f_long, initial=start.v_long)
+            + np.multiply.reduce(f_short, initial=start.v_short)
+            - config.v0
+        )
 
     if workers <= 1:
         for i in range(n_paths):

@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .policy import AdmissibilityError
+from .policy import AdmissibilityError, validate_weights
 
 __all__ = [
     "WeightSpec",
@@ -66,20 +66,13 @@ class WeightSpec:
         if self.kind in ("constant", "ma_indicator"):
             if self.w is None:
                 raise ValueError(f"{self.kind} spec needs a weight value w")
-            if not 0.0 <= self.w <= self.w_max:
-                raise AdmissibilityError(
-                    f"w={self.w} outside [0, w_max={self.w_max}]"
-                )
+            validate_weights(self.w, self.w_max)
         if self.kind == "ma_indicator" and (self.d is None or self.d < 1):
             raise ValueError("ma_indicator spec needs a window d >= 1")
         if self.kind == "table":
             if not self.values:
                 raise ValueError("table spec needs a nonempty value sequence")
-            for i, v in enumerate(self.values):
-                if not 0.0 <= v <= self.w_max:
-                    raise AdmissibilityError(
-                        f"table value {v} at position {i} outside [0, w_max={self.w_max}]"
-                    )
+            validate_weights(self.values, self.w_max)
 
     @property
     def price_driven(self) -> bool:
