@@ -51,8 +51,10 @@ class ReturnMoments:
     sigma2: float
 
     def __post_init__(self):
-        if not self.sigma2 > 0.0:
-            raise ValueError(f"sigma2 must be positive, got {self.sigma2}")
+        if not np.isfinite(self.mu):
+            raise ValueError(f"mu must be finite, got {self.mu}")
+        if not 0.0 < self.sigma2 < np.inf:
+            raise ValueError(f"sigma2 must be positive and finite, got {self.sigma2}")
 
 
 @dataclass(frozen=True)
@@ -83,9 +85,9 @@ class TwoPointModel:
     p_up: float
 
     def __post_init__(self):
-        if not -1.0 < self.x_down < 0.0 < self.x_up:
+        if not -1.0 < self.x_down < 0.0 < self.x_up < np.inf:
             raise ValueError(
-                f"need -1 < x_down < 0 < x_up, got x_down={self.x_down}, x_up={self.x_up}"
+                f"need -1 < x_down < 0 < x_up < inf, got x_down={self.x_down}, x_up={self.x_up}"
             )
         if not 0.0 <= self.p_up <= 1.0:
             raise ValueError(f"p_up must lie in [0, 1], got {self.p_up}")

@@ -252,7 +252,7 @@ def cmd_analyze(args) -> int:
     if spec.price_driven:
         raise _UsageError(
             "analyze evaluates stage-indexed schedules; "
-            "price-driven specs belong to the backtest command"
+            "price-driven specs belong to the backtest and simulate commands"
         )
     mus = _float_list(effective["mu"], "--mu")
     ks = _int_list(effective["k"], "--k")
@@ -469,7 +469,8 @@ def cmd_weights(args) -> int:
     spec = parse_weight_spec(str(effective["w"]), w_max=float(effective["w_max"]))
     if spec.price_driven:
         raise _UsageError(
-            "price-driven schedules need prices; run the backtest command with --csv"
+            "price-driven schedules need prices; run the backtest command with --csv "
+            "or simulate them"
         )
     values = eval_schedule(spec, int(effective["n"]))
     out = Path(str(effective["out"]))

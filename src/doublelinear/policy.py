@@ -81,10 +81,10 @@ class PolicyConfig:
     def __post_init__(self):
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError(f"alpha must lie in [0, 1], got {self.alpha}")
-        if not self.v0 > 0.0:
-            raise ValueError(f"v0 must be positive, got {self.v0}")
-        if self.rf < 0.0:
-            raise ValueError(f"rf must be nonnegative, got {self.rf}")
+        if not 0.0 < self.v0 < np.inf:
+            raise ValueError(f"v0 must be positive and finite, got {self.v0}")
+        if not 0.0 <= self.rf < np.inf:
+            raise ValueError(f"rf must be nonnegative and finite, got {self.rf}")
 
     @property
     def w_max(self) -> float:

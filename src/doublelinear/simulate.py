@@ -11,11 +11,16 @@ closed form (rather than an Euler scheme) means the per-period price
 ratio has exactly the model's distribution at any dt.  Jumps within one
 period aggregate multiplicatively; delta < 1 keeps prices positive.
 
-Reproducibility contract: all randomness is numpy PCG64.  Path i of a
-run seeded s draws from default_rng([s, i]), its own substream, so a
-path's draws do not depend on how many workers the harness uses or in
-which order paths were scheduled.  Within a path the normals are drawn
-first, then the Poisson counts; the draw order is part of the contract.
+Reproducibility contract: all randomness is numpy PCG64, drawn in
+fixed blocks of B = 64 paths.  Block b of a run seeded s draws from
+default_rng([s, b]), its own substream: first a (B, n) matrix of
+normals, then a (B, n) matrix of Poisson counts (the two-point
+generator draws one (B, n) matrix of uniforms instead).  Path i is row
+i mod B of block i // B.  A run of n_paths draws its last block at full
+size and keeps the rows it needs, so a path's draws depend on (s, i)
+alone: not on n_paths, on how many workers the harness uses, or on the
+order in which blocks were scheduled.  B and the draw order are part of
+the contract.
 """
 
 from __future__ import annotations
@@ -31,12 +36,13 @@ import numpy as np
 
 from .analytics import TwoPointModel
 from .policy import PolicyConfig, derive_w_max, initial_state, leg_factors, validate_weights
-from .weights import WeightSpec, eval_schedule
+from .weights import WeightSpec, eval_schedule, ma_indicator_weights
 
 __all__ = [
     "GbmJumpParams",
     "MonteCarloResult",
     "DEFAULT_MU_STAR_GRID",
+    "BLOCK",
     "path_rng",
     "simulate_path",
     "prices_to_returns",
@@ -48,6 +54,9 @@ __all__ = [
 
 # Default sweep grid: evenly spaced drifts strictly inside (-1, 1).
 DEFAULT_MU_STAR_GRID = tuple(np.linspace(-0.95, 0.95, 41).tolist())
+
+# Paths per substream block; part of the reproducibility contract.
+BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -69,6 +78,9 @@ class GbmJumpParams:
     s0: float = 1.0
 
     def __post_init__(self):
+        for name in ("mu_star", "sigma_star", "lam", "dt", "s0"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.sigma_star < 0.0:
             raise ValueError(f"sigma_star must be >= 0, got {self.sigma_star}")
         if self.lam < 0.0:
@@ -99,45 +111,65 @@ class MonteCarloResult:
     seed: int
 
 
-def path_rng(seed: int, path_index: int) -> np.random.Generator:
-    """The dedicated PCG64 substream of one path, seeded with [seed, path_index]."""
-    return np.random.default_rng([seed, path_index])
+def path_rng(seed: int, block: int) -> np.random.Generator:
+    """The dedicated PCG64 substream of one path block, seeded with [seed, block]."""
+    return np.random.default_rng([seed, block])
 
 
-def simulate_path(params: GbmJumpParams, seed: int, path_index: int = 0) -> np.ndarray:
-    """One price path: n_periods+1 prices starting at s0, all positive."""
-    rng = path_rng(seed, path_index)
+def _price_block(params: GbmJumpParams, seed: int, block: int) -> np.ndarray:
+    """Prices of the BLOCK paths of one block: a (BLOCK, n_periods+1) matrix."""
+    rng = path_rng(seed, block)
     n = params.n_periods
-    z = rng.standard_normal(n)
-    jumps = rng.poisson(params.lam * params.dt, n)
+    z = rng.standard_normal((BLOCK, n))
+    jumps = rng.poisson(params.lam * params.dt, (BLOCK, n))
     drift = (params.mu_star - 0.5 * params.sigma_star**2) * params.dt
-    log_growth = drift + params.sigma_star * math.sqrt(params.dt) * z
-    jump_factor = (1.0 - params.delta) ** np.cumsum(jumps)
-    prices = np.empty(n + 1)
-    prices[0] = params.s0
-    prices[1:] = params.s0 * np.exp(np.cumsum(log_growth)) * jump_factor
+    # (1-delta)^dN enters the exponent as dN*log(1-delta): one exp per price.
+    log_growth = (
+        drift + params.sigma_star * math.sqrt(params.dt) * z + math.log1p(-params.delta) * jumps
+    )
+    prices = np.empty((BLOCK, n + 1))
+    prices[:, 0] = params.s0
+    prices[:, 1:] = params.s0 * np.exp(np.cumsum(log_growth, axis=1))
     return prices
 
 
+def _two_point_block(model: TwoPointModel, k: int, seed: int, block: int) -> np.ndarray:
+    """Returns of the BLOCK paths of one block: a (BLOCK, k) matrix."""
+    u = path_rng(seed, block).random((BLOCK, k))
+    return np.where(u < model.p_up, model.x_up, model.x_down)
+
+
+def simulate_path(params: GbmJumpParams, seed: int, path_index: int = 0) -> np.ndarray:
+    """One price path: n_periods+1 prices starting at s0, all positive.
+
+    Row path_index mod BLOCK of block path_index // BLOCK.
+    """
+    block, row = divmod(path_index, BLOCK)
+    return _price_block(params, seed, block)[row].copy()
+
+
 def prices_to_returns(prices: Sequence[float]) -> np.ndarray:
-    """Per-period simple returns (S(k+1) - S(k)) / S(k); each is > -1."""
+    """Per-period simple returns (S(k+1) - S(k)) / S(k); each is > -1.
+
+    A (paths, n+1) price matrix gives (paths, n) returns, row by row.
+    """
     p = np.asarray(prices, dtype=float)
-    if p.ndim != 1 or p.size < 2:
-        raise ValueError("need a one-dimensional series of at least two prices")
+    if p.ndim not in (1, 2) or p.shape[-1] < 2:
+        raise ValueError("need a series (or rows) of at least two prices")
     if not 0.0 < p.min() <= p.max() < np.inf:  # NaN fails too
         raise ValueError("nonpositive or non-finite price")
-    return p[1:] / p[:-1] - 1.0
+    return p[..., 1:] / p[..., :-1] - 1.0
 
 
 def simulate_two_point(
     model: TwoPointModel, k: int, seed: int, path_index: int = 0
 ) -> np.ndarray:
-    """k i.i.d. draws from the two-point distribution, own substream."""
+    """k i.i.d. draws from the two-point distribution: row path_index mod
+    BLOCK of block path_index // BLOCK."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    rng = path_rng(seed, path_index)
-    u = rng.random(k)
-    return np.where(u < model.p_up, model.x_up, model.x_down)
+    block, row = divmod(path_index, BLOCK)
+    return _two_point_block(model, k, seed, block)[row].copy()
 
 
 def monte_carlo_gain_loss(
@@ -159,10 +191,12 @@ def monte_carlo_gain_loss(
     require the price generator; a returns-only generator has no prices
     to drive them, which is reported as a mismatch.
 
-    Each path draws from its own substream and lands in its own slot of
-    a preallocated gain array, so the result is bit-identical for a
-    given (seed, n_paths) at any `workers` setting; the mean is then a
-    single deterministic reduction of that array.
+    Paths are simulated and traded a block of BLOCK at a time, each
+    block from its own substream into its own slice of a preallocated
+    gain array, so the result is bit-identical for a given
+    (seed, n_paths) at any `workers` setting; the mean is then a single
+    deterministic reduction of that array.  workers > 1 hands blocks to
+    a thread pool.
 
     clip_returns clamps simulated returns into the configured market
     bounds before trading.  It is off by default: the jump-diffusion
@@ -201,31 +235,35 @@ def monte_carlo_gain_loss(
     start = initial_state(config)
     gains = np.empty(n_paths)
 
-    def run(i: int) -> None:
+    def run(block: int) -> None:
+        lo = block * BLOCK
+        rows = min(BLOCK, n_paths - lo)
         if price_generator:
-            prices = simulate_path(generator, seed, i)
+            prices = _price_block(generator, seed, block)[:rows]
             x = prices_to_returns(prices)
-            w = static_w if static_w is not None else eval_schedule(spec, horizon, prices=prices)
+            w = static_w if static_w is not None else ma_indicator_weights(
+                prices, horizon, spec.d, spec.w
+            )
         else:
-            x = simulate_two_point(generator, horizon, seed, i)
+            x = _two_point_block(generator, horizon, seed, block)[:rows]
             w = static_w
         if clip_returns:
             x = np.clip(x, config.bounds.x_min, config.bounds.x_max)
-        # The same stage-order fold as evolve, without keeping the prefixes.
+        # The same stage-order fold as evolve, one path per row.
         f_long, f_short = leg_factors(w, x, config.rf)
-        gains[i] = (
-            np.multiply.reduce(f_long, initial=start.v_long)
-            + np.multiply.reduce(f_short, initial=start.v_short)
+        gains[lo : lo + rows] = (
+            np.multiply.reduce(f_long, axis=1, initial=start.v_long)
+            + np.multiply.reduce(f_short, axis=1, initial=start.v_short)
             - config.v0
         )
 
-    if workers <= 1:
-        for i in range(n_paths):
-            run(i)
+    blocks = range(-(-n_paths // BLOCK))
+    if workers <= 1 or len(blocks) == 1:
+        for block in blocks:
+            run(block)
     else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            chunk = max(1, n_paths // (workers * 8))
-            list(pool.map(run, range(n_paths), chunksize=chunk))
+        with ThreadPoolExecutor(max_workers=min(workers, len(blocks))) as pool:
+            list(pool.map(run, blocks))
 
     mean = float(np.mean(gains))
     variance = float(np.var(gains, ddof=1)) if n_paths > 1 else 0.0
@@ -276,7 +314,7 @@ def dump_paths_csv(
     n_paths: int,
     comment: Optional[str] = None,
 ) -> None:
-    """Write path_id,stage,price rows for the first n_paths substreams."""
+    """Write path_id,stage,price rows for paths 0..n_paths-1, one block draw per BLOCK paths."""
     if n_paths < 1:
         raise ValueError(f"n_paths must be >= 1, got {n_paths}")
     with open(path, "w", newline="") as fh:
@@ -284,6 +322,8 @@ def dump_paths_csv(
             fh.write(f"# {comment}\n")
         writer = csv.writer(fh)
         writer.writerow(["path_id", "stage", "price"])
-        for i in range(n_paths):
-            for stage, price in enumerate(simulate_path(params, seed, i)):
-                writer.writerow([i, stage, float(price)])
+        for block in range(-(-n_paths // BLOCK)):
+            lo = block * BLOCK
+            prices = _price_block(params, seed, block)[: n_paths - lo]
+            for i, row in enumerate(prices.tolist(), start=lo):
+                writer.writerows([i, stage, price] for stage, price in enumerate(row))

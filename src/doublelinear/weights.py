@@ -20,6 +20,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .policy import AdmissibilityError, validate_weights
 
@@ -30,6 +31,7 @@ __all__ = [
     "eval_schedule",
     "ma_value",
     "ma_indicator_weight",
+    "ma_indicator_weights",
     "clamp_admissible",
     "load_weight_table",
     "dump_weight_table",
@@ -111,11 +113,9 @@ def eval_schedule(
         if prices is None:
             raise ValueError("ma_indicator schedules are price-driven: prices required")
         p = np.asarray(prices, dtype=float)
-        if p.size < n:
-            raise ValueError(f"need at least {n} prices, got {p.size}")
-        return np.array(
-            [ma_indicator_weight(p[: i + 1], i, spec.d, spec.w) for i in range(n)]
-        )
+        if p.ndim != 1:
+            raise ValueError("ma_indicator schedules read one price series")
+        return ma_indicator_weights(p, n, spec.d, spec.w)
 
     k = np.arange(1, n + 1, dtype=float)
     if spec.kind == "log_ramp":
@@ -169,6 +169,27 @@ def ma_indicator_weight(prices: Sequence[float], k: int, d: int, w: float) -> fl
         return 0.0
     p = np.asarray(prices, dtype=float)
     return w if float(p[k]) > ma_value(p, k, d) else 0.0
+
+
+def ma_indicator_weights(prices, n: int, d: int, w: float) -> np.ndarray:
+    """ma_indicator_weight for stages 0..n-1 of a price series or of each
+    row of a price matrix, in one pass over sliding d-windows.
+
+    Bit-identical to the scalar oracle: each window mean is the same
+    reduction ma_value makes, and the comparison is the same strict >.
+    """
+    if not 0.0 <= w <= 1.0:
+        raise AdmissibilityError(f"indicator weight w={w} outside [0, 1]")
+    if d < 1:
+        raise ValueError(f"window d must be >= 1, got {d}")
+    p = np.asarray(prices, dtype=float)
+    if p.shape[-1] < n:
+        raise ValueError(f"need at least {n} prices, got {p.shape[-1]}")
+    weights = np.zeros(p.shape[:-1] + (n,))
+    if n >= d:
+        ma = sliding_window_view(p[..., :n], d, axis=-1).mean(axis=-1)
+        weights[..., d - 1 :] = np.where(p[..., d - 1 : n] > ma, float(w), 0.0)
+    return weights
 
 
 def clamp_admissible(values: Sequence[float], w_max: float) -> np.ndarray:

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from doublelinear import (
     AdmissibilityError,
+    GbmJumpParams,
     MarketBounds,
     PolicyConfig,
     PriceSeries,
@@ -34,6 +35,7 @@ from doublelinear import (
     variance_gain_loss,
 )
 from doublelinear.cli import main
+from doublelinear.simulate import BLOCK
 
 BOUNDS = MarketBounds(-0.5, 1.0)
 CONFIG = PolicyConfig(alpha=0.5, bounds=BOUNDS)
@@ -82,6 +84,40 @@ class TestNonFiniteInputsRejected:
         text = f"timestamp,price\n1,100\n2,{bad}\n3,101\n"
         with pytest.raises(ValueError, match="row 3"):
             ingest_csv(io.StringIO(text))
+
+
+@pytest.mark.parametrize(
+    "make, kwargs",
+    [
+        (PolicyConfig, {"alpha": 0.5, "bounds": BOUNDS, "rf": math.nan}),
+        (PolicyConfig, {"alpha": 0.5, "bounds": BOUNDS, "rf": math.inf}),
+        (PolicyConfig, {"alpha": 0.5, "bounds": BOUNDS, "v0": math.nan}),
+        (PolicyConfig, {"alpha": 0.5, "bounds": BOUNDS, "v0": math.inf}),
+        (GbmJumpParams, {"mu_star": math.nan}),
+        (GbmJumpParams, {"mu_star": -math.inf}),
+        (GbmJumpParams, {"mu_star": 0.1, "sigma_star": math.nan}),
+        (GbmJumpParams, {"mu_star": 0.1, "sigma_star": math.inf}),
+        (GbmJumpParams, {"mu_star": 0.1, "lam": math.nan}),
+        (GbmJumpParams, {"mu_star": 0.1, "lam": math.inf}),
+        (GbmJumpParams, {"mu_star": 0.1, "delta": math.nan}),
+        (GbmJumpParams, {"mu_star": 0.1, "dt": math.nan}),
+        (GbmJumpParams, {"mu_star": 0.1, "dt": math.inf}),
+        (GbmJumpParams, {"mu_star": 0.1, "s0": math.nan}),
+        (GbmJumpParams, {"mu_star": 0.1, "s0": math.inf}),
+        (ReturnMoments, {"mu": math.nan, "sigma2": 0.01}),
+        (ReturnMoments, {"mu": math.inf, "sigma2": 0.01}),
+        (ReturnMoments, {"mu": 0.05, "sigma2": math.nan}),
+        (ReturnMoments, {"mu": 0.05, "sigma2": math.inf}),
+        (TwoPointModel, {"x_up": math.inf, "x_down": -0.1, "p_up": 0.5}),
+        (TwoPointModel, {"x_up": 0.1, "x_down": -0.1, "p_up": math.nan}),
+    ],
+    ids=lambda v: getattr(v, "__name__", None) or ",".join(
+        f"{k}={x}" for k, x in v.items() if k not in ("alpha", "bounds")
+    ),
+)
+def test_constructors_reject_non_finite_parameters(make, kwargs):
+    with pytest.raises(ValueError, match="finite|must lie|need"):
+        make(**kwargs)
 
 
 class TestStrictJsonOutputs:
@@ -144,6 +180,28 @@ class TestOneFactorForm:
         assert traj.final_gain == states[-1].total - v0
         assert traj.final_gain == mc.mean_gain
         assert traj.gains[-1] == traj.final_gain
+
+    @given(
+        path=paths(),
+        n_paths=st.integers(2, 2 * BLOCK + 3),
+        alpha=st.floats(0.0, 1.0),
+        rf=st.one_of(st.just(0.0), st.floats(1e-6, 0.01)),
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_monte_carlo_mean_is_the_mean_of_evolve_over_rows(self, path, n_paths, alpha, rf):
+        # across block boundaries: every sample row is exactly the evolve
+        # gain on that path's simulate_two_point returns
+        model, w, seed = path
+        cfg = PolicyConfig(alpha=alpha, bounds=BOUNDS, rf=rf)
+        gains = np.array([
+            evolve(cfg, w, simulate_two_point(model, len(w), seed, i)).final_gain
+            for i in range(n_paths)
+        ])
+        mc = monte_carlo_gain_loss(
+            cfg, WeightSpec("table", values=tuple(w)), model, n_paths, seed, n_periods=len(w)
+        )
+        assert mc.mean_gain == float(np.mean(gains))
+        assert mc.sample_variance == float(np.var(gains, ddof=1))
 
     def test_trajectory_views_derive_from_the_leg_arrays(self):
         traj = evolve(CONFIG, [0.2, 0.8, 0.5], [0.05, -0.1, 0.3])

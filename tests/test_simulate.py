@@ -12,6 +12,7 @@ from doublelinear import (
     PolicyConfig,
     TwoPointModel,
     WeightSpec,
+    eval_schedule,
     evolve,
     expected_gain_loss_constant,
     monte_carlo_gain_loss,
@@ -21,7 +22,7 @@ from doublelinear import (
     simulate_two_point,
     sweep_mu_star,
 )
-from doublelinear.simulate import DEFAULT_MU_STAR_GRID, dump_paths_csv
+from doublelinear.simulate import BLOCK, DEFAULT_MU_STAR_GRID, dump_paths_csv
 
 BOUNDS = MarketBounds(-0.5, 1.0)
 
@@ -71,12 +72,61 @@ class TestPathGeneration:
         b = simulate_path(p, seed=42, path_index=1)
         assert not np.array_equal(a, b)
 
-    def test_path_does_not_depend_on_population_size(self):
-        # core reproducibility contract: path i is a function of
-        # (seed, i) alone, not of how many paths a run draws
-        assert np.array_equal(
-            path_rng(7, 5).standard_normal(4), path_rng(7, 5).standard_normal(4)
+    def test_path_does_not_depend_on_population_size(self, tmp_path):
+        # core reproducibility contract: path i is a function of (seed, i)
+        # alone, not of how many paths a run draws; the last block is
+        # drawn at full size and sliced, so partial blocks change nothing
+        params = GbmJumpParams(mu_star=0.1, sigma_star=0.2, lam=0.0, n_periods=12)
+        cfg = make_config()
+        spec = WeightSpec("log_ramp")
+        w = eval_schedule(spec, 12)
+        sizes = [1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5]
+        rows = {}
+        for n_paths in sizes:
+            out = tmp_path / f"paths_{n_paths}.csv"
+            dump_paths_csv(out, params, seed=7, n_paths=n_paths)
+            rows[n_paths] = out.read_text().splitlines()
+        everything = rows[sizes[-1]]
+        for n_paths in sizes:
+            assert rows[n_paths] == everything[: 1 + 13 * n_paths]
+
+        # per-path gains: each run's sample is exactly the first n_paths
+        # per-path evolve gains
+        gains = np.array([
+            evolve(cfg, w, prices_to_returns(simulate_path(params, 7, i))).final_gain
+            for i in range(sizes[-1])
+        ])
+        for n_paths in sizes:
+            res = monte_carlo_gain_loss(cfg, spec, params, n_paths, seed=7)
+            assert res.mean_gain == float(np.mean(gains[:n_paths]))
+            if n_paths > 1:
+                assert res.sample_variance == float(np.var(gains[:n_paths], ddof=1))
+
+    @pytest.mark.parametrize("i", [0, 5, BLOCK - 1, BLOCK, 3 * BLOCK + 5])
+    def test_path_is_a_row_of_its_block(self, i):
+        # block i // BLOCK draws (BLOCK, n) normals, then (BLOCK, n)
+        # Poisson counts, from path_rng(seed, block); path i is one row
+        p = GbmJumpParams(mu_star=0.05, lam=30.0, n_periods=30, s0=2.0)
+        rng = path_rng(7, i // BLOCK)
+        z = rng.standard_normal((BLOCK, 30))
+        jumps = rng.poisson(p.lam * p.dt, (BLOCK, 30))
+        log_growth = (
+            (p.mu_star - 0.5 * p.sigma_star**2) * p.dt
+            + p.sigma_star * math.sqrt(p.dt) * z[i % BLOCK]
+            + math.log1p(-p.delta) * jumps[i % BLOCK]
         )
+        expected = p.s0 * np.exp(np.cumsum(log_growth))
+        prices = simulate_path(p, 7, i)
+        assert prices[0] == p.s0
+        np.testing.assert_array_equal(prices[1:], expected)
+        assert jumps[i % BLOCK].any()
+
+    @pytest.mark.parametrize("i", [0, BLOCK - 1, BLOCK, 3 * BLOCK + 5])
+    def test_two_point_path_is_a_row_of_its_block(self, i):
+        model = TwoPointModel(0.2, -0.1, 0.6)
+        u = path_rng(9, i // BLOCK).random((BLOCK, 20))[i % BLOCK]
+        expected = np.where(u < model.p_up, model.x_up, model.x_down)
+        np.testing.assert_array_equal(simulate_two_point(model, 20, 9, i), expected)
 
     def test_shape_positivity_start(self):
         p = GbmJumpParams(mu_star=-0.3, n_periods=100, s0=50.0)
@@ -257,3 +307,18 @@ class TestPathDump:
         first = lines[2].split(",")
         assert first[0] == "0" and first[1] == "0"
         assert float(first[2]) == 1.0
+
+    def test_dump_rows_are_the_simulated_paths(self, tmp_path):
+        # one block draw serves BLOCK paths; the CSV must still be
+        # exactly simulate_path, row by row, across a block boundary
+        params = GbmJumpParams(mu_star=0.05, n_periods=4)
+        n_paths = BLOCK + 3
+        out = tmp_path / "paths.csv"
+        dump_paths_csv(out, params, seed=4, n_paths=n_paths)
+        body = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        expected = [
+            [str(i), str(stage), repr(price)]
+            for i in range(n_paths)
+            for stage, price in enumerate(simulate_path(params, 4, i).tolist())
+        ]
+        assert body == expected

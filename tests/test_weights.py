@@ -16,6 +16,7 @@ from doublelinear import (
     ma_value,
     parse_weight_spec,
 )
+from doublelinear.weights import ma_indicator_weights
 
 
 class TestNamedSchedules:
@@ -147,6 +148,65 @@ class TestMovingAverage:
     def test_default_window_weight(self):
         spec = parse_weight_spec("ma:3")
         assert spec.d == 3 and spec.w == 0.8
+
+
+def _oracle(prices, n, d, w):
+    """The scalar indicator, one stage at a time, reading prices[0..i] only."""
+    return np.array([ma_indicator_weight(prices[: i + 1], i, d, w) for i in range(n)])
+
+
+class TestVectorizedIndicator:
+    """ma_indicator_weights must equal the scalar oracle bit for bit."""
+
+    @pytest.mark.parametrize("d", [2, 7, 8, 9, 20, 129])
+    def test_random_price_rows(self, d):
+        rng = np.random.default_rng(d)
+        prices = 100.0 * np.exp(np.cumsum(0.02 * rng.standard_normal((5, 300)), axis=1))
+        n = 299
+        matrix = ma_indicator_weights(prices, n, d, 0.8)
+        assert matrix.shape == (5, n)
+        for row, p in zip(matrix, prices):
+            expected = _oracle(p, n, d, 0.8)
+            assert row.tolist() == expected.tolist()
+            spec = WeightSpec("ma_indicator", w=0.8, d=d)
+            assert eval_schedule(spec, n, prices=p).tolist() == expected.tolist()
+        assert 0 < np.count_nonzero(matrix) < matrix.size - 5 * (d - 1)
+
+    def test_exact_ties_stay_off(self):
+        # integer prices make every window mean exact: flat stretches tie
+        flat = np.full(40, 100.0)
+        stepped = np.array([2.0, 1.0, 3.0, 2.0, 2.0, 2.0, 5.0, 1.0, 3.0, 3.0])
+        assert ma_indicator_weights(flat, 40, 20, 0.8).tolist() == [0.0] * 40
+        assert _oracle(flat, 40, 20, 0.8).tolist() == [0.0] * 40
+        got = ma_indicator_weights(stepped, 10, 3, 0.8)
+        assert got.tolist() == _oracle(stepped, 10, 3, 0.8).tolist()
+        assert got[3] == 0.0 and stepped[3] == stepped[1:4].mean()  # the tie at stage 3
+
+    def test_warm_up_stages_are_zero(self):
+        prices = np.arange(1.0, 31.0)  # rising: every full window is on
+        got = ma_indicator_weights(prices, 30, 10, 0.5)
+        assert got.tolist() == _oracle(prices, 30, 10, 0.5).tolist()
+        assert got.tolist() == [0.0] * 9 + [0.5] * 21
+
+    def test_window_of_one_never_trades(self):
+        prices = np.array([[3.0, 1.0, 4.0, 1.0, 5.0], [9.0, 2.0, 6.0, 5.0, 3.0]])
+        got = ma_indicator_weights(prices, 5, 1, 0.8)
+        assert got.tolist() == [_oracle(p, 5, 1, 0.8).tolist() for p in prices]
+        assert not got.any()
+
+    def test_horizon_shorter_than_window(self):
+        prices = np.array([[1.0, 2.0, 3.0, 4.0], [4.0, 3.0, 2.0, 1.0]])
+        got = ma_indicator_weights(prices, 3, 5, 0.8)
+        assert got.shape == (2, 3) and not got.any()
+        assert got.tolist() == [_oracle(p, 3, 5, 0.8).tolist() for p in prices]
+        # n == d: only the last stage has a full window
+        got = ma_indicator_weights(prices, 4, 4, 0.8)
+        assert got.tolist() == [[0.0, 0.0, 0.0, 0.8], [0.0] * 4]
+        assert got.tolist() == [_oracle(p, 4, 4, 0.8).tolist() for p in prices]
+
+    def test_needs_n_prices_per_row(self):
+        with pytest.raises(ValueError, match="at least 6 prices"):
+            ma_indicator_weights(np.ones((2, 5)), 6, 2, 0.8)
 
 
 class TestClamp:
