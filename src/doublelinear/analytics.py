@@ -364,8 +364,11 @@ def rpe_scan(
 
     idx = np.arange(1, k_max)  # horizons 2..k_max
     entries = np.empty((len(grid), k_max - 1))
-    for i, mu in enumerate(grid):
-        entries[i] = _mean_at(config, w, mu, idx)
+    # A long horizon can overflow a leg product; the entry is then inf (or
+    # nan), which the report carries for the caller to reject.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, mu in enumerate(grid):
+            entries[i] = _mean_at(config, w, mu, idx)
 
     nonzero_rows = [i for i, mu in enumerate(grid) if mu != 0.0]
     min_gain = None

@@ -16,10 +16,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import re
 import sys
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
+
+import numpy as np
 
 from .analytics import ReturnMoments, expected_gain_loss, rpe_scan, variance_gain_loss
 from .backtest import batch_backtest, ingest_csv
@@ -202,27 +206,83 @@ def _outdir(args) -> Path:
     return path
 
 
-def _write_json(path: Path, payload: dict) -> None:
-    # Streamed to a sibling file and renamed into place: a result strict JSON
-    # cannot hold (nan, inf) leaves no file, and large grids are not buffered.
-    partial = path.with_name(path.name + ".partial")
+def _leaf(obj) -> str:
+    """JSON text of a scalar or an empty container, as the json module writes it."""
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        if not math.isfinite(obj):
+            raise ValueError(f"Out of range float values are not JSON compliant: {obj!r}")
+        return float.__repr__(obj)
+    if isinstance(obj, (list, tuple)):
+        return "[]"
+    if isinstance(obj, dict):
+        return "{}"
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+def _encode(obj, indent: str, out: list[str]) -> None:
+    """Append the pieces of ``json.dumps(obj, indent=2, sort_keys=True,
+    allow_nan=False)`` to out; their concatenation is that text exactly.
+
+    With an indent the json module always runs its pure-Python encoder,
+    one generator step per token.  Here a list of plain floats, the bulk
+    of every large output, is one piece: one finiteness check, then its
+    float.__repr__ values joined (a list holding nan or inf takes the
+    item-by-item path, which raises the json module's error).  Pieces are
+    appended, never nested into larger strings, so a caller can write
+    them without holding the text twice.  Dict keys must be str.
+    """
+    if isinstance(obj, (list, tuple)) and obj:
+        inner = indent + "  "
+        if set(map(type, obj)) == {float} and all(map(math.isfinite, obj)):
+            out.append("[" + inner + ("," + inner).join(map(float.__repr__, obj)) + indent + "]")
+            return
+        sep = "[" + inner
+        for value in obj:
+            out.append(sep)
+            _encode(value, inner, out)
+            sep = "," + inner
+        out.append(indent + "]")
+    elif isinstance(obj, dict) and obj:
+        inner = indent + "  "
+        sep = "{" + inner
+        for key, value in sorted(obj.items()):
+            out.append(sep + encode_basestring_ascii(key) + ": ")
+            _encode(value, inner, out)
+            sep = "," + inner
+        out.append(indent + "}")
+    else:
+        out.append(_leaf(obj))
+
+
+def _write_json(path: Path, payload: dict) -> list[str]:
+    """Write payload as strict, indented, key-sorted JSON and return its pieces.
+
+    It is serialized before the file is opened, so a result strict JSON
+    cannot hold (nan, inf) leaves no file.
+    """
+    pieces: list[str] = []
     try:
-        with open(partial, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
-            fh.write("\n")
-        os.replace(partial, path)
+        _encode(payload, "\n", pieces)
     except ValueError as exc:
         raise ValueError(f"{path.name} not written, a result is inf or nan: {exc}") from None
-    finally:
-        partial.unlink(missing_ok=True)
+    pieces.append("\n")
+    with open(path, "w") as fh:
+        fh.writelines(pieces)
+    return pieces
 
 
 def _provenance_comment(command: str, effective: dict) -> str:
     return "config: " + json.dumps({"command": command, **effective}, sort_keys=True)
-
-
-def _print_payload(payload: dict) -> None:
-    print(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False))
 
 
 def _policy(effective: dict) -> tuple[PolicyConfig, float]:
@@ -273,8 +333,7 @@ def cmd_analyze(args) -> int:
             for k, mean, variance in zip(ks, means, variances)
         ]
     payload = {"command": "analyze", "config": effective, "results": results}
-    _write_json(_outdir(args) / "analyze.json", payload)
-    _print_payload(payload)
+    sys.stdout.writelines(_write_json(_outdir(args) / "analyze.json", payload))
     return 0
 
 
@@ -337,7 +396,7 @@ def cmd_simulate(args) -> int:
         for mu_star, r in cells
     ]
     payload = {"command": "simulate", "config": effective, "results": rows}
-    _write_json(outdir / "simulate.json", payload)
+    pieces = _write_json(outdir / "simulate.json", payload)
 
     if not single:
         with open(outdir / "sweep.csv", "w", newline="") as fh:
@@ -355,7 +414,7 @@ def cmd_simulate(args) -> int:
             comment=_provenance_comment("simulate", effective),
         )
 
-    _print_payload(payload)
+    sys.stdout.writelines(pieces)
     return 0
 
 
@@ -389,7 +448,7 @@ def cmd_backtest(args) -> int:
         "reports": {name: report.to_dict() for name, report in reports.items()},
     }
     outdir = _outdir(args)
-    _write_json(outdir / "backtest.json", payload)
+    pieces = _write_json(outdir / "backtest.json", payload)
 
     names = list(reports)
     metrics = ["gain_loss", "variance", "sharpe", "degenerate_sharpe", "n_periods"]
@@ -405,15 +464,17 @@ def cmd_backtest(args) -> int:
 
     if effective["curves"]:
         for position, (name, report) in enumerate(reports.items(), start=1):
-            curve_path = outdir / f"curve_{position}.csv"
-            with open(curve_path, "w", newline="") as fh:
-                fh.write(f"# {_provenance_comment('backtest', effective)}\n")
-                fh.write(f"# spec: {name}\n")
-                fh.write("stage,gain\n")
-                for stage, gain in report.curve:
-                    fh.write(f"{int(stage)},{gain}\n")
+            # curve rows are stages 0..n in order
+            rows = "".join(
+                f"{stage},{gain!r}\n" for stage, gain in enumerate(report.curve[:, 1].tolist())
+            )
+            with open(outdir / f"curve_{position}.csv", "w", newline="") as fh:
+                fh.write(
+                    f"# {_provenance_comment('backtest', effective)}\n"
+                    f"# spec: {name}\nstage,gain\n{rows}"
+                )
 
-    _print_payload(payload)
+    sys.stdout.writelines(pieces)
     return 0
 
 
@@ -437,6 +498,13 @@ def cmd_verify_rpe(args) -> int:
     )
     schedule = eval_schedule(spec, k_max)
     report = rpe_scan(config, schedule, grid, k_max)
+    overflowed = np.argwhere(~np.isfinite(report.entries))
+    if overflowed.size:
+        row, col = overflowed[0]
+        raise ValueError(
+            f"rpe.json not written, a result is inf or nan: the expected gain at "
+            f"mu={report.mu_grid[row]}, k={col + 2} is {report.entries[row, col]}"
+        )
     payload = {
         "command": "verify-rpe",
         "config": effective,

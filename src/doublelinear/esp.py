@@ -1,4 +1,4 @@
-"""Elementary symmetric polynomials of a nonnegative weight sequence.
+"""Elementary symmetric polynomials of a finite nonnegative weight sequence.
 
 e_j is the sum, over all j-element subsets of the sequence, of the
 product of the chosen entries.  Expanding the leg growth factors
@@ -51,8 +51,8 @@ def _as_weights(weights: Sequence[float]) -> np.ndarray:
     w = np.asarray(weights, dtype=float)
     if w.ndim != 1 or w.size == 0:
         raise ValueError("weights must be a nonempty one-dimensional sequence")
-    if np.any(w < 0.0):
-        raise ValueError("weights must be nonnegative")
+    if not np.all((w >= 0.0) & (w < np.inf)):  # nan fails both comparisons
+        raise ValueError("weights must be finite and nonnegative")
     return w
 
 

@@ -40,6 +40,26 @@ class TestEspAll:
         with pytest.raises(ValueError):
             esp_all([0.5, -0.1])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize(
+        "call",
+        [
+            esp_all,
+            lambda w: esp_naive(w, 2),
+            lambda w: expected_growth_product(w, 0.1, "+"),
+            lambda w: expected_growth_esp(esp_all(w), 0.1, "+"),
+            e2_positive,
+        ],
+        ids=["esp_all", "esp_naive", "expected_growth_product", "expected_growth_esp", "e2_positive"],
+    )
+    def test_rejects_non_finite_weights(self, call, bad):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            call([0.5, bad, 0.3])
+
+    def test_large_weights_stay_admissible(self):
+        # verification device: no upper bound on the weights
+        assert esp_all([2.0, 1e300]).e(1) == 1e300
+
     @given(
         weights=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=12),
     )

@@ -1,0 +1,195 @@
+"""Output writer: JSON identical to the json module's, curve CSV rows, stdout.
+
+The CLI's JSON must be exactly json.dumps(payload, indent=2,
+sort_keys=True, allow_nan=False); the json module is the oracle.
+"""
+
+import dataclasses
+import json
+import math
+import warnings
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import doublelinear.cli as cli
+from doublelinear import MarketBounds, PolicyConfig, batch_backtest, ingest_csv, parse_weight_spec
+from doublelinear.cli import main
+
+
+def dumps(obj) -> str:
+    pieces = []
+    cli._encode(obj, "\n", pieces)
+    return "".join(pieces)
+
+
+def oracle(obj) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
+
+
+finite_floats = st.floats(allow_nan=False, allow_infinity=False)
+edge_floats = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e16, 1e-5, 1e-4, 1.7976931348623157e308])
+text = st.one_of(st.text(), st.sampled_from(['"', "\\", '"\\"', "\n\t\x00\x1f", "é", "日本", "😀"]))
+leaves = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=-(2**200), max_value=2**200),
+    finite_floats,
+    edge_floats,
+    finite_floats.map(np.float64),
+    text,
+)
+float_lists = st.lists(st.one_of(finite_floats, edge_floats), min_size=1)
+trees = st.recursive(
+    st.one_of(leaves, float_lists),
+    lambda children: st.one_of(
+        st.lists(children),
+        st.lists(children).map(tuple),
+        st.dictionaries(text, children),
+    ),
+    max_leaves=40,
+)
+
+
+class TestJsonOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(trees)
+    def test_matches_json_dumps(self, tree):
+        assert dumps(tree) == oracle(tree)
+
+    def test_edge_values(self):
+        tree = {
+            "empty": [[], {}, ()],
+            "floats": [-0.0, 5e-324, 1e16, 1e-5, 0.1],
+            "mixed": [1, 2.5, True, None, "x", np.float64(-0.0)],
+            "big": 2**100,
+            'q"uo\\te': "ünï ",
+        }
+        assert dumps(tree) == oracle(tree)
+        assert dumps([]) == "[]" and dumps({}) == "{}"
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "shape",
+        [
+            lambda b: [0.5, b, 0.25],  # an all-float list
+            lambda b: [[0.5, 0.25], [0.125, b]],
+            lambda b: {"mixed": [1, "a", b]},
+            lambda b: {"leaf": b},
+            lambda b: [np.float64(b)],
+            lambda b: b,
+        ],
+        ids=["float-list", "float-rows", "mixed-list", "dict-leaf", "float64-list", "bare"],
+    )
+    def test_non_finite_raises_like_json(self, bad, shape):
+        tree = shape(bad)
+        with pytest.raises(ValueError) as expected:
+            oracle(tree)
+        with pytest.raises(ValueError) as got:
+            dumps(tree)
+        assert str(got.value) == str(expected.value)
+
+    def test_unserializable_type_raises(self):
+        with pytest.raises(TypeError):
+            dumps({"x": {1, 2}})
+
+
+def write_prices(tmp_path, prices):
+    path = tmp_path / "prices.csv"
+    path.write_text("timestamp,price\n" + "".join(f"{i},{p}\n" for i, p in enumerate(prices, 1)))
+    return path
+
+
+def curve_body(path):
+    lines = path.read_text().splitlines()
+    assert lines[0].startswith("# config: ") and lines[1].startswith("# spec: ")
+    assert lines[2] == "stage,gain"
+    return lines[3:]
+
+
+class TestCurveCsv:
+    def test_rows_are_stage_and_round_trip_gain(self, tmp_path, capsys):
+        csv_path = write_prices(tmp_path, [100, 100.001, 99.999, 100, 180, 100.001])
+        code = main([
+            "backtest", "--csv", str(csv_path), "--w", "constant:0.5", "--w", "ma:2",
+            "--with-buy-hold", "--bounds-from-data", "--curves", "--outdir", str(tmp_path),
+        ])
+        capsys.readouterr()
+        assert code == 0
+        reports = batch_backtest(
+            PolicyConfig(0.5, MarketBounds(-0.5, 1.0)),
+            {t: parse_weight_spec(t) for t in ("constant:0.5", "ma:2")},
+            ingest_csv(csv_path),
+            include_buy_hold=True,
+            bounds_from_data=True,
+        )
+        for position, report in enumerate(reports.values(), start=1):
+            expected = [f"{int(s)},{float(g)!r}" for s, g in report.curve]
+            assert curve_body(tmp_path / f"curve_{position}.csv") == expected
+
+    def test_negative_zero_and_exponent_gains(self, tmp_path, capsys, monkeypatch):
+        gains = [0.0, -0.0, 1e-7, -2.5e-05, 1.5e16, 0.1, 5e-324]
+        real = cli.batch_backtest
+
+        def with_crafted_curve(*args, **kwargs):
+            (name, report), = real(*args, **kwargs).items()
+            curve = np.column_stack([np.arange(len(gains), dtype=float), gains])
+            return {name: dataclasses.replace(report, curve=curve)}
+
+        monkeypatch.setattr(cli, "batch_backtest", with_crafted_curve)
+        csv_path = write_prices(tmp_path, [100, 110, 99])
+        code = main([
+            "backtest", "--csv", str(csv_path), "--w", "constant:0.5",
+            "--curves", "--outdir", str(tmp_path),
+        ])
+        capsys.readouterr()
+        assert code == 0
+        assert curve_body(tmp_path / "curve_1.csv") == [
+            "0,0.0", "1,-0.0", "2,1e-07", "3,-2.5e-05", "4,1.5e+16", "5,0.1", "6,5e-324",
+        ]
+
+
+class TestStdout:
+    @pytest.mark.parametrize("sigma2", [None, "0.0004"])
+    def test_analyze_stdout_is_the_json_file(self, tmp_path, capsys, sigma2):
+        argv = ["analyze", "--w", "log_ramp", "--mu", "0.01,-0.02,1e-5", "--k", "1,7,40",
+                "--outdir", str(tmp_path)]
+        code = main(argv + (["--sigma2", sigma2] if sigma2 else []))
+        out = capsys.readouterr().out
+        assert code == 0
+        written = (tmp_path / "analyze.json").read_text()
+        assert out == written
+        assert written == oracle(json.loads(written)) + "\n"
+
+    def test_rpe_json_is_the_oracle_text(self, tmp_path, capsys):
+        code = main(["verify-rpe", "--w", "log_ramp", "--k-max", "60", "--outdir", str(tmp_path)])
+        capsys.readouterr()
+        assert code == 0
+        written = (tmp_path / "rpe.json").read_text()
+        assert written == oracle(json.loads(written)) + "\n"
+
+
+class TestOverflowingCertificate:
+    @pytest.mark.parametrize(
+        "argv, cell",
+        [
+            (["--mu-grid", "0.9"], "mu=0.9, k=1911 is inf"),
+            (["--mu-grid", "0.01,0.5,-0.9"], "mu=0.5, k=3181 is inf"),
+            (["--mu-grid", "0.9", "--alpha", "0"], "mu=0.9, k=1911 is nan"),
+        ],
+    )
+    def test_names_the_first_non_finite_cell_without_warning(self, tmp_path, capsys, argv, cell):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main([
+                "verify-rpe", "--w", "constant:0.5", "--k-max", "5000", *argv,
+                "--outdir", str(tmp_path),
+            ])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "rpe.json not written, a result is inf or nan" in err
+        assert f"the expected gain at {cell}" in err
+        assert list(tmp_path.iterdir()) == []
