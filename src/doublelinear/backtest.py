@@ -16,7 +16,6 @@ is computed from information up to and including S(k).
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 import math
 from dataclasses import dataclass
@@ -27,6 +26,7 @@ import numpy as np
 
 from .policy import MarketBounds, PolicyConfig, evolve
 from .simulate import prices_to_returns
+from .tables import read_rows
 from .weights import WeightSpec, eval_schedule
 
 __all__ = [
@@ -80,7 +80,7 @@ class BacktestReport:
     symbol: str = ""
 
     def to_dict(self) -> dict:
-        """JSON-shaped summary; the curve travels separately as CSV."""
+        """JSON-shaped summary, one backtest.csv row per key; the curve has its own CSV."""
         return {
             "gain_loss": self.gain_loss,
             "variance": self.variance,
@@ -94,56 +94,29 @@ def ingest_csv(source, symbol: Optional[str] = None) -> PriceSeries:
     """Parse a `timestamp,price` CSV into a validated PriceSeries.
 
     timestamp is an integer (epoch seconds or a plain ordinal), price a
-    positive finite decimal.  Lines starting with '#' are skipped.  Bad rows
-    are rejected with their 1-based row number, the header being row 1.
+    positive finite decimal.  source is a path or an open text file in
+    the table format of doublelinear.tables ('#' and blank lines are
+    skipped).  Bad rows are rejected with their 1-based line number.
     """
-    if hasattr(source, "read"):
-        fh, owned = source, False
-        name = getattr(source, "name", "")
-    else:
-        fh, owned = open(source, newline=""), True
-        name = str(source)
-    try:
-        reader = csv.reader(fh)
-        header = None
-        timestamps: list[int] = []
-        prices: list[float] = []
-        for row in reader:
-            if not row or not row[0].strip() or row[0].lstrip().startswith("#"):
-                continue
-            if header is None:
-                # first surviving line; '#' preambles may precede it
-                header = row
-                if [c.strip().lower() for c in header[:2]] != ["timestamp", "price"]:
-                    raise ValueError(
-                        f"expected header 'timestamp,price', got {','.join(header)!r}"
-                    )
-                continue
-            rownum = reader.line_num
-            if len(row) < 2:
-                raise ValueError(f"row {rownum}: expected 2 columns, got {len(row)}")
-            try:
-                ts = int(row[0])
-                price = float(row[1])
-            except ValueError:
-                raise ValueError(f"row {rownum}: could not parse {row[:2]!r}") from None
-            if not math.isfinite(price):
-                raise ValueError(f"row {rownum}: non-finite price {price}")
-            if price <= 0.0:
-                raise ValueError(f"row {rownum}: nonpositive price {price}")
-            timestamps.append(ts)
-            prices.append(price)
-        if header is None:
-            raise ValueError("empty file")
-        if not timestamps:
-            raise ValueError("no data rows")
-        label = symbol if symbol is not None else (PurePath(name).stem if name else "")
-        # PriceSeries re-validates; duplicated/regressing times surface here
-        # as "nonmonotone timestamps".
-        return PriceSeries(np.array(timestamps, np.int64), np.array(prices), label)
-    finally:
-        if owned:
-            fh.close()
+    name = getattr(source, "name", "") if hasattr(source, "read") else str(source)
+    timestamps: list[int] = []
+    prices: list[float] = []
+    for rownum, row in read_rows(source, ("timestamp", "price")):
+        try:
+            ts = int(row[0])
+            price = float(row[1])
+        except ValueError:
+            raise ValueError(f"row {rownum}: could not parse {row[:2]!r}") from None
+        if not math.isfinite(price):
+            raise ValueError(f"row {rownum}: non-finite price {price}")
+        if price <= 0.0:
+            raise ValueError(f"row {rownum}: nonpositive price {price}")
+        timestamps.append(ts)
+        prices.append(price)
+    label = symbol if symbol is not None else PurePath(name).stem  # "" without a name
+    # PriceSeries re-validates; duplicated/regressing times surface here
+    # as "nonmonotone timestamps".
+    return PriceSeries(np.array(timestamps, np.int64), np.array(prices), label)
 
 
 def sharpe_ratio(period_returns: Sequence[float]) -> float:

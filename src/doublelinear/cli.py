@@ -15,6 +15,7 @@ comment, nothing is timestamped, and results do not depend on
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -34,6 +35,7 @@ from .simulate import (
     monte_carlo_gain_loss,
     sweep_mu_star,
 )
+from .tables import write_table
 from .weights import dump_weight_table, eval_schedule, parse_weight_spec
 
 __all__ = ["main", "build_parser"]
@@ -281,6 +283,19 @@ def _write_json(path: Path, payload: dict) -> list[str]:
     return pieces
 
 
+def _require_finite(name: str, quantities, ks, tables) -> None:
+    """Raise naming the first inf or nan cell in output order; tables yields
+    (mu, values) with values[j, q] = quantities[q] at horizon ks[j]."""
+    for mu, values in tables:
+        bad = np.argwhere(~np.isfinite(values))
+        if bad.size:
+            j, q = bad[0]
+            raise ValueError(
+                f"{name} not written, a result is inf or nan: the {quantities[q]} "
+                f"at mu={mu}, k={ks[j]} is {values[j, q]}"
+            )
+
+
 def _provenance_comment(command: str, effective: dict) -> str:
     return "config: " + json.dumps({"command": command, **effective}, sort_keys=True)
 
@@ -320,18 +335,20 @@ def cmd_analyze(args) -> int:
         raise _UsageError("--mu and --k must be nonempty")
     schedule = eval_schedule(spec, max(ks))
     sigma2 = effective["sigma2"]
-    results = []
-    for mu in mus:
-        variances = (
-            variance_gain_loss(config, schedule, ReturnMoments(mu, sigma2), ks).tolist()
-            if sigma2 is not None
-            else [None] * len(ks)
-        )
-        means = expected_gain_loss(config, schedule, mu, ks).tolist()
-        results += [
-            {"mu": mu, "k": k, "mean": mean, "variance": variance}
-            for k, mean, variance in zip(ks, means, variances)
-        ]
+    tables = []  # per mu: [k, (mean, variance if sigma2 is given)]
+    with np.errstate(over="ignore", invalid="ignore"):  # overflowed cells are named below
+        for mu in mus:
+            variance = [] if sigma2 is None else [
+                variance_gain_loss(config, schedule, ReturnMoments(mu, sigma2), ks)
+            ]
+            mean = expected_gain_loss(config, schedule, mu, ks)
+            tables.append(np.column_stack([mean, *variance]))
+    _require_finite("analyze.json", ("mean", "variance"), ks, zip(mus, tables))
+    results = [
+        {"mu": mu, "k": k, "mean": cell[0], "variance": cell[1] if sigma2 is not None else None}
+        for mu, table in zip(mus, tables)
+        for k, cell in zip(ks, table.tolist())
+    ]
     payload = {"command": "analyze", "config": effective, "results": results}
     sys.stdout.writelines(_write_json(_outdir(args) / "analyze.json", payload))
     return 0
@@ -365,8 +382,6 @@ def cmd_simulate(args) -> int:
     single = effective["mu_star"] is not None
 
     if single:
-        import dataclasses
-
         params = dataclasses.replace(base, mu_star=float(effective["mu_star"]))
         result = monte_carlo_gain_loss(
             config, spec, params, int(effective["paths"]), seed,
@@ -376,9 +391,7 @@ def cmd_simulate(args) -> int:
     else:
         if effective["dump_paths"]:
             raise _UsageError("--dump-paths needs a single --mu-star run, not a sweep")
-        grid = (
-            _float_list(effective["grid"], "--grid") if effective["grid"] else None
-        )
+        grid = _float_list(effective["grid"], "--grid") if effective["grid"] else None
         cells = sweep_mu_star(
             config, spec, base, grid, int(effective["paths"]), seed,
             workers=int(effective["threads"]), clip_returns=bool(effective["clip"]),
@@ -399,11 +412,9 @@ def cmd_simulate(args) -> int:
     pieces = _write_json(outdir / "simulate.json", payload)
 
     if not single:
-        with open(outdir / "sweep.csv", "w", newline="") as fh:
-            fh.write(f"# {_provenance_comment('simulate', effective)}\n")
-            fh.write("mu_star,mean_gain,std_error\n")
-            for row in rows:
-                fh.write(f"{row['mu_star']},{row['mean_gain']},{row['std_error']}\n")
+        lines = (f"{r['mu_star']},{r['mean_gain']},{r['std_error']}" for r in rows)
+        comments = [_provenance_comment("simulate", effective)]
+        write_table(outdir / "sweep.csv", comments, ("mu_star", "mean_gain", "std_error"), lines)
 
     if single and effective["dump_paths"]:
         dump_paths_csv(
@@ -450,29 +461,18 @@ def cmd_backtest(args) -> int:
     outdir = _outdir(args)
     pieces = _write_json(outdir / "backtest.json", payload)
 
-    names = list(reports)
-    metrics = ["gain_loss", "variance", "sharpe", "degenerate_sharpe", "n_periods"]
-    with open(outdir / "backtest.csv", "w", newline="") as fh:
-        fh.write(f"# {_provenance_comment('backtest', effective)}\n")
-        fh.write("metric," + ",".join(names) + "\n")
-        for metric in metrics:
-            cells = [
-                json.dumps(v) if isinstance(v, bool) else str(v)
-                for v in (reports[name].to_dict()[metric] for name in names)
-            ]
-            fh.write(metric + "," + ",".join(cells) + "\n")
+    comment = _provenance_comment("backtest", effective)
+    summaries = list(payload["reports"].values())
+    # one row per report field; json.dumps writes a finite float as its repr, a bool as true/false
+    lines = (",".join([m, *(json.dumps(s[m]) for s in summaries)]) for m in summaries[0])
+    write_table(outdir / "backtest.csv", [comment], ["metric", *reports], lines)
 
     if effective["curves"]:
         for position, (name, report) in enumerate(reports.items(), start=1):
             # curve rows are stages 0..n in order
-            rows = "".join(
-                f"{stage},{gain!r}\n" for stage, gain in enumerate(report.curve[:, 1].tolist())
-            )
-            with open(outdir / f"curve_{position}.csv", "w", newline="") as fh:
-                fh.write(
-                    f"# {_provenance_comment('backtest', effective)}\n"
-                    f"# spec: {name}\nstage,gain\n{rows}"
-                )
+            lines = (f"{stage},{gain!r}" for stage, gain in enumerate(report.curve[:, 1].tolist()))
+            comments = [comment, f"spec: {name}"]
+            write_table(outdir / f"curve_{position}.csv", comments, ("stage", "gain"), lines)
 
     sys.stdout.writelines(pieces)
     return 0
@@ -498,13 +498,10 @@ def cmd_verify_rpe(args) -> int:
     )
     schedule = eval_schedule(spec, k_max)
     report = rpe_scan(config, schedule, grid, k_max)
-    overflowed = np.argwhere(~np.isfinite(report.entries))
-    if overflowed.size:
-        row, col = overflowed[0]
-        raise ValueError(
-            f"rpe.json not written, a result is inf or nan: the expected gain at "
-            f"mu={report.mu_grid[row]}, k={col + 2} is {report.entries[row, col]}"
-        )
+    _require_finite(
+        "rpe.json", ("expected gain",), range(2, k_max + 1),
+        zip(report.mu_grid, report.entries[:, :, None]),
+    )
     payload = {
         "command": "verify-rpe",
         "config": effective,

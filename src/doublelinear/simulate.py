@@ -25,7 +25,6 @@ the contract.
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 import math
 from concurrent.futures import ThreadPoolExecutor
@@ -36,6 +35,7 @@ import numpy as np
 
 from .analytics import TwoPointModel
 from .policy import PolicyConfig, derive_w_max, initial_state, leg_factors, validate_weights
+from .tables import write_table
 from .weights import WeightSpec, eval_schedule, ma_indicator_weights
 
 __all__ = [
@@ -317,13 +317,12 @@ def dump_paths_csv(
     """Write path_id,stage,price rows for paths 0..n_paths-1, one block draw per BLOCK paths."""
     if n_paths < 1:
         raise ValueError(f"n_paths must be >= 1, got {n_paths}")
-    with open(path, "w", newline="") as fh:
-        if comment:
-            fh.write(f"# {comment}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["path_id", "stage", "price"])
+
+    def lines():
         for block in range(-(-n_paths // BLOCK)):
-            lo = block * BLOCK
-            prices = _price_block(params, seed, block)[: n_paths - lo]
-            for i, row in enumerate(prices.tolist(), start=lo):
-                writer.writerows([i, stage, price] for stage, price in enumerate(row))
+            prices = _price_block(params, seed, block)[: n_paths - block * BLOCK].tolist()
+            for i, row in enumerate(prices, start=block * BLOCK):
+                for stage, price in enumerate(row):
+                    yield f"{i},{stage},{price!r}"
+
+    write_table(path, [comment] if comment else [], ("path_id", "stage", "price"), lines())

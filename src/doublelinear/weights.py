@@ -13,7 +13,6 @@ Everything emitted by eval_schedule lies in [0, w_max].
 
 from __future__ import annotations
 
-import csv
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -23,6 +22,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .policy import AdmissibilityError, validate_weights
+from .tables import read_rows, write_table
 
 __all__ = [
     "WeightSpec",
@@ -201,39 +201,23 @@ def clamp_admissible(values: Sequence[float], w_max: float) -> np.ndarray:
 
 def dump_weight_table(path, values: Sequence[float], comment: Optional[str] = None) -> None:
     """Write a stage,weight CSV (stages numbered 1..n)."""
-    with open(path, "w", newline="") as fh:
-        if comment:
-            fh.write(f"# {comment}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["stage", "weight"])
-        for stage, value in enumerate(values, start=1):
-            writer.writerow([stage, float(value)])
+    lines = (f"{stage},{float(value)!r}" for stage, value in enumerate(values, start=1))
+    write_table(path, [comment] if comment else [], ("stage", "weight"), lines)
 
 
 def load_weight_table(path) -> np.ndarray:
-    """Read a stage,weight CSV back into a weight vector (row order).
-
-    Lines starting with '#' are comments and skipped.
-    """
-    rows = []
-    with open(path, newline="") as fh:
-        for row in csv.reader(fh):
-            if not row or not row[0].strip() or row[0].lstrip().startswith("#"):
-                continue
-            rows.append(row)
-    if not rows:
-        raise ValueError(f"weight table {path} is empty")
-    header = [c.strip().lower() for c in rows[0][:2]]
-    if header != ["stage", "weight"]:
-        raise ValueError(
-            f"weight table {path}: expected header 'stage,weight', got {','.join(rows[0])!r}"
-        )
-    if len(rows) == 1:
-        raise ValueError(f"weight table {path} has no data rows")
+    """Read a stage,weight table (see doublelinear.tables) into a weight
+    vector, in row order; the stage column is not read."""
+    weights = []
     try:
-        return np.array([float(row[1]) for row in rows[1:]])
-    except (IndexError, ValueError):
-        raise ValueError(f"weight table {path}: malformed data row") from None
+        for line, row in read_rows(path, ("stage", "weight")):
+            try:
+                weights.append(float(row[1]))
+            except ValueError:
+                raise ValueError(f"row {line}: malformed data row {row[:2]!r}") from None
+    except ValueError as exc:
+        raise ValueError(f"weight table {path}: {exc}") from None
+    return np.array(weights)
 
 
 def parse_weight_spec(text: str, w_max: float = 1.0) -> WeightSpec:

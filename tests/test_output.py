@@ -193,3 +193,28 @@ class TestOverflowingCertificate:
         assert "rpe.json not written, a result is inf or nan" in err
         assert f"the expected gain at {cell}" in err
         assert list(tmp_path.iterdir()) == []
+
+
+class TestOverflowingClosedForms:
+    @pytest.mark.parametrize(
+        "argv, cell",
+        [
+            (["--mu", "0.9", "--k", "2000", "--sigma2", "0.01"], "the mean at mu=0.9, k=2000 is inf"),
+            (["--mu", "0.9", "--k", "2000"], "the mean at mu=0.9, k=2000 is inf"),
+            (["--mu", "0.9", "--k", "2000", "--alpha", "0"], "the mean at mu=0.9, k=2000 is nan"),
+            # results order: mu = 0.1 comes first, and only its variance overflows
+            (
+                ["--mu", "0.1,0.9", "--k", "10,1500,2000", "--sigma2", "0.5"],
+                "the variance at mu=0.1, k=2000 is inf",
+            ),
+        ],
+    )
+    def test_names_the_first_non_finite_cell_without_warning(self, tmp_path, capsys, argv, cell):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["analyze", "--w", "constant:0.9", *argv, "--outdir", str(tmp_path)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == f"error: analyze.json not written, a result is inf or nan: {cell}\n"
+        assert list(tmp_path.iterdir()) == []
