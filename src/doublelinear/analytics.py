@@ -4,7 +4,9 @@ Setting: per-period returns are independent with a common mean mu (and,
 where variances appear, a common variance sigma2), the riskless rate is
 zero, and the weight schedule is admissible.  Expectations then factor
 across stages, so the mean and variance of the terminal gain-loss
-reduce to products over the schedule.
+reduce to products over the schedule.  Each is evaluated as exp or expm1
+of cumulative sums of logs and overflows only past the float range; the
+variance keeps an error of about 1e-16 of its terms' summed magnitude.
 
 Every operation here rejects configs with rf != 0 rather than silently
 ignoring the rate: the formulas are only valid in the frictionless
@@ -18,6 +20,7 @@ is the basis of the test suite.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -129,22 +132,34 @@ def _schedule_head(config: PolicyConfig, weights: Sequence[float], k):
     return validate_weights(w[:k_max], derive_w_max(config.bounds)), ks - 1
 
 
-def _prefix_products(factors: list[np.ndarray], idx: np.ndarray) -> np.ndarray:
-    """Row i: the product of factors[i] over the first j+1 stages, for each j in idx.
-
-    Cumulative products run in stage order, so each prefix carries the
-    same bits as a sequential product over it.
-    """
-    return np.cumprod(np.stack(factors), axis=-1)[:, idx]
-
-
 def _at_k(values: np.ndarray, k):
     return float(values) if np.ndim(k) == 0 else values
 
 
-def _mean_at(config: PolicyConfig, w: np.ndarray, mu: float, idx: np.ndarray) -> np.ndarray:
-    up, down = _prefix_products([1.0 + w * mu, 1.0 - w * mu], idx)
-    return config.v0 * (config.alpha * up + (1.0 - config.alpha) * down - 1.0)
+def _log_value(alpha: float, x: np.ndarray) -> np.ndarray:
+    """log(alpha*prod(1 + x) + (1-alpha)*prod(1 - x)) after each stage (last axis).
+
+    The legs are exp(s +/- h), with even part s = sum(log1p(-x^2))/2 and
+    odd part h = sum(atanh(x)); their mix grows at stage j by 1 + x_j*tanh(h + c),
+    h over the earlier stages and tanh(c) = 2*alpha - 1, so s drops out.
+    At alpha = 1/2 no term is negative and the sum does not cancel."""
+    h = np.zeros_like(x)
+    np.cumsum(np.arctanh(x[..., :-1]), axis=-1, out=h[..., 1:])
+    with np.errstate(divide="ignore"):  # alpha = 0 or 1 puts c at -inf or inf
+        c = 0.5 * (np.log(alpha) - np.log1p(-alpha))
+    return np.cumsum(np.log1p(x * np.tanh(h + c)), axis=-1)
+
+
+def _scaled_expm1(a, r, sign=1.0):
+    """exp(a) * (sign*e^r - 1), finite whenever the value is: for sign = 1
+    and r < 1 as exp(a/2) * (exp(a/2) * expm1(r)), else as the exp of
+    a + log|sign*e^r - 1|; each form gets a = -inf in the other's lanes."""
+    near = (r < 1.0) & (sign > 0.0)
+    half = np.exp(0.5 * np.where(near, a, -np.inf))
+    r_far = np.maximum(r, 1.0)  # log(e^r - 1) = r + log1p(-e^-r) for r >= 1
+    log_far = np.where(sign > 0.0, r_far + np.log1p(-np.exp(-r_far)), np.logaddexp(r, 0.0))
+    far = sign * np.exp(np.where(near, -np.inf, a) + log_far)
+    return half * (half * np.expm1(np.minimum(r, 1.0))) + far
 
 
 def expected_gain_loss(
@@ -158,11 +173,11 @@ def expected_gain_loss(
     and at least two strictly positive weights among the first k, the
     value is strictly positive regardless of the sign of mu.  k may also
     be a 1-d sequence of horizons; the result is then an array with one
-    entry per horizon, from a single pass of cumulative products.
+    entry per horizon, from one cumulative sum of logs.
     """
     check_mu(mu)
     w, idx = _schedule_head(config, weights, k)
-    return _at_k(_mean_at(config, w, mu, idx), k)
+    return _at_k(_scaled_expm1(math.log(config.v0), _log_value(config.alpha, w * mu)[idx]), k)
 
 
 def expected_gain_loss_constant(
@@ -174,57 +189,54 @@ def expected_gain_loss_constant(
     if k < 1:
         raise ValueError(f"horizon k must be >= 1, got {k}")
     validate_weights(w, derive_w_max(config.bounds))
-    a = config.alpha
-    return float(
-        config.v0 * (a * (1.0 + w * mu) ** k + (1.0 - a) * (1.0 - w * mu) ** k - 1.0)
+    a, x = config.alpha, w * mu
+    return config.v0 * (
+        a * math.expm1(k * math.log1p(x)) + (1.0 - a) * math.expm1(k * math.log1p(-x))
     )
 
 
-def _moment_products(config, weights, moments: ReturnMoments, k):
-    """p_up2, p_down2, p_cross, p_mu, p_up, p_down of variance_gain_loss at each horizon in k."""
+def _pair_logs(config, weights, moments: ReturnMoments, k):
+    """Per variance pair, at each horizon in k: the log of coefficient
+    times leg product (alpha^2 v0^2 prod(1+x)^2, (1-alpha)^2 v0^2
+    prod(1-x)^2, 2 alpha(1-alpha) v0^2 prod(1-x^2); x = w mu), the log-sum
+    r of its factors 1 + q/(1+x)^2, 1 + q/(1-x)^2, |1 - q/(1-x^2)| (q =
+    w^2 s2), and the sign of the last product, negative where an odd
+    number of stages puts moment mass beyond 1/w."""
     check_mu(moments.mu)
     w, idx = _schedule_head(config, weights, k)
-    mu, s2 = moments.mu, moments.sigma2
-    up = 1.0 + w * mu
-    down = 1.0 - w * mu
-    ws2 = w * w * s2
-    cross = 1.0 - w * w * (s2 + mu * mu)
-    return _prefix_products(
-        [ws2 + up * up, ws2 + down * down, cross, 1.0 - (w * mu) ** 2, up, down], idx
-    )
+    x, q = w * moments.mu, w * w * moments.sigma2
+    cross = -q / ((1.0 - x) * (1.0 + x))
+    negative = cross < -1.0
+    cross = np.where(negative, -2.0 - cross, cross)  # log1p of it is log|1 + cross|
+    with np.errstate(divide="ignore"):  # log 0 = -inf: alpha = 0 or 1, a cross factor of 0
+        terms = [x, -x, q / (1.0 + x) ** 2, q / (1.0 - x) ** 2, cross]
+        up, down, *r = np.cumsum(np.log1p(terms), axis=-1)[:, idx]
+        up += np.log(config.alpha * config.v0)
+        down += np.log((1.0 - config.alpha) * config.v0)
+    sign = np.where(np.cumsum(negative)[idx] % 2 == 1, -1.0, 1.0)
+    return (2.0 * up, 2.0 * down, math.log(2.0) + up + down), r, sign
 
 
 def variance_gain_loss(
     config: PolicyConfig, weights: Sequence[float], moments: ReturnMoments, k: int | Sequence[int]
 ) -> float | np.ndarray:
-    """Variance of the terminal gain-loss from the six-product identity.
+    """Variance of the terminal gain-loss as three pairs.
 
-        v0^2 * [ alpha^2     * prod(w^2 s2 + (1+w mu)^2)
-               + (1-alpha)^2 * prod(w^2 s2 + (1-w mu)^2)
-               + 2 alpha(1-alpha) * prod(1 - w^2 (s2 + mu^2))
-               - 2 alpha(1-alpha) * prod(1 - w^2 mu^2)
-               - alpha^2     * prod(1+w mu)^2
-               - (1-alpha)^2 * prod(1-w mu)^2 ]
+        v0^2 * [ alpha^2     * (prod(w^2 s2 + (1+w mu)^2) - prod(1+w mu)^2)
+               + (1-alpha)^2 * (prod(w^2 s2 + (1-w mu)^2) - prod(1-w mu)^2)
+               + 2 alpha(1-alpha) * (prod(1 - w^2 (s2 + mu^2)) - prod(1 - w^2 mu^2)) ]
 
-    The six terms nearly cancel for small exposures, so the result can
-    carry an absolute floating-point residue of order 1e-16*v0^2; values
-    below -1e-12*v0^2 indicate a bug, not roundoff.  At k = 1 the whole
-    expression collapses to v0^2 * w^2 * s2 * (2 alpha - 1)^2.  k may be
-    a 1-d sequence of horizons, as in expected_gain_loss.
+    Each pair is exp(log coefficient + log leg product) times expm1 of a
+    cumulative sum of log1p terms, so alpha = 0 or 1 gives an exact 0.
+    The pairs cancel to first order in the exposure: the error is about
+    1e-16 of their summed magnitude, near 1e-16/(w^2 (mu^2 + s2)) relative.
+    At k = 1 the whole expression collapses to v0^2 * w^2 * s2 * (2 alpha - 1)^2.
+    k may be a 1-d sequence of horizons, as in expected_gain_loss.
     """
-    p_up2, p_down2, p_cross, p_mu, p_up, p_down = _moment_products(
-        config, weights, moments, k
-    )
-    a = config.alpha
-    value = (
-        a * a * p_up2
-        + (1.0 - a) ** 2 * p_down2
-        + 2.0 * a * (1.0 - a) * p_cross
-        - 2.0 * a * (1.0 - a) * p_mu
-        - a * a * p_up * p_up
-        - (1.0 - a) ** 2 * p_down * p_down
-    )
-    return _at_k(config.v0 * config.v0 * value, k)
+    (a_up, a_down, a_cross), (r_up, r_down, r_cross), sign = _pair_logs(config, weights, moments, k)
+    legs = _scaled_expm1(a_up, r_up) + _scaled_expm1(a_down, r_down)
+    # |cross pair| <= the leg pairs' sum (Cauchy-Schwarz): it is infinite only with them
+    return _at_k(legs + np.where(np.isinf(legs), 0.0, _scaled_expm1(a_cross, r_cross, sign)), k)
 
 
 def second_moment_gain_loss(
@@ -234,28 +246,18 @@ def second_moment_gain_loss(
 
         v0^2 * [ alpha^2     * prod(w^2 s2 + (1+w mu)^2)
                + (1-alpha)^2 * prod(w^2 s2 + (1-w mu)^2)
-               + 1
-               + 2 alpha(1-alpha) * prod(1 - w^2 (s2 + mu^2))
-               - 2 alpha     * prod(1+w mu)
-               - 2 (1-alpha) * prod(1-w mu) ]
+               + 2 alpha(1-alpha) * prod(1 - w^2 (s2 + mu^2)) ] - v0^2 - 2 v0 * mean
 
     Satisfies variance == second_moment - mean^2 (an identity the test
     suite checks against variance_gain_loss, which is evaluated from a
     different grouping of the same products).
     """
-    p_up2, p_down2, p_cross, _, p_up, p_down = _moment_products(
-        config, weights, moments, k
-    )
-    a = config.alpha
-    value = (
-        a * a * p_up2
-        + (1.0 - a) ** 2 * p_down2
-        + 1.0
-        + 2.0 * a * (1.0 - a) * p_cross
-        - 2.0 * a * p_up
-        - 2.0 * (1.0 - a) * p_down
-    )
-    return _at_k(config.v0 * config.v0 * value, k)
+    a, r, sign = _pair_logs(config, weights, moments, k)
+    legs = np.exp(a[0] + r[0]) + np.exp(a[1] + r[1])
+    squares = legs + np.where(np.isinf(legs), 0.0, sign * np.exp(a[2] + r[2]))  # as in the variance
+    linear = config.v0 * (config.v0 + 2.0 * expected_gain_loss(config, weights, moments.mu, k))
+    # E[value^2] >= mean^2, so an infinite mean comes with infinite squares
+    return _at_k(squares - np.where(np.isinf(squares), 0.0, linear), k)
 
 
 def gain_loss_stats(
@@ -362,23 +364,17 @@ def rpe_scan(
                 f"{int(lacking[0]) + 2} stages"
             )
 
-    idx = np.arange(1, k_max)  # horizons 2..k_max
-    entries = np.empty((len(grid), k_max - 1))
-    # A long horizon can overflow a leg product; the entry is then inf (or
-    # nan), which the report carries for the caller to reject.
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i, mu in enumerate(grid):
-            entries[i] = _mean_at(config, w, mu, idx)
+    # One row per mu, horizons 2..k_max.  An entry past the float range is
+    # inf, which the report carries for the caller to reject.
+    mus = np.array(grid)[:, None]
+    with np.errstate(over="ignore"):
+        entries = _scaled_expm1(math.log(config.v0), _log_value(config.alpha, mus * w)[:, 1:])
 
-    nonzero_rows = [i for i, mu in enumerate(grid) if mu != 0.0]
-    min_gain = None
-    argmin = None
-    if nonzero_rows:
-        sub = entries[nonzero_rows]
-        flat = int(np.argmin(sub))
-        row, col = divmod(flat, sub.shape[1])
-        min_gain = float(sub[row, col])
-        argmin = (grid[nonzero_rows[row]], col + 2)
+    min_gain = argmin = None
+    if any(grid):  # mu = 0 rows never count toward the certificate
+        nonzero = np.where(mus != 0.0, entries, np.inf)
+        row, col = np.unravel_index(np.argmin(nonzero), nonzero.shape)
+        min_gain, argmin = float(entries[row, col]), (grid[row], int(col) + 2)
 
     certifiable = reason is None
     certified = certifiable and min_gain is not None and min_gain > 0.0

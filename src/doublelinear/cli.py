@@ -336,7 +336,7 @@ def cmd_analyze(args) -> int:
     schedule = eval_schedule(spec, max(ks))
     sigma2 = effective["sigma2"]
     tables = []  # per mu: [k, (mean, variance if sigma2 is given)]
-    with np.errstate(over="ignore", invalid="ignore"):  # overflowed cells are named below
+    with np.errstate(over="ignore"):  # overflowed cells are named below
         for mu in mus:
             variance = [] if sigma2 is None else [
                 variance_gain_loss(config, schedule, ReturnMoments(mu, sigma2), ks)

@@ -9,8 +9,8 @@ makes strict positivity of the expected gain-loss visible term by term.
 The expansion is a verification device, not the production path: e_j
 grows like binomial(k, j), so with weights near 1 the table overflows
 double precision somewhere past k ~ 500 (binomial(500, 250) ~ 1e149 is
-still fine, binomial(1100, 550) is not).  Production code evaluates the
-product forms directly; expected_growth_esp exists to check them.
+still fine, binomial(1100, 550) is not).  Production code uses the log
+form exp(s +/- h), s even and h odd in mu; expected_growth_esp checks it.
 """
 
 from __future__ import annotations

@@ -207,14 +207,17 @@ def dump_weight_table(path, values: Sequence[float], comment: Optional[str] = No
 
 def load_weight_table(path) -> np.ndarray:
     """Read a stage,weight table (see doublelinear.tables) into a weight
-    vector, in row order; the stage column is not read."""
+    vector; the stages must run 1..n in order."""
     weights = []
     try:
         for line, row in read_rows(path, ("stage", "weight")):
             try:
-                weights.append(float(row[1]))
+                stage, weight = int(row[0]), float(row[1])
             except ValueError:
                 raise ValueError(f"row {line}: malformed data row {row[:2]!r}") from None
+            if stage != len(weights) + 1:
+                raise ValueError(f"row {line}: stage {stage}, expected {len(weights) + 1}")
+            weights.append(weight)
     except ValueError as exc:
         raise ValueError(f"weight table {path}: {exc}") from None
     return np.array(weights)

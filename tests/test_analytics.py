@@ -1,4 +1,7 @@
-"""Closed-form gain-loss moments against hand values and the enumeration oracle."""
+"""Closed-form gain-loss moments against hand values, the enumeration
+oracle and exact rational arithmetic."""
+
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,7 +14,9 @@ from doublelinear import (
     PolicyConfig,
     ReturnMoments,
     TwoPointModel,
+    WeightSpec,
     brute_force_moments,
+    eval_schedule,
     expected_gain_loss,
     expected_gain_loss_constant,
     gain_loss_stats,
@@ -286,3 +291,78 @@ class TestSignCondition:
         if sign_condition_gain(cfg, w, mu, k):
             for kk in range(1, k + 1):
                 assert expected_gain_loss(cfg, w, mu, kk) > 0.0
+
+
+def exact_moments(alpha, weights, mu, sigma2):
+    """Per horizon, from the float inputs in exact rationals (v0 = 1): the
+    mean, the variance, the variance's three pairs' summed magnitude, and
+    alpha*prod(1 + w mu) + (1-alpha)*prod(1 - w mu)."""
+    a, m, s2 = Fraction(alpha), Fraction(mu), Fraction(sigma2)
+    up = down = up2 = down2 = cross = even = Fraction(1)
+    for w in map(Fraction, weights):
+        x, q = w * m, w * w * s2
+        up, down = up * (1 + x), down * (1 - x)
+        up2, down2 = up2 * ((1 + x) ** 2 + q), down2 * ((1 - x) ** 2 + q)
+        cross, even = cross * (1 - x * x - q), even * (1 - x * x)
+        pairs = (a * a * (up2 - up * up), (1 - a) ** 2 * (down2 - down * down),
+                 2 * a * (1 - a) * (cross - even))
+        value = a * up + (1 - a) * down
+        yield value - 1, sum(pairs), sum(map(abs, pairs)), value
+
+
+TINY = Fraction(2.0**-1022)
+unit_weights = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+
+
+class TestExactOracle:
+    @given(
+        alpha=st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0)),
+        weights=st.lists(unit_weights, min_size=1, max_size=40),
+        mu=st.floats(1e-12, 0.99, exclude_max=True),
+        negative=st.booleans(),
+        sigma2=st.floats(1e-14, 10.0),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_closed_forms_match_rational_arithmetic(self, alpha, weights, mu, negative, sigma2):
+        """Mean: 1e-13 relative at alpha = 1/2, else 1e-13 of the legs' size.
+
+        Variance: 1e-12 of its three pairs' summed magnitude, and 1e-9
+        relative where mu^2 + sigma2 >= 1e-6 and the variance is at least
+        1e-6 of that magnitude.  The pairs cancel to first order in
+        w^2 (mu^2 + sigma2), so with weights of order one the first
+        condition brings the second; tiny weights, or alpha = 1/2 at k = 1
+        (exact variance 0), cancel further and only the first bound applies.
+        Values below the normal float range get an absolute 2^-1022.
+        """
+        mu = -mu if negative else mu
+        cfg = make_config(alpha=alpha)
+        ks = np.arange(1, len(weights) + 1)
+        means = expected_gain_loss(cfg, weights, mu, ks)
+        variances = variance_gain_loss(cfg, weights, ReturnMoments(mu, sigma2), ks)
+        exact = exact_moments(alpha, weights, mu, sigma2)
+        for mean, variance, (mean_q, variance_q, pairs_q, value_q) in zip(means, variances, exact):
+            mean_error = abs(Fraction(mean) - mean_q) - TINY
+            if alpha == 0.5:
+                assert mean_error <= Fraction(1e-13) * abs(mean_q)
+            else:
+                assert mean_error <= Fraction(1e-13) * (value_q + 1)
+            variance_error = abs(Fraction(variance) - variance_q) - TINY
+            assert variance_error <= Fraction(1e-12) * pairs_q
+            if mu * mu + sigma2 >= 1e-6 and abs(variance_q) >= Fraction(1e-6) * pairs_q:
+                assert variance_error <= Fraction(1e-9) * abs(variance_q)
+
+    def test_variance_with_negative_cross_factors(self):
+        # 1 - w^2 (sigma2 + mu^2) = -0.2251 at every stage
+        moments = ReturnMoments(0.9, 0.5)
+        *_, (_, exact, _, _) = exact_moments(0.5, [0.9] * 10, 0.9, 0.5)
+        value = variance_gain_loss(make_config(), [0.9] * 10, moments, 10)
+        assert abs(Fraction(value) - exact) <= Fraction(1e-13) * exact
+
+    def test_benchmark_grid_argmin_cell(self):
+        # closed-form benchmark workload at seed 1: log_ramp, k_max 5000
+        mu = 0.0010007383509005557
+        w = eval_schedule(WeightSpec("log_ramp"), 5000)
+        report = rpe_scan(make_config(), w, [mu], 5000)
+        exact = Fraction(w[0]) * Fraction(w[1]) * Fraction(mu) ** 2  # the k = 2 gain
+        assert report.argmin == (mu, 2)
+        assert abs(Fraction(report.min_gain) - exact) <= Fraction(1e-13) * exact

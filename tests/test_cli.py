@@ -192,6 +192,15 @@ class TestVerifyRpe:
         assert code == 2
         assert "positive" in out
 
+    def test_certifies_drifts_of_one_in_a_billion(self, tmp_path, capsys):
+        # the k = 2 gain is (w mu)^2 = 2.5e-19, far below the rounding of 1 + w mu
+        code, out, _ = run(
+            capsys, "verify-rpe", "--w", "constant:0.5", "--k-max", "20",
+            "--mu-grid", "1e-9,-1e-9", "--outdir", str(tmp_path),
+        )
+        assert code == 0
+        assert out == "certified: min gain 2.5e-19 at mu=1e-09, k=2\n"
+
     def test_custom_grid(self, tmp_path, capsys):
         code, _, _ = run(
             capsys, "verify-rpe", "--w", "constant:0.5", "--k-max", "5",

@@ -4,10 +4,13 @@ The CLI's JSON must be exactly json.dumps(payload, indent=2,
 sort_keys=True, allow_nan=False); the json module is the oracle.
 """
 
+import bisect
 import dataclasses
 import json
 import math
+import sys
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -172,16 +175,27 @@ class TestStdout:
         assert written == oracle(json.loads(written)) + "\n"
 
 
+def first_horizon_past_float_range(v0, w, mu):
+    """The first k whose exact alpha = 1/2 expected gain at constant weight
+    w exceeds the largest float; that gain grows with k, so bisect finds it."""
+    x = Fraction(w) * Fraction(mu)
+    past = lambda k: v0 * (((1 + x) ** k + (1 - x) ** k) / 2 - 1) > Fraction(sys.float_info.max)
+    return bisect.bisect_left(range(10_000), True, key=past)
+
+
 class TestOverflowingCertificate:
     @pytest.mark.parametrize(
-        "argv, cell",
+        "argv, v0, mu, k",
         [
-            (["--mu-grid", "0.9"], "mu=0.9, k=1911 is inf"),
-            (["--mu-grid", "0.01,0.5,-0.9"], "mu=0.5, k=3181 is inf"),
-            (["--mu-grid", "0.9", "--alpha", "0"], "mu=0.9, k=1911 is nan"),
+            (["--mu-grid", "0.9"], 1, 0.9, 1913),
+            (["--mu-grid", "0.01,0.5,-0.9"], 1, 0.5, 3184),
+            (["--mu-grid", "0.9", "--v0", "0.25"], Fraction(1, 4), 0.9, 1916),
         ],
     )
-    def test_names_the_first_non_finite_cell_without_warning(self, tmp_path, capsys, argv, cell):
+    def test_names_the_first_non_finite_cell_without_warning(
+        self, tmp_path, capsys, argv, v0, mu, k
+    ):
+        assert first_horizon_past_float_range(v0, 0.5, mu) == k
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code = main([
@@ -191,8 +205,25 @@ class TestOverflowingCertificate:
         err = capsys.readouterr().err
         assert code == 1
         assert "rpe.json not written, a result is inf or nan" in err
-        assert f"the expected gain at {cell}" in err
+        assert f"the expected gain at mu={mu}, k={k} is inf" in err
         assert list(tmp_path.iterdir()) == []
+
+    def test_short_only_scan_is_exact_at_every_horizon(self, tmp_path, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main([
+                "verify-rpe", "--w", "constant:0.5", "--k-max", "5000", "--mu-grid", "0.9",
+                "--alpha", "0", "--outdir", str(tmp_path),
+            ])
+        assert code == 2
+        assert capsys.readouterr().out.startswith("not certifiable: alpha must equal 1/2")
+        (entries,) = json.loads((tmp_path / "rpe.json").read_text())["entries"]
+        short_factor = 1 - Fraction(0.5) * Fraction(0.9)
+        short = short_factor
+        for entry in entries:  # horizons 2..5000; the gain is short - 1
+            short *= short_factor
+            exact = float(short)  # correctly rounded; 1.0 - exact loses at most 2^-53
+            assert abs(entry - (exact - 1.0)) <= 1e-13 * (exact + 1.0)
 
 
 class TestOverflowingClosedForms:
@@ -201,7 +232,6 @@ class TestOverflowingClosedForms:
         [
             (["--mu", "0.9", "--k", "2000", "--sigma2", "0.01"], "the mean at mu=0.9, k=2000 is inf"),
             (["--mu", "0.9", "--k", "2000"], "the mean at mu=0.9, k=2000 is inf"),
-            (["--mu", "0.9", "--k", "2000", "--alpha", "0"], "the mean at mu=0.9, k=2000 is nan"),
             # results order: mu = 0.1 comes first, and only its variance overflows
             (
                 ["--mu", "0.1,0.9", "--k", "10,1500,2000", "--sigma2", "0.5"],
@@ -218,3 +248,18 @@ class TestOverflowingClosedForms:
         assert captured.out == ""
         assert captured.err == f"error: analyze.json not written, a result is inf or nan: {cell}\n"
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("sigma2", [[], ["--sigma2", "0.01"]], ids=["mean", "variance"])
+    def test_short_only_cells_are_finite(self, tmp_path, capsys, sigma2):
+        # the long leg overflows, but alpha = 0 puts no weight on it: the exact
+        # mean is 0.19^2000 - 1 and the variance 0.0442^2000 - 0.0361^2000
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main([
+                "analyze", "--w", "constant:0.9", "--mu", "0.9", "--k", "2000", "--alpha", "0",
+                *sigma2, "--outdir", str(tmp_path),
+            ])
+        assert code == 0
+        (cell,) = json.loads(capsys.readouterr().out)["results"]
+        assert cell["mean"] == -1.0
+        assert cell["variance"] == (0.0 if sigma2 else None)

@@ -95,6 +95,23 @@ class TestTableSchedules:
         path.write_text("# provenance line\nstage,weight\n1,0.25\n2,0.5\n")
         np.testing.assert_allclose(load_weight_table(path), [0.25, 0.5])
 
+    @pytest.mark.parametrize(
+        "rows, complaint",
+        [
+            ("3,0.1\n1,0.2\n1,0.3\n", "row 2: stage 3, expected 1"),
+            ("1,0.1\n1,0.2\n", "row 3: stage 1, expected 2"),
+            ("1,0.1\n3,0.2\n", "row 3: stage 3, expected 2"),
+            ("1,0.1\n2.0,0.2\n", "row 3: malformed data row ['2.0', '0.2']"),
+        ],
+        ids=["out-of-order", "repeated", "missing", "non-integer"],
+    )
+    def test_load_rejects_stages_other_than_one_to_n(self, tmp_path, rows, complaint):
+        path = tmp_path / "w.csv"
+        path.write_text("stage,weight\n" + rows)
+        with pytest.raises(ValueError) as error:
+            load_weight_table(path)
+        assert str(error.value) == f"weight table {path}: {complaint}"
+
     def test_load_rejects_malformed(self, tmp_path):
         path = tmp_path / "w.csv"
         path.write_text("stage,weight\n1,abc\n")
