@@ -26,7 +26,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .policy import PolicyConfig, check_mu, derive_w_max, validate_weights
+from .policy import PolicyConfig, check_mu, validate_weights
 
 __all__ = [
     "ReturnMoments",
@@ -94,6 +94,8 @@ class TwoPointModel:
             )
         if not 0.0 <= self.p_up <= 1.0:
             raise ValueError(f"p_up must lie in [0, 1], got {self.p_up}")
+        if not math.isfinite(self.sigma2):
+            raise ValueError(f"x_up - x_down is too wide: sigma2 overflows, x_up={self.x_up}")
 
     @property
     def mu(self) -> float:
@@ -101,7 +103,8 @@ class TwoPointModel:
 
     @property
     def sigma2(self) -> float:
-        return self.p_up * (1.0 - self.p_up) * (self.x_up - self.x_down) ** 2
+        spread = self.x_up - self.x_down
+        return self.p_up * (1.0 - self.p_up) * (spread * spread)  # ** 2 raises on overflow
 
     def moments(self) -> ReturnMoments:
         return ReturnMoments(mu=self.mu, sigma2=self.sigma2)
@@ -129,7 +132,7 @@ def _schedule_head(config: PolicyConfig, weights: Sequence[float], k):
     k_max = int(ks.max())
     if w.size < k_max:
         raise ValueError(f"horizon k={k_max} exceeds schedule length {w.size}")
-    return validate_weights(w[:k_max], derive_w_max(config.bounds)), ks - 1
+    return validate_weights(w[:k_max], config.w_max), ks - 1
 
 
 def _at_k(values: np.ndarray, k):
@@ -188,7 +191,7 @@ def expected_gain_loss_constant(
     check_mu(mu)
     if k < 1:
         raise ValueError(f"horizon k must be >= 1, got {k}")
-    validate_weights(w, derive_w_max(config.bounds))
+    validate_weights(w, config.w_max)
     a, x = config.alpha, w * mu
     return config.v0 * (
         a * math.expm1(k * math.log1p(x)) + (1.0 - a) * math.expm1(k * math.log1p(-x))

@@ -21,6 +21,7 @@ import math
 import os
 import re
 import sys
+import types
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
@@ -28,7 +29,7 @@ import numpy as np
 
 from .analytics import ReturnMoments, expected_gain_loss, rpe_scan, variance_gain_loss
 from .backtest import batch_backtest, ingest_csv
-from .policy import MarketBounds, PolicyConfig, derive_w_max
+from .policy import MarketBounds, PolicyConfig
 from .simulate import (
     GbmJumpParams,
     dump_paths_csv,
@@ -36,7 +37,7 @@ from .simulate import (
     sweep_mu_star,
 )
 from .tables import write_table
-from .weights import dump_weight_table, eval_schedule, parse_weight_spec
+from .weights import WeightSpec, dump_weight_table, eval_schedule, parse_weight_spec
 
 __all__ = ["main", "build_parser"]
 
@@ -66,16 +67,88 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="JSON config file; flags override its values")
-    p.add_argument("--outdir", help=f"output directory (default: ${OUTDIR_ENV} or '.')")
+MARKET = {
+    "alpha": (float, 0.5, "long fraction in [0, 1]"),
+    "v0": (float, 1.0, "initial account value"),
+    "x_min": (float, -0.5, "per-period return lower bound, in (-1, 0)"),
+    "x_max": (float, 1.0, "per-period return upper bound, > 0"),
+}
+
+# Every option of every command, once: command -> (summary, {name: (type,
+# default, help)}).  The flag is --name with - for _ (lam is --lambda), a
+# config-file key is the name, and its value must have the type: a float
+# takes any JSON number, a list[...] takes a string (comma-split by the
+# command), one item or a JSON list of items, and an option whose default
+# is None also takes null.  A list[str] flag is repeated instead.
+COMMANDS = {
+    "analyze": ("closed-form mean/variance over a (mu, k) grid", {
+        **MARKET,
+        "w": (str, "constant:0.8",
+              "weight spec (constant:<w> | log_ramp | sin_burst | edge_sin | table:<path>)"),
+        "mu": (list[float], "0.1", "per-period mean return, single value or comma list"),
+        "k": (list[int], "10", "horizon, single value or comma list"),
+        "sigma2": (float, None, "per-period return variance (enables the variance column)"),
+    }),
+    "simulate": ("Monte Carlo gain-loss under the jump-diffusion model", {
+        **MARKET,
+        "w": (str, "constant:0.8", "weight spec"),
+        "rf": (float, 0.0, "riskless per-period rate (default 0)"),
+        "mu_star": (float, None, "annualized drift; omit to sweep a grid"),
+        "grid": (list[float], None, "comma list of mu_star values for the sweep"),
+        "sigma_star": (float, 0.3563, "annualized volatility"),
+        "lam": (float, 0.2, "jump intensity per year"),
+        "delta": (float, 0.1, "downward jump fraction in [0, 1)"),
+        "dt": (float, 1.0 / 252.0, "period length in years"),
+        "n": (int, 252, "periods per path"),
+        "s0": (float, 1.0, "initial price"),
+        "paths": (int, 10_000, "Monte Carlo paths"),
+        "seed": (int, 0, "base seed"),
+        "threads": (int, 1, "worker cap (results do not depend on it)"),
+        "clip": (bool, False, "clip simulated returns into the market bounds before trading"),
+        "dump_paths": (int, 0, "also write the first N price paths (single-run mode only)"),
+    }),
+    "backtest": ("run the policy over a timestamp,price CSV", {
+        **MARKET,
+        "csv": (str, None, "input price CSV (header: timestamp,price)"),
+        "w": (list[str], None,
+              "weight spec; repeat for a batch table (ma:<d>[:<w>] allowed here)"),
+        "rf": (float, 0.0, "riskless per-period rate (default 0)"),
+        "bounds_from_data": (bool, False, "widen market bounds to cover the observed returns"),
+        "with_buy_hold": (bool, False, "add the alpha=1, w=1 buy-and-hold column"),
+        "curves": (bool, False, "also write one stage,gain curve CSV per spec"),
+    }),
+    "verify-rpe": ("certify positive expected gain-loss over a grid", {
+        **MARKET,
+        "w": (str, "constant:0.5", "weight spec (stage-indexed)"),
+        "k_max": (int, 20, "certify horizons 2..k_max"),
+        "mu_grid": (list[float], None, "comma list of nonzero mu values"),
+    }),
+    "weights": ("evaluate a schedule to a stage,weight CSV", {
+        "w": (str, "constant:0.8", "weight spec"),
+        "n": (int, 252, "number of stages"),
+        "w_max": (float, 1.0, "admissible cap in (0, 1]"),
+        "out": (str, "weights.csv", "output file name"),
+    }),
+}
+
+# What a config-file value of each type must be.
+_EXPECTED = {
+    float: "a number", int: "an integer", bool: "true or false", str: "a string",
+    list[float]: "a number, a list of numbers or a comma-list string",
+    list[int]: "an integer, a list of integers or a comma-list string",
+    list[str]: "a string or a list of strings",
+}
 
 
-def _add_market(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--alpha", type=float, help="long fraction in [0, 1]")
-    p.add_argument("--v0", type=float, help="initial account value")
-    p.add_argument("--x-min", type=float, help="per-period return lower bound, in (-1, 0)")
-    p.add_argument("--x-max", type=float, help="per-period return upper bound, > 0")
+def _defaults(command: str) -> dict:
+    return {name: default for name, (_, default, _) in COMMANDS[command][1].items()}
+
+
+DEF_WEIGHTS = _defaults("weights")
+
+
+def _flag(name: str) -> str:
+    return "--lambda" if name == "lam" else "--" + name.replace("_", "-")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -85,120 +158,89 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="cmd", metavar="command")
     sub.required = True
-
-    p = sub.add_parser("analyze", help="closed-form mean/variance over a (mu, k) grid")
-    _add_common(p)
-    _add_market(p)
-    p.add_argument("--w", help="weight spec (constant:<w> | log_ramp | sin_burst | edge_sin | table:<path>)")
-    p.add_argument("--mu", help="per-period mean return, single value or comma list")
-    p.add_argument("--k", help="horizon, single value or comma list")
-    p.add_argument("--sigma2", type=float, help="per-period return variance (enables the variance column)")
-    p.set_defaults(func=cmd_analyze)
-
-    p = sub.add_parser("simulate", help="Monte Carlo gain-loss under the jump-diffusion model")
-    _add_common(p)
-    _add_market(p)
-    p.add_argument("--w", help="weight spec")
-    p.add_argument("--rf", type=float, help="riskless per-period rate (default 0)")
-    p.add_argument("--mu-star", type=float, help="annualized drift; omit to sweep a grid")
-    p.add_argument("--grid", help="comma list of mu_star values for the sweep")
-    p.add_argument("--sigma-star", type=float, help="annualized volatility")
-    p.add_argument("--lambda", dest="lam", type=float, help="jump intensity per year")
-    p.add_argument("--delta", type=float, help="downward jump fraction in [0, 1)")
-    p.add_argument("--dt", type=float, help="period length in years")
-    p.add_argument("--n", type=int, help="periods per path")
-    p.add_argument("--s0", type=float, help="initial price")
-    p.add_argument("--paths", type=int, help="Monte Carlo paths")
-    p.add_argument("--seed", type=int, help="base seed")
-    p.add_argument("--threads", type=int, help="worker cap (results do not depend on it)")
-    p.add_argument("--clip", action="store_true", default=None,
-                   help="clip simulated returns into the market bounds before trading")
-    p.add_argument("--dump-paths", type=int,
-                   help="also write the first N price paths (single-run mode only)")
-    p.set_defaults(func=cmd_simulate)
-
-    p = sub.add_parser("backtest", help="run the policy over a timestamp,price CSV")
-    _add_common(p)
-    _add_market(p)
-    p.add_argument("--csv", help="input price CSV (header: timestamp,price)")
-    p.add_argument("--w", action="append",
-                   help="weight spec; repeat for a batch table (ma:<d>[:<w>] allowed here)")
-    p.add_argument("--rf", type=float, help="riskless per-period rate (default 0)")
-    p.add_argument("--bounds-from-data", action="store_true", default=None,
-                   help="widen market bounds to cover the observed returns")
-    p.add_argument("--with-buy-hold", action="store_true", default=None,
-                   help="add the alpha=1, w=1 buy-and-hold column")
-    p.add_argument("--curves", action="store_true", default=None,
-                   help="also write one stage,gain curve CSV per spec")
-    p.set_defaults(func=cmd_backtest)
-
-    p = sub.add_parser("verify-rpe", help="certify positive expected gain-loss over a grid")
-    _add_common(p)
-    _add_market(p)
-    p.add_argument("--w", help="weight spec (stage-indexed)")
-    p.add_argument("--k-max", type=int, help="certify horizons 2..k_max")
-    p.add_argument("--mu-grid", help="comma list of nonzero mu values")
-    p.set_defaults(func=cmd_verify_rpe)
-
-    p = sub.add_parser("weights", help="evaluate a schedule to a stage,weight CSV")
-    _add_common(p)
-    p.add_argument("--w", help="weight spec")
-    p.add_argument("--n", type=int, help="number of stages")
-    p.add_argument("--w-max", type=float, help="admissible cap in (0, 1]")
-    p.add_argument("--out", help="output file name")
-    p.set_defaults(func=cmd_weights)
-
+    for command, (summary, options) in COMMANDS.items():
+        p = sub.add_parser(command, help=summary)
+        p.add_argument("--config", help="JSON config file; flags override its values")
+        p.add_argument("--outdir", help=f"output directory (default: ${OUTDIR_ENV} or '.')")
+        for name, (kind, _, text) in options.items():
+            if kind is bool:
+                p.add_argument(_flag(name), dest=name, action="store_true", default=None, help=text)
+            elif kind == list[str]:
+                p.add_argument(_flag(name), dest=name, action="append", help=text)
+            else:
+                numeric = kind if kind in (float, int) else None
+                p.add_argument(_flag(name), dest=name, type=numeric, help=text)
     return parser
 
 
 # ---------------------------------------------------------------- plumbing
 
 
-def _merge(args, defaults: dict) -> dict:
-    """Effective config: defaults, overlaid by config file, overlaid by flags."""
-    effective = dict(defaults)
-    cfg_path = getattr(args, "config", None)
-    if cfg_path:
+def _json_typed(value, kind):
+    """value, as a config file gives it, held to kind; TypeError if it has another
+    type, OverflowError for an integer past the float range given for a float."""
+    if isinstance(kind, types.GenericAlias):  # list[item]
+        if type(value) is str:
+            return value
+        item = kind.__args__[0]
+        if type(value) is list:
+            return [_json_typed(v, item) for v in value]
+        return _json_typed(value, item)
+    if kind is float and type(value) is int:
+        return float(value)
+    if type(value) is not kind:
+        raise TypeError
+    return value
+
+
+def _merge(args) -> dict:
+    """Effective config: defaults, overlaid by config file, overlaid by flags.
+
+    A config-file value must have the type its flag parses (see COMMANDS).
+    """
+    options = COMMANDS[args.cmd][1]
+    effective = _defaults(args.cmd)
+    if args.config:
         try:
-            with open(cfg_path) as fh:
+            with open(args.config) as fh:
                 loaded = json.load(fh)
         except OSError as exc:
             raise _UsageError(f"cannot read config file: {exc}")
         except json.JSONDecodeError as exc:
-            raise _UsageError(f"bad JSON in config file {cfg_path}: {exc}")
+            raise _UsageError(f"bad JSON in config file {args.config}: {exc}")
         if not isinstance(loaded, dict):
-            raise _UsageError(f"config file {cfg_path} must hold a JSON object")
-        unknown = sorted(set(loaded) - set(defaults))
+            raise _UsageError(f"config file {args.config} must hold a JSON object")
+        unknown = sorted(set(loaded) - set(options))
         if unknown:
-            raise _UsageError(f"unknown config key(s) in {cfg_path}: {', '.join(unknown)}")
-        effective.update(loaded)
-    for key in defaults:
-        value = getattr(args, key, None)
+            raise _UsageError(f"unknown config key(s) in {args.config}: {', '.join(unknown)}")
+        for key, value in loaded.items():
+            kind, default, _ = options[key]
+            try:
+                effective[key] = (
+                    value if value is None and default is None else _json_typed(value, kind)
+                )
+            except (TypeError, OverflowError):
+                raise _UsageError(
+                    f"config key {key} in {args.config} must be {_EXPECTED[kind]}, got {value!r}"
+                ) from None
+    for key in options:
+        value = getattr(args, key)
         if value is not None:
             effective[key] = value
     return effective
 
 
-def _float_list(value, what: str) -> list[float]:
+def _items(effective: dict, name: str, kind):
+    """A comma-list option as a list of kind (a string is split at commas), or None."""
+    value = effective[name]
+    if type(value) is not str:
+        return value if value is None or type(value) is list else [value]
     try:
-        if isinstance(value, str):
-            return [float(tok) for tok in value.split(",") if tok.strip()]
-        if isinstance(value, (int, float)):
-            return [float(value)]
-        return [float(v) for v in value]
-    except (TypeError, ValueError):
-        raise _UsageError(f"{what} must be a number or comma list, got {value!r}") from None
-
-
-def _int_list(value, what: str) -> list[int]:
-    try:
-        if isinstance(value, str):
-            return [int(tok) for tok in value.split(",") if tok.strip()]
-        if isinstance(value, int):
-            return [value]
-        return [int(v) for v in value]
-    except (TypeError, ValueError):
-        raise _UsageError(f"{what} must be an integer or comma list, got {value!r}") from None
+        return [kind(tok) for tok in value.split(",") if tok.strip()]
+    except ValueError:
+        raise _UsageError(
+            f"{_flag(name)} takes a comma list of {kind.__name__}s, got {value!r}"
+        ) from None
 
 
 def _outdir(args) -> Path:
@@ -300,37 +342,35 @@ def _provenance_comment(command: str, effective: dict) -> str:
     return "config: " + json.dumps({"command": command, **effective}, sort_keys=True)
 
 
-def _policy(effective: dict) -> tuple[PolicyConfig, float]:
-    bounds = MarketBounds(effective["x_min"], effective["x_max"])
-    config = PolicyConfig(
+def _policy(effective: dict) -> PolicyConfig:
+    return PolicyConfig(
         alpha=effective["alpha"],
-        bounds=bounds,
+        bounds=MarketBounds(effective["x_min"], effective["x_max"]),
         v0=effective["v0"],
         rf=effective.get("rf", 0.0),
     )
-    return config, derive_w_max(bounds)
+
+
+def _stage_indexed(command: str, text: str, w_max: float) -> WeightSpec:
+    """The weight spec text, refused when price-driven: command has no prices."""
+    spec = parse_weight_spec(text, w_max=w_max)
+    if spec.price_driven:
+        raise _UsageError(
+            f"{command} evaluates stage-indexed schedules; "
+            "price-driven specs belong to the backtest and simulate commands"
+        )
+    return spec
 
 
 # ---------------------------------------------------------------- commands
 
 
-DEF_ANALYZE = {
-    "alpha": 0.5, "v0": 1.0, "w": "constant:0.8", "mu": "0.1", "k": "10",
-    "sigma2": None, "x_min": -0.5, "x_max": 1.0,
-}
-
-
 def cmd_analyze(args) -> int:
-    effective = _merge(args, DEF_ANALYZE)
-    config, w_max = _policy(effective)
-    spec = parse_weight_spec(str(effective["w"]), w_max=w_max)
-    if spec.price_driven:
-        raise _UsageError(
-            "analyze evaluates stage-indexed schedules; "
-            "price-driven specs belong to the backtest and simulate commands"
-        )
-    mus = _float_list(effective["mu"], "--mu")
-    ks = _int_list(effective["k"], "--k")
+    effective = _merge(args)
+    config = _policy(effective)
+    spec = _stage_indexed("analyze", effective["w"], config.w_max)
+    mus = _items(effective, "mu", float)
+    ks = _items(effective, "k", int)
     if not mus or not ks:
         raise _UsageError("--mu and --k must be nonempty")
     schedule = eval_schedule(spec, max(ks))
@@ -354,103 +394,69 @@ def cmd_analyze(args) -> int:
     return 0
 
 
-DEF_SIMULATE = {
-    "alpha": 0.5, "v0": 1.0, "rf": 0.0, "w": "constant:0.8",
-    "mu_star": None, "grid": None,
-    "sigma_star": 0.3563, "lam": 0.2, "delta": 0.1,
-    "dt": 1.0 / 252.0, "n": 252, "s0": 1.0,
-    "paths": 10_000, "seed": 0, "threads": 1, "clip": False,
-    "dump_paths": 0, "x_min": -0.5, "x_max": 1.0,
-}
-
-
 def cmd_simulate(args) -> int:
-    effective = _merge(args, DEF_SIMULATE)
-    config, w_max = _policy(effective)
-    spec = parse_weight_spec(str(effective["w"]), w_max=w_max)
-    base = GbmJumpParams(
-        mu_star=0.0,
+    effective = _merge(args)
+    config = _policy(effective)
+    spec = parse_weight_spec(effective["w"], w_max=config.w_max)
+    single = effective["mu_star"] is not None
+    params = GbmJumpParams(
+        mu_star=effective["mu_star"] if single else 0.0,
         sigma_star=effective["sigma_star"],
         lam=effective["lam"],
         delta=effective["delta"],
         dt=effective["dt"],
-        n_periods=int(effective["n"]),
+        n_periods=effective["n"],
         s0=effective["s0"],
     )
+    dump = effective["dump_paths"]
+    if dump < 0:
+        raise _UsageError(f"--dump-paths must be >= 0, got {dump}")
+    if dump and not single:
+        raise _UsageError("--dump-paths needs a single --mu-star run, not a sweep")
+    grid = _items(effective, "grid", float)
+    if grid is not None and single:
+        raise _UsageError("--grid sweeps drifts; it cannot be combined with --mu-star")
+    if grid == []:
+        raise _UsageError("--grid must be nonempty")
     outdir = _outdir(args)
-    seed = int(effective["seed"])
-    single = effective["mu_star"] is not None
+    seed = effective["seed"]
+    mc = {"workers": effective["threads"], "clip_returns": effective["clip"]}
 
     if single:
-        params = dataclasses.replace(base, mu_star=float(effective["mu_star"]))
-        result = monte_carlo_gain_loss(
-            config, spec, params, int(effective["paths"]), seed,
-            workers=int(effective["threads"]), clip_returns=bool(effective["clip"]),
-        )
+        result = monte_carlo_gain_loss(config, spec, params, effective["paths"], seed, **mc)
         cells = [(params.mu_star, result)]
     else:
-        if effective["dump_paths"]:
-            raise _UsageError("--dump-paths needs a single --mu-star run, not a sweep")
-        grid = _float_list(effective["grid"], "--grid") if effective["grid"] else None
-        cells = sweep_mu_star(
-            config, spec, base, grid, int(effective["paths"]), seed,
-            workers=int(effective["threads"]), clip_returns=bool(effective["clip"]),
-        )
+        cells = sweep_mu_star(config, spec, params, grid, effective["paths"], seed, **mc)
 
-    rows = [
-        {
-            "mu_star": mu_star,
-            "mean_gain": r.mean_gain,
-            "std_error": r.std_error,
-            "sample_variance": r.sample_variance,
-            "n_paths": r.n_paths,
-            "seed": r.seed,
-        }
-        for mu_star, r in cells
-    ]
+    rows = [{"mu_star": mu_star, **dataclasses.asdict(r)} for mu_star, r in cells]
     payload = {"command": "simulate", "config": effective, "results": rows}
     pieces = _write_json(outdir / "simulate.json", payload)
+    comments = [_provenance_comment("simulate", effective)]
 
     if not single:
         lines = (f"{r['mu_star']},{r['mean_gain']},{r['std_error']}" for r in rows)
-        comments = [_provenance_comment("simulate", effective)]
         write_table(outdir / "sweep.csv", comments, ("mu_star", "mean_gain", "std_error"), lines)
 
-    if single and effective["dump_paths"]:
-        dump_paths_csv(
-            outdir / "paths.csv",
-            params,
-            seed,
-            int(effective["dump_paths"]),
-            comment=_provenance_comment("simulate", effective),
-        )
+    if dump:
+        dump_paths_csv(outdir / "paths.csv", params, seed, dump, comment=comments[0])
 
     sys.stdout.writelines(pieces)
     return 0
 
 
-DEF_BACKTEST = {
-    "csv": None, "w": None, "alpha": 0.5, "v0": 1.0, "rf": 0.0,
-    "x_min": -0.5, "x_max": 1.0,
-    "bounds_from_data": False, "with_buy_hold": False, "curves": False,
-}
-
-
 def cmd_backtest(args) -> int:
-    effective = _merge(args, DEF_BACKTEST)
+    effective = _merge(args)
     if not effective["csv"]:
         raise _UsageError("--csv is required")
-    config, w_max = _policy(effective)
+    config = _policy(effective)
     texts = effective["w"] or ["constant:0.8"]
-    if isinstance(texts, str):
-        texts = [texts]
-    effective["w"] = list(texts)
-    specs = {text: parse_weight_spec(text, w_max=w_max) for text in texts}
+    effective["w"] = texts = [texts] if isinstance(texts, str) else texts
+    specs = {text: parse_weight_spec(text, w_max=config.w_max) for text in texts}
     series = ingest_csv(effective["csv"])
     reports = batch_backtest(
         config, specs, series,
-        include_buy_hold=bool(effective["with_buy_hold"]),
-        bounds_from_data=bool(effective["bounds_from_data"]),
+        include_buy_hold=effective["with_buy_hold"],
+        bounds_from_data=effective["bounds_from_data"],
     )
     payload = {
         "command": "backtest",
@@ -478,26 +484,14 @@ def cmd_backtest(args) -> int:
     return 0
 
 
-DEF_VERIFY = {
-    "alpha": 0.5, "v0": 1.0, "w": "constant:0.5", "k_max": 20,
-    "mu_grid": None, "x_min": -0.5, "x_max": 1.0,
-}
-
-
 def cmd_verify_rpe(args) -> int:
-    effective = _merge(args, DEF_VERIFY)
-    config, w_max = _policy(effective)
-    spec = parse_weight_spec(str(effective["w"]), w_max=w_max)
-    if spec.price_driven:
-        raise _UsageError("verify-rpe evaluates stage-indexed schedules, not price-driven ones")
-    k_max = int(effective["k_max"])
-    grid = (
-        _float_list(effective["mu_grid"], "--mu-grid")
-        if effective["mu_grid"]
-        else list(DEFAULT_RPE_MU_GRID)
-    )
+    effective = _merge(args)
+    config = _policy(effective)
+    spec = _stage_indexed("verify-rpe", effective["w"], config.w_max)
+    k_max = effective["k_max"]
+    grid = _items(effective, "mu_grid", float)
     schedule = eval_schedule(spec, k_max)
-    report = rpe_scan(config, schedule, grid, k_max)
+    report = rpe_scan(config, schedule, DEFAULT_RPE_MU_GRID if grid is None else grid, k_max)
     _require_finite(
         "rpe.json", ("expected gain",), range(2, k_max + 1),
         zip(report.mu_grid, report.entries[:, :, None]),
@@ -526,19 +520,11 @@ def cmd_verify_rpe(args) -> int:
     return 1
 
 
-DEF_WEIGHTS = {"w": "constant:0.8", "n": 252, "w_max": 1.0, "out": "weights.csv"}
-
-
 def cmd_weights(args) -> int:
-    effective = _merge(args, DEF_WEIGHTS)
-    spec = parse_weight_spec(str(effective["w"]), w_max=float(effective["w_max"]))
-    if spec.price_driven:
-        raise _UsageError(
-            "price-driven schedules need prices; run the backtest command with --csv "
-            "or simulate them"
-        )
-    values = eval_schedule(spec, int(effective["n"]))
-    out = Path(str(effective["out"]))
+    effective = _merge(args)
+    spec = _stage_indexed("weights", effective["w"], effective["w_max"])
+    values = eval_schedule(spec, effective["n"])
+    out = Path(effective["out"])
     path = out if out.is_absolute() else _outdir(args) / out
     path.parent.mkdir(parents=True, exist_ok=True)
     dump_weight_table(path, values, comment=_provenance_comment("weights", effective))
@@ -550,11 +536,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, OSError) as exc:
+        return globals()["cmd_" + args.cmd.replace("-", "_")](args)
+    except (_UsageError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -188,7 +188,7 @@ def step_account(
     Raises AdmissibilityError when w falls outside [0, w_max] or x
     outside the market bounds.
     """
-    validate_weights(w, derive_w_max(config.bounds))
+    validate_weights(w, config.w_max)
     validate_returns(x, config.bounds)
     f_long, f_short = leg_factors(w, x, config.rf)
     return AccountState(state.v_long * f_long, state.v_short * f_short, state.stage + 1)
@@ -215,7 +215,7 @@ def evolve(
             f"weights and returns must be equally long 1-d sequences, "
             f"got lengths {w.size} and {x.size}"
         )
-    validate_weights(w, derive_w_max(config.bounds))
+    validate_weights(w, config.w_max)
     validate_returns(x, config.bounds)
     start = initial_state(config)
     f_long, f_short = leg_factors(w, x, config.rf)
@@ -235,7 +235,7 @@ def survivability_bound(config: PolicyConfig, k: int) -> tuple[float, float]:
     """
     if k < 0:
         raise ValueError(f"k must be nonnegative, got {k}")
-    w_max = derive_w_max(config.bounds)
+    w_max = config.w_max
     lo_long = config.v0 * config.alpha * (1.0 + w_max * config.bounds.x_min) ** k
     lo_short = config.v0 * (1.0 - config.alpha) * (1.0 - w_max * config.bounds.x_max) ** k
     return lo_long, lo_short

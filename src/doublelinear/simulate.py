@@ -34,7 +34,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .analytics import TwoPointModel
-from .policy import PolicyConfig, derive_w_max, initial_state, leg_factors, validate_weights
+from .policy import PolicyConfig, initial_state, leg_factors, validate_weights
 from .tables import write_table
 from .weights import WeightSpec, eval_schedule, ma_indicator_weights
 
@@ -93,6 +93,8 @@ class GbmJumpParams:
             raise ValueError(f"n_periods must be >= 1, got {self.n_periods}")
         if not self.s0 > 0.0:
             raise ValueError(f"s0 must be positive, got {self.s0}")
+        if not math.isfinite(self.horizon_years):
+            raise ValueError(f"dt * n_periods overflows, got dt={self.dt}")
 
     @property
     def horizon_years(self) -> float:
@@ -230,7 +232,7 @@ def monte_carlo_gain_loss(
         )
 
     static_w = None if spec.price_driven else eval_schedule(spec, horizon)
-    validate_weights(spec.w if static_w is None else static_w, derive_w_max(config.bounds))
+    validate_weights(spec.w if static_w is None else static_w, config.w_max)
 
     start = initial_state(config)
     gains = np.empty(n_paths)

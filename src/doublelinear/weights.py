@@ -65,16 +65,16 @@ class WeightSpec:
             raise ValueError(f"unknown schedule kind {self.kind!r}, expected one of {KINDS}")
         if not 0.0 < self.w_max <= 1.0:
             raise ValueError(f"w_max must lie in (0, 1], got {self.w_max}")
-        if self.kind in ("constant", "ma_indicator"):
-            if self.w is None:
-                raise ValueError(f"{self.kind} spec needs a weight value w")
-            validate_weights(self.w, self.w_max)
+        # w and values are validated whenever given, even by a kind that ignores them
+        for given in (self.w, self.values):
+            if given is not None:
+                validate_weights(given, self.w_max)
+        if self.kind in ("constant", "ma_indicator") and self.w is None:
+            raise ValueError(f"{self.kind} spec needs a weight value w")
         if self.kind == "ma_indicator" and (self.d is None or self.d < 1):
             raise ValueError("ma_indicator spec needs a window d >= 1")
-        if self.kind == "table":
-            if not self.values:
-                raise ValueError("table spec needs a nonempty value sequence")
-            validate_weights(self.values, self.w_max)
+        if self.kind == "table" and not self.values:
+            raise ValueError("table spec needs a nonempty value sequence")
 
     @property
     def price_driven(self) -> bool:

@@ -2,9 +2,11 @@
 
 import json
 import math
+from pathlib import Path
 
 import pytest
 
+from doublelinear import cli
 from doublelinear.cli import main
 
 
@@ -338,3 +340,120 @@ class TestParserBehavior:
         code, _, _ = run(capsys, "weights", "--w", "constant:0.5", "--n", "3")
         assert code == 0
         assert (tmp_path / "fromenv" / "weights.csv").exists()
+
+
+def write_config(tmp_path, values):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(values))
+    return str(cfg)
+
+
+class TestOptionTable:
+    # flags each command needs to run small; the config supplies the rest
+    SMALL = {
+        "analyze": [],
+        "simulate": ["--paths", "3", "--n", "4"],
+        "backtest": ["--csv", "{prices}"],
+        "verify-rpe": [],
+        "weights": [],
+    }
+
+    def test_parser_destinations_are_the_table_names(self):
+        for command, (_, options) in cli.COMMANDS.items():
+            dests = set(vars(cli.build_parser().parse_args([command])))
+            assert dests - {"cmd", "config", "outdir"} == set(options), command
+
+    @pytest.mark.parametrize("command", list(SMALL))
+    def test_config_of_every_default_changes_nothing(self, tmp_path, capsys, monkeypatch, command):
+        monkeypatch.delenv("DOUBLELINEAR_OUTDIR", raising=False)
+        prices = tmp_path / "prices.csv"
+        prices.write_text("timestamp,price\n1,100\n2,110\n3,99\n4,104\n")
+        defaults = {name: default for name, (_, default, _) in cli.COMMANDS[command][1].items()}
+        cfg = write_config(tmp_path, defaults)
+        argv = [command, *(token.format(prices=prices) for token in self.SMALL[command])]
+        runs = []
+        for sub, extra in (("plain", []), ("config", ["--config", cfg])):
+            (tmp_path / sub).mkdir()
+            monkeypatch.chdir(tmp_path / sub)
+            code, out, err = run(capsys, *argv, *extra)
+            files = {p.name: p.read_bytes() for p in sorted(Path().rglob("*"))}
+            runs.append((code, out, err, files))
+        assert runs[0][0] == 0
+        assert runs[0] == runs[1]
+
+    @pytest.mark.parametrize(
+        "command, values",
+        [
+            ("analyze", {"alpha": "0.3"}),
+            ("simulate", {"paths": 2.5}),
+            ("simulate", {"clip": "no"}),
+            ("simulate", {"seed": True}),
+            ("simulate", {"dt": 10**400}),
+            ("weights", {"n": None}),
+            ("analyze", {"k": [2.5]}),
+            ("analyze", {"mu": ["0.1"]}),
+            ("backtest", {"w": 0.5}),
+        ],
+    )
+    def test_wrongly_typed_config_value_writes_nothing(self, tmp_path, capsys, command, values):
+        cfg = write_config(tmp_path, values)
+        outdir = tmp_path / "out"
+        code, out, err = run(capsys, command, "--config", cfg, "--outdir", str(outdir))
+        assert code == 1
+        (key,) = values
+        assert err.startswith("error:") and key in err
+        assert out == ""
+        assert not outdir.exists() or not any(outdir.iterdir())
+
+    def test_config_values_take_their_flags_types(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"alpha": 1, "k": [2, 5], "mu": 0.1, "sigma2": None})
+        code, out, _ = run(capsys, "analyze", "--config", cfg, "--outdir", str(tmp_path))
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["config"]["alpha"] == 1.0 and type(payload["config"]["alpha"]) is float
+        assert [(r["mu"], r["k"]) for r in payload["results"]] == [(0.1, 2), (0.1, 5)]
+
+    def test_lambda_is_the_config_key_lam(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"lam": 0, "sigma_star": 0, "mu_star": 0.05})
+        code, out, _ = run(
+            capsys, "simulate", "--config", cfg, "--paths", "1", "--outdir", str(tmp_path)
+        )
+        assert code == 0
+        assert json.loads(out)["results"][0]["std_error"] == 0.0
+
+
+class TestSimulateChecksFirst:
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--mu-star", "0.1", "--grid", "-0.1,0.1"], "--grid"),
+            (["--grid", ""], "--grid"),
+            (["--grid", " , "], "--grid"),
+            (["--mu-star", "0.1", "--dump-paths", "-3"], "--dump-paths"),
+        ],
+    )
+    def test_bad_input_writes_nothing(self, tmp_path, capsys, argv, message):
+        outdir = tmp_path / "out"
+        code, out, err = run(
+            capsys, "simulate", *argv, "--paths", "4", "--n", "5", "--outdir", str(outdir)
+        )
+        assert code == 1
+        assert err.startswith("error:") and message in err
+        assert out == ""
+        assert not (outdir / "simulate.json").exists()
+
+    def test_empty_grid_in_config_rejected(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"grid": []})
+        code, _, err = run(capsys, "simulate", "--config", cfg, "--outdir", str(tmp_path))
+        assert code == 1
+        assert "--grid" in err
+        assert not (tmp_path / "simulate.json").exists()
+
+
+@pytest.mark.parametrize("command", ["analyze", "verify-rpe", "weights"])
+def test_price_driven_refusal_names_both_commands(tmp_path, capsys, command):
+    code, _, err = run(capsys, command, "--w", "ma:5", "--outdir", str(tmp_path))
+    assert code == 1
+    assert err.startswith(f"error: {command} ")
+    assert "backtest" in err and "simulate" in err
+

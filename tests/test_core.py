@@ -5,6 +5,7 @@ enter; evolve, a fold of step_account and the Monte Carlo path gain must
 agree exactly at every rf; horizon vectors must equal the scalar calls.
 """
 
+import dataclasses
 import io
 import math
 
@@ -36,6 +37,7 @@ from doublelinear import (
 )
 from doublelinear.cli import main
 from doublelinear.simulate import BLOCK
+from doublelinear.weights import KINDS
 
 BOUNDS = MarketBounds(-0.5, 1.0)
 CONFIG = PolicyConfig(alpha=0.5, bounds=BOUNDS)
@@ -118,6 +120,86 @@ class TestNonFiniteInputsRejected:
 def test_constructors_reject_non_finite_parameters(make, kwargs):
     with pytest.raises(ValueError, match="finite|must lie|need"):
         make(**kwargs)
+
+
+# any float, with (-1, 1) drawn often enough to pass the range checks
+# that guard the other fields, and the extremes drawn often
+ANY_FLOAT = (
+    st.floats(-1.0, 1.0)
+    | st.sampled_from([math.nan, math.inf, -math.inf, 1e308, -1e308, 5e-324])
+    | st.floats(allow_nan=True, allow_infinity=True)
+)
+# constructor, its argument strategy, and its accessors beyond the fields
+CONSTRUCTORS = [
+    (MarketBounds, st.tuples(ANY_FLOAT, ANY_FLOAT), ()),
+    (
+        lambda alpha, x_min, x_max, v0, rf: PolicyConfig(alpha, MarketBounds(x_min, x_max), v0, rf),
+        st.tuples(*[ANY_FLOAT] * 5),
+        ("w_max",),
+    ),
+    (
+        GbmJumpParams,
+        st.tuples(*[ANY_FLOAT] * 5, st.integers(-10, 10**6), ANY_FLOAT),
+        ("horizon_years",),
+    ),
+    (ReturnMoments, st.tuples(ANY_FLOAT, ANY_FLOAT), ()),
+    (TwoPointModel, st.tuples(*[ANY_FLOAT] * 3), ("mu", "sigma2", "moments")),
+    (
+        WeightSpec,
+        st.tuples(
+            st.sampled_from(KINDS),
+            st.none() | ANY_FLOAT,
+            st.none() | st.integers(-2, 50),
+            st.none() | st.lists(ANY_FLOAT, max_size=3).map(tuple),
+            ANY_FLOAT,
+        ),
+        (),
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "make, kwargs",
+    [
+        (TwoPointModel, {"x_up": 1e308, "x_down": -0.5, "p_up": 0.5}),
+        (TwoPointModel, {"x_up": 1e308, "x_down": -0.5, "p_up": 0.0}),
+        (GbmJumpParams, {"mu_star": 0.1, "dt": 1e308, "n_periods": 2}),
+    ],
+)
+def test_constructors_reject_overflowing_accessors(make, kwargs):
+    with pytest.raises(ValueError, match="overflows"):
+        make(**kwargs)
+
+
+def all_finite(value) -> bool:
+    """True when every float inside value (dataclass fields, tuples) is finite."""
+    if dataclasses.is_dataclass(value):
+        return all(all_finite(getattr(value, f.name)) for f in dataclasses.fields(value))
+    if isinstance(value, tuple):
+        return all(map(all_finite, value))
+    return not isinstance(value, float) or math.isfinite(value)
+
+
+@pytest.mark.parametrize(
+    "make, arguments, accessors", CONSTRUCTORS, ids=lambda v: getattr(v, "__name__", "")
+)
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_constructors_raise_value_error_or_stay_finite(make, arguments, accessors, data):
+    # An accessor may itself raise ValueError: TwoPointModel.moments of a
+    # model with zero variance.
+    try:
+        obj = make(*data.draw(arguments))
+    except ValueError:
+        return
+    assert all_finite(obj), obj
+    for name in accessors:
+        try:
+            value = getattr(obj, name)
+            value = value() if callable(value) else value
+        except ValueError:
+            continue
+        assert all_finite(value), (obj, name, value)
 
 
 class TestStrictJsonOutputs:
