@@ -15,7 +15,6 @@ comment, nothing is timestamped, and results do not depend on
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import os
@@ -411,6 +410,8 @@ def cmd_simulate(args) -> int:
     dump = effective["dump_paths"]
     if dump < 0:
         raise _UsageError(f"--dump-paths must be >= 0, got {dump}")
+    if effective["threads"] < 1:
+        raise _UsageError(f"--threads must be >= 1, got {effective['threads']}")
     if dump and not single:
         raise _UsageError("--dump-paths needs a single --mu-star run, not a sweep")
     grid = _items(effective, "grid", float)
@@ -428,7 +429,21 @@ def cmd_simulate(args) -> int:
     else:
         cells = sweep_mu_star(config, spec, params, grid, effective["paths"], seed, **mc)
 
-    rows = [{"mu_star": mu_star, **dataclasses.asdict(r)} for mu_star, r in cells]
+    # The answer is the control-variate estimate; the plain sample
+    # statistics ride along under sample_*.
+    rows = [
+        {
+            "mu_star": mu_star,
+            "mean_gain": r.cv_mean_gain,
+            "std_error": r.cv_std_error,
+            "sample_mean_gain": r.mean_gain,
+            "sample_std_error": r.std_error,
+            "sample_variance": r.sample_variance,
+            "n_paths": r.n_paths,
+            "seed": r.seed,
+        }
+        for mu_star, r in cells
+    ]
     payload = {"command": "simulate", "config": effective, "results": rows}
     pieces = _write_json(outdir / "simulate.json", payload)
     comments = [_provenance_comment("simulate", effective)]

@@ -170,14 +170,23 @@ def check_mu(mu: float) -> None:
         raise ValueError(f"|mu| must be < 1, got {mu}")
 
 
-def leg_factors(w, x, rf: float):
+def leg_factors(w, x, rf: float, out=None):
     """Per-stage growth factors (long, short): 1 + w*x + (1 - w)*rf and 1 - w*x.
 
     The long leg earns rf on its uninvested fraction; short proceeds earn
     nothing.  step_account, evolve and the Monte Carlo path gain all use
-    this one form, so they agree bit for bit.
+    this one form, so they agree bit for bit.  out = (long, short), two
+    arrays of the shape of w*x, receives the same factors in place.
     """
-    return 1.0 + w * x + (1.0 - w) * rf, 1.0 - w * x
+    if out is None:
+        return 1.0 + w * x + (1.0 - w) * rf, 1.0 - w * x
+    f_long, f_short = out
+    np.multiply(w, x, out=f_short)
+    np.add(f_short, 1.0, out=f_long)
+    if rf:  # adding the zero (1 - w)*0 would change no factor
+        f_long += (1.0 - w) * rf
+    np.subtract(1.0, f_short, out=f_short)
+    return f_long, f_short
 
 
 def step_account(

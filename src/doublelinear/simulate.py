@@ -95,22 +95,47 @@ class GbmJumpParams:
             raise ValueError(f"s0 must be positive, got {self.s0}")
         if not math.isfinite(self.horizon_years):
             raise ValueError(f"dt * n_periods overflows, got dt={self.dt}")
+        try:
+            finite_mean = math.isfinite(self.mu)
+        except OverflowError:
+            finite_mean = False
+        if not finite_mean:
+            raise ValueError(
+                f"the mean return of a period overflows, got mu_star={self.mu_star}, dt={self.dt}"
+            )
 
     @property
     def horizon_years(self) -> float:
         """T = dt * n_periods."""
         return self.dt * self.n_periods
 
+    @property
+    def mu(self) -> float:
+        """Mean simple return of one period, expm1((mu_star - lam*delta)*dt).
+
+        The period's price ratio is lognormal with mean exp(mu_star*dt)
+        times (1-delta)^dN with mean exp(-lam*dt*delta)."""
+        return math.expm1((self.mu_star - self.lam * self.delta) * self.dt)
+
 
 @dataclass(frozen=True)
 class MonteCarloResult:
-    """Terminal gain-loss sample statistics over n_paths paths."""
+    """Terminal gain-loss statistics over n_paths paths.
+
+    mean_gain, std_error and sample_variance are the plain sample
+    statistics of the path gains.  cv_mean_gain and cv_std_error are the
+    mean and standard error of the paths' compensators (see
+    monte_carlo_gain_loss), which estimate the same expectation with less
+    variance; with clipped returns they repeat the plain ones.
+    """
 
     mean_gain: float
     std_error: float
     sample_variance: float
     n_paths: int
     seed: int
+    cv_mean_gain: float
+    cv_std_error: float
 
 
 def path_rng(seed: int, block: int) -> np.random.Generator:
@@ -125,13 +150,17 @@ def _price_block(params: GbmJumpParams, seed: int, block: int) -> np.ndarray:
     z = rng.standard_normal((BLOCK, n))
     jumps = rng.poisson(params.lam * params.dt, (BLOCK, n))
     drift = (params.mu_star - 0.5 * params.sigma_star**2) * params.dt
-    # (1-delta)^dN enters the exponent as dN*log(1-delta): one exp per price.
-    log_growth = (
-        drift + params.sigma_star * math.sqrt(params.dt) * z + math.log1p(-params.delta) * jumps
-    )
+    # The log growth sigma*sqrt(dt)*z + drift + dN*log(1-delta), its running
+    # sum and its exp are built in place in the normals' buffer: one exp
+    # per price, (1-delta)^dN entering the exponent.
+    z *= params.sigma_star * math.sqrt(params.dt)
+    z += drift
+    z += math.log1p(-params.delta) * jumps
+    np.cumsum(z, axis=1, out=z)
+    np.exp(z, out=z)
     prices = np.empty((BLOCK, n + 1))
     prices[:, 0] = params.s0
-    prices[:, 1:] = params.s0 * np.exp(np.cumsum(log_growth, axis=1))
+    np.multiply(z, params.s0, out=prices[:, 1:])
     return prices
 
 
@@ -160,7 +189,9 @@ def prices_to_returns(prices: Sequence[float]) -> np.ndarray:
         raise ValueError("need a series (or rows) of at least two prices")
     if not 0.0 < p.min() <= p.max() < np.inf:  # NaN fails too
         raise ValueError("nonpositive or non-finite price")
-    return p[..., 1:] / p[..., :-1] - 1.0
+    x = p[..., 1:] / p[..., :-1]
+    x -= 1.0
+    return x
 
 
 def simulate_two_point(
@@ -200,14 +231,26 @@ def monte_carlo_gain_loss(
     deterministic reduction of that array.  workers > 1 hands blocks to
     a thread pool.
 
+    Beside the gain G, each path yields its compensator A, the sum over
+    stages k of mu*w_k*D(k-1) + rf*(1 - w_k)*V_L(k-1), with D = V_L - V_S
+    the difference of the legs and mu = generator.mu the mean return.
+    A stage's weight and legs are fixed before its return is drawn (ma:
+    weights are causal) and the return has mean mu, so G - A is a
+    martingale: A has G's mean and, removing that noise, less variance
+    (Glasserman, Monte Carlo Methods in Financial Engineering, 4.1).
+    cv_mean_gain and cv_std_error are its sample mean and standard error.
+
     clip_returns clamps simulated returns into the configured market
     bounds before trading.  It is off by default: the jump-diffusion
     model has unbounded return support and is traded as such, while the
-    closed-form theory assumes bounded support.  Weights are always
-    validated against the config's w_max.
+    closed-form theory assumes bounded support.  Clipped returns no
+    longer have mean mu, so the cv fields then repeat the plain ones.
+    Weights are always validated against the config's w_max.
     """
     if n_paths < 1:
         raise ValueError(f"n_paths must be >= 1, got {n_paths}")
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     if isinstance(generator, GbmJumpParams):
         if n_periods is not None and n_periods != generator.n_periods:
             raise ValueError(
@@ -236,6 +279,7 @@ def monte_carlo_gain_loss(
 
     start = initial_state(config)
     gains = np.empty(n_paths)
+    compensators = None if clip_returns else np.empty(n_paths)
 
     def run(block: int) -> None:
         lo = block * BLOCK
@@ -251,13 +295,23 @@ def monte_carlo_gain_loss(
             w = static_w
         if clip_returns:
             x = np.clip(x, config.bounds.x_min, config.bounds.x_max)
-        # The same stage-order fold as evolve, one path per row.
-        f_long, f_short = leg_factors(w, x, config.rf)
-        gains[lo : lo + rows] = (
-            np.multiply.reduce(f_long, axis=1, initial=start.v_long)
-            + np.multiply.reduce(f_short, axis=1, initial=start.v_short)
-            - config.v0
-        )
+        # Per path and leg, [start value | leg factors] multiplied out in
+        # stage order: the same fold as evolve, one path per row.
+        v_long = np.empty((rows, horizon + 1))
+        v_short = np.empty((rows, horizon + 1))
+        v_long[:, 0] = start.v_long
+        v_short[:, 0] = start.v_short
+        leg_factors(w, x, config.rf, out=(v_long[:, 1:], v_short[:, 1:]))
+        np.multiply.accumulate(v_long, axis=1, out=v_long)
+        np.multiply.accumulate(v_short, axis=1, out=v_short)
+        gains[lo : lo + rows] = v_long[:, -1] + v_short[:, -1] - config.v0
+        if compensators is not None:
+            # The legs entering each stage: V(k-1) for k = 1..horizon.
+            v_long, v_short = v_long[:, :-1], v_short[:, :-1]
+            compensator = generator.mu * (_row_dot(v_long, w) - _row_dot(v_short, w))
+            if config.rf:
+                compensator += config.rf * _row_dot(v_long, 1.0 - w)
+            compensators[lo : lo + rows] = compensator
 
     blocks = range(-(-n_paths // BLOCK))
     if workers <= 1 or len(blocks) == 1:
@@ -267,15 +321,31 @@ def monte_carlo_gain_loss(
         with ThreadPoolExecutor(max_workers=min(workers, len(blocks))) as pool:
             list(pool.map(run, blocks))
 
-    mean = float(np.mean(gains))
-    variance = float(np.var(gains, ddof=1)) if n_paths > 1 else 0.0
+    mean, std_error, variance = _sample_stats(gains)
+    cv_mean, cv_std_error, _ = _sample_stats(gains if compensators is None else compensators)
     return MonteCarloResult(
         mean_gain=mean,
-        std_error=math.sqrt(variance / n_paths),
+        std_error=std_error,
         sample_variance=variance,
         n_paths=n_paths,
         seed=seed,
+        cv_mean_gain=cv_mean,
+        cv_std_error=cv_std_error,
     )
+
+
+def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Per row of a, its dot product with b (a vector, or a matrix row by row).
+
+    einsum rather than a matrix product: it takes an ma: weight matrix too,
+    and it sums in its own loop, never in a threaded BLAS call."""
+    return np.einsum("...j,...j->...", a, b)
+
+
+def _sample_stats(values: np.ndarray) -> tuple[float, float, float]:
+    """Mean, standard error of the mean and unbiased variance (0 for one value)."""
+    variance = float(np.var(values, ddof=1)) if values.size > 1 else 0.0
+    return float(np.mean(values)), math.sqrt(variance / values.size), variance
 
 
 def sweep_mu_star(
