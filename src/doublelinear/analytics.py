@@ -323,8 +323,8 @@ class RpeScanReport:
     certifiable: bool
     reason: Optional[str]
     certified: bool
-    min_gain: Optional[float]
-    argmin: Optional[tuple[float, int]]  # (mu, k) of the minimum, mu != 0 only
+    min_gain: float
+    argmin: tuple[float, int]  # (mu, k) of the minimum, mu != 0 only
     mu_grid: tuple[float, ...]
     k_range: tuple[int, int]
     entries: np.ndarray  # shape (len(mu_grid), k_max - 1); [i, j] = gain at (mu_i, k=j+2)
@@ -339,11 +339,11 @@ def rpe_scan(
     """Evaluate the expected gain-loss over a (mu, k) grid and certify positivity.
 
     The certificate covers every k in [2, k_max] and every nonzero mu in
-    the grid.  Hypothesis violations (alpha != 1/2, or a horizon whose
-    weight prefix has fewer than two strictly positive entries) are
-    reported as "not certifiable", which is a different statement from a
-    positivity failure: the grid is still evaluated and reported either
-    way.  Grid entries are mutually independent, so evaluation order
+    the grid, which must hold at least one.  Hypothesis violations (alpha
+    != 1/2, or a horizon whose weight prefix has fewer than two strictly
+    positive entries) are reported as "not certifiable", which is a
+    different statement from a positivity failure: the grid is still
+    evaluated and reported either way.  Grid entries are mutually independent, so evaluation order
     cannot change the result.
     """
     if k_max < 2:
@@ -351,6 +351,8 @@ def rpe_scan(
     grid = tuple(float(m) for m in mu_grid)
     if not grid:
         raise ValueError("mu_grid must be nonempty")
+    if not any(grid):
+        raise ValueError("mu_grid needs a nonzero mu: mu = 0 rows never count")
     for m in grid:
         check_mu(m)
     w, _ = _schedule_head(config, weights, k_max)
@@ -373,20 +375,18 @@ def rpe_scan(
     with np.errstate(over="ignore"):
         entries = _scaled_expm1(math.log(config.v0), _log_value(config.alpha, mus * w)[:, 1:])
 
-    min_gain = argmin = None
-    if any(grid):  # mu = 0 rows never count toward the certificate
-        nonzero = np.where(mus != 0.0, entries, np.inf)
-        row, col = np.unravel_index(np.argmin(nonzero), nonzero.shape)
-        min_gain, argmin = float(entries[row, col]), (grid[row], int(col) + 2)
+    nonzero = np.where(mus != 0.0, entries, np.inf)  # mu = 0 rows never count
+    row, col = np.unravel_index(np.argmin(nonzero), nonzero.shape)
+    min_gain = float(entries[row, col])
 
     certifiable = reason is None
-    certified = certifiable and min_gain is not None and min_gain > 0.0
+    certified = certifiable and min_gain > 0.0
     return RpeScanReport(
         certifiable=certifiable,
         reason=reason,
         certified=certified,
         min_gain=min_gain,
-        argmin=argmin,
+        argmin=(grid[row], int(col) + 2),
         mu_grid=grid,
         k_range=(2, k_max),
         entries=entries,

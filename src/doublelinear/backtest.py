@@ -24,7 +24,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .policy import MarketBounds, PolicyConfig, evolve
+from .policy import MarketBounds, PolicyConfig, evolve, validate_prices
 from .simulate import prices_to_returns
 from .tables import read_rows
 from .weights import WeightSpec, eval_schedule
@@ -57,8 +57,7 @@ class PriceSeries:
             raise ValueError("timestamps and prices must be equally long 1-d sequences")
         if ts.size == 0:
             raise ValueError("empty series")
-        if not 0.0 < px.min() <= px.max() < np.inf:  # NaN fails too
-            raise ValueError("nonpositive or non-finite price")
+        validate_prices(px)
         if ts.size > 1 and np.any(np.diff(ts) <= 0):
             raise ValueError("nonmonotone timestamps")
 
@@ -128,6 +127,8 @@ def sharpe_ratio(period_returns: Sequence[float]) -> float:
     r = np.asarray(period_returns, dtype=float)
     if r.ndim != 1 or r.size < 2:
         raise ValueError("need at least two period returns")
+    if not np.isfinite(r).all():
+        raise ValueError("non-finite period return")
     return _return_stats(r)[1]
 
 
@@ -189,7 +190,7 @@ def run_backtest(
     cfg = config
     if bounds_from_data:
         cfg = dataclasses.replace(config, bounds=_bounds_covering(config.bounds, x))
-    w = eval_schedule(spec, n, prices=series.prices if spec.price_driven else None)
+    w = eval_schedule(spec, n, prices=series.prices)
 
     return _report(evolve(cfg, w, x).values, cfg.v0, w, series.symbol)
 

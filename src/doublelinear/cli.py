@@ -466,6 +466,9 @@ def cmd_backtest(args) -> int:
     config = _policy(effective)
     texts = effective["w"] or ["constant:0.8"]
     effective["w"] = texts = [texts] if isinstance(texts, str) else texts
+    repeated = [text for i, text in enumerate(texts) if text in texts[:i]]
+    if repeated:
+        raise _UsageError(f"--w {repeated[0]} is repeated; each spec is one report column")
     specs = {text: parse_weight_spec(text, w_max=config.w_max) for text in texts}
     series = ingest_csv(effective["csv"])
     reports = batch_backtest(
@@ -518,7 +521,7 @@ def cmd_verify_rpe(args) -> int:
         "certified": report.certified,
         "reason": report.reason,
         "min_gain": report.min_gain,
-        "argmin": list(report.argmin) if report.argmin else None,
+        "argmin": list(report.argmin),
         "mu_grid": list(report.mu_grid),
         "k_range": list(report.k_range),
         "entries": report.entries.tolist(),

@@ -32,10 +32,12 @@ __all__ = [
     "derive_w_max",
     "initial_state",
     "step_account",
+    "account_legs",
     "evolve",
     "survivability_bound",
     "validate_weights",
     "validate_returns",
+    "validate_prices",
     "check_mu",
     "leg_factors",
 ]
@@ -164,6 +166,14 @@ def validate_returns(returns, bounds: MarketBounds) -> np.ndarray:
     return _reject_outside(returns, bounds.x_min, bounds.x_max, "return")
 
 
+def validate_prices(prices) -> np.ndarray:
+    """Prices as a float array; ValueError unless every one is positive and finite."""
+    p = np.asarray(prices, dtype=float)
+    if p.size and not 0.0 < p.min() <= p.max() < np.inf:  # NaN fails too
+        raise ValueError("nonpositive or non-finite price")
+    return p
+
+
 def check_mu(mu: float) -> None:
     """ValueError unless |mu| < 1 (NaN included)."""
     if not abs(mu) < 1.0:
@@ -174,9 +184,9 @@ def leg_factors(w, x, rf: float, out=None):
     """Per-stage growth factors (long, short): 1 + w*x + (1 - w)*rf and 1 - w*x.
 
     The long leg earns rf on its uninvested fraction; short proceeds earn
-    nothing.  step_account, evolve and the Monte Carlo path gain all use
-    this one form, so they agree bit for bit.  out = (long, short), two
-    arrays of the shape of w*x, receives the same factors in place.
+    nothing.  step_account and account_legs both use this one form, so
+    they agree bit for bit.  out = (long, short), two arrays of the shape
+    of w*x, receives the same factors in place.
     """
     if out is None:
         return 1.0 + w * x + (1.0 - w) * rf, 1.0 - w * x
@@ -203,6 +213,22 @@ def step_account(
     return AccountState(state.v_long * f_long, state.v_short * f_short, state.stage + 1)
 
 
+def account_legs(config: PolicyConfig, w, x) -> tuple[np.ndarray, np.ndarray]:
+    """Per-leg account values (long, short) at stages 0..n, validating nothing.
+
+    w and x broadcast to (..., n), one path per row.  Each leg, (..., n+1), is
+    the stage-0 split, then its leg_factors multiplied out in stage order."""
+    shape = np.broadcast_shapes(np.shape(w), np.shape(x))
+    v_long = np.empty(shape[:-1] + (shape[-1] + 1,))
+    v_short = np.empty_like(v_long)
+    start = initial_state(config)
+    v_long[..., 0], v_short[..., 0] = start.v_long, start.v_short
+    leg_factors(w, x, config.rf, out=(v_long[..., 1:], v_short[..., 1:]))
+    np.multiply.accumulate(v_long, axis=-1, out=v_long)
+    np.multiply.accumulate(v_short, axis=-1, out=v_short)
+    return v_long, v_short
+
+
 def evolve(
     config: PolicyConfig,
     weights: Sequence[float],
@@ -212,10 +238,9 @@ def evolve(
 
     weights[k] is applied to returns[k]; both sequences must have equal
     length.  Every element is validated up front so rejection errors
-    cite the offending stage.  Each leg is the cumulative product of its
-    leg_factors, started from the stage-0 split, so with rf = 0 the
-    terminal value is v0*(alpha*prod(1 + w*x) + (1-alpha)*prod(1 - w*x))
-    up to floating-point accumulation.
+    cite the offending stage.  The legs come from account_legs, so with
+    rf = 0 the terminal value is v0*(alpha*prod(1 + w*x) +
+    (1-alpha)*prod(1 - w*x)) up to floating-point accumulation.
     """
     w = np.asarray(weights, dtype=float)
     x = np.asarray(returns, dtype=float)
@@ -226,13 +251,7 @@ def evolve(
         )
     validate_weights(w, config.w_max)
     validate_returns(x, config.bounds)
-    start = initial_state(config)
-    f_long, f_short = leg_factors(w, x, config.rf)
-    return Trajectory(
-        v_long=np.cumprod(np.concatenate(([start.v_long], f_long))),
-        v_short=np.cumprod(np.concatenate(([start.v_short], f_short))),
-        v0=config.v0,
-    )
+    return Trajectory(*account_legs(config, w, x), v0=config.v0)
 
 
 def survivability_bound(config: PolicyConfig, k: int) -> tuple[float, float]:
@@ -242,8 +261,8 @@ def survivability_bound(config: PolicyConfig, k: int) -> tuple[float, float]:
     w_max <= 1 and x_min > -1.  Short: v0*(1-alpha)*(1 - w_max*x_max)^k,
     which is >= 0 and touches 0 exactly when w_max = 1/x_max.
     """
-    if k < 0:
-        raise ValueError(f"k must be nonnegative, got {k}")
+    if not 0 <= k < np.inf:  # NaN fails too
+        raise ValueError(f"k must be nonnegative and finite, got {k}")
     w_max = config.w_max
     lo_long = config.v0 * config.alpha * (1.0 + w_max * config.bounds.x_min) ** k
     lo_short = config.v0 * (1.0 - config.alpha) * (1.0 - w_max * config.bounds.x_max) ** k

@@ -34,9 +34,9 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .analytics import TwoPointModel
-from .policy import PolicyConfig, initial_state, leg_factors, validate_weights
+from .policy import PolicyConfig, account_legs, validate_prices, validate_weights
 from .tables import write_table
-from .weights import WeightSpec, eval_schedule, ma_indicator_weights
+from .weights import WeightSpec, eval_schedule
 
 __all__ = [
     "GbmJumpParams",
@@ -187,8 +187,7 @@ def prices_to_returns(prices: Sequence[float]) -> np.ndarray:
     p = np.asarray(prices, dtype=float)
     if p.ndim not in (1, 2) or p.shape[-1] < 2:
         raise ValueError("need a series (or rows) of at least two prices")
-    if not 0.0 < p.min() <= p.max() < np.inf:  # NaN fails too
-        raise ValueError("nonpositive or non-finite price")
+    validate_prices(p)
     x = p[..., 1:] / p[..., :-1]
     x -= 1.0
     return x
@@ -277,7 +276,6 @@ def monte_carlo_gain_loss(
     static_w = None if spec.price_driven else eval_schedule(spec, horizon)
     validate_weights(spec.w if static_w is None else static_w, config.w_max)
 
-    start = initial_state(config)
     gains = np.empty(n_paths)
     compensators = None if clip_returns else np.empty(n_paths)
 
@@ -287,23 +285,13 @@ def monte_carlo_gain_loss(
         if price_generator:
             prices = _price_block(generator, seed, block)[:rows]
             x = prices_to_returns(prices)
-            w = static_w if static_w is not None else ma_indicator_weights(
-                prices, horizon, spec.d, spec.w
-            )
+            w = static_w if static_w is not None else eval_schedule(spec, horizon, prices)
         else:
             x = _two_point_block(generator, horizon, seed, block)[:rows]
             w = static_w
         if clip_returns:
             x = np.clip(x, config.bounds.x_min, config.bounds.x_max)
-        # Per path and leg, [start value | leg factors] multiplied out in
-        # stage order: the same fold as evolve, one path per row.
-        v_long = np.empty((rows, horizon + 1))
-        v_short = np.empty((rows, horizon + 1))
-        v_long[:, 0] = start.v_long
-        v_short[:, 0] = start.v_short
-        leg_factors(w, x, config.rf, out=(v_long[:, 1:], v_short[:, 1:]))
-        np.multiply.accumulate(v_long, axis=1, out=v_long)
-        np.multiply.accumulate(v_short, axis=1, out=v_short)
+        v_long, v_short = account_legs(config, w, x)  # the fold evolve makes, one path per row
         gains[lo : lo + rows] = v_long[:, -1] + v_short[:, -1] - config.v0
         if compensators is not None:
             # The legs entering each stage: V(k-1) for k = 1..horizon.

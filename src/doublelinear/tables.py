@@ -35,11 +35,11 @@ def read_rows(source, header):
 
 
 def write_table(path, comments, header, lines) -> None:
-    """Write '# ' comments, the header and the data lines, each ending in "\\n".  Lines
-    are joined 4096 at a time, so a generator of them never sits in memory whole."""
+    """Write '# ' comments, the header (csv-quoted where needed) and the data lines, each
+    ending in "\\n".  Lines are joined 4096 at a time; a generator never sits in memory whole."""
     lines = iter(lines)
     with open(path, "w", newline="") as fh:
         fh.writelines(f"# {comment}\n" for comment in comments)
-        fh.write(",".join(header) + "\n")
+        csv.writer(fh, lineterminator="\n").writerow(header)
         while block := list(islice(lines, 4096)):
             fh.write("\n".join(block) + "\n")

@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .policy import AdmissibilityError, validate_weights
+from .policy import validate_prices, validate_weights
 from .tables import read_rows, write_table
 
 __all__ = [
@@ -97,9 +97,10 @@ def eval_schedule(
 
     The ma_indicator spec is price-driven: weight i is computed from
     prices[0..i] only (needs len(prices) >= n), covering returns 0..n-1
-    causally.  Named-generator output is clamped into [0, w_max] (with a
-    warning when the clamp changed anything); table values are already
-    validated and pass through.
+    causally; a (paths, n+1) price matrix gives one weight row per path.
+    Named-generator output is clamped into [0, w_max] (with a warning
+    when the clamp changed anything); table values are already validated
+    and pass through.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -112,10 +113,7 @@ def eval_schedule(
     if spec.kind == "ma_indicator":
         if prices is None:
             raise ValueError("ma_indicator schedules are price-driven: prices required")
-        p = np.asarray(prices, dtype=float)
-        if p.ndim != 1:
-            raise ValueError("ma_indicator schedules read one price series")
-        return ma_indicator_weights(p, n, spec.d, spec.w)
+        return ma_indicator_weights(prices, n, spec.d, spec.w)
 
     k = np.arange(1, n + 1, dtype=float)
     if spec.kind == "log_ramp":
@@ -147,7 +145,7 @@ def ma_value(prices: Sequence[float], k: int, d: int) -> float:
     """Trailing d-period simple moving average at index k."""
     if d < 1:
         raise ValueError(f"window d must be >= 1, got {d}")
-    p = np.asarray(prices, dtype=float)
+    p = validate_prices(prices)
     if k < d - 1:
         raise ValueError(f"insufficient history: k={k} < d-1={d - 1}")
     if not 0 <= k < p.size:
@@ -159,15 +157,14 @@ def ma_indicator_weight(prices: Sequence[float], k: int, d: int, w: float) -> fl
     """w when prices[k] strictly exceeds its trailing d-average, else 0.
 
     Warm-up stages (k < d-1) get 0: no full window, no position.  Ties
-    also give 0 (the comparison is strict).  Reads nothing past index k.
+    also give 0 (the comparison is strict).  The value uses nothing past index k.
     """
-    if not 0.0 <= w <= 1.0:
-        raise AdmissibilityError(f"indicator weight w={w} outside [0, 1]")
+    validate_weights(w, 1.0)
     if d < 1:
         raise ValueError(f"window d must be >= 1, got {d}")
+    p = validate_prices(prices)
     if k < d - 1:
         return 0.0
-    p = np.asarray(prices, dtype=float)
     return w if float(p[k]) > ma_value(p, k, d) else 0.0
 
 
@@ -178,11 +175,10 @@ def ma_indicator_weights(prices, n: int, d: int, w: float) -> np.ndarray:
     Bit-identical to the scalar oracle: each window mean is the same
     reduction ma_value makes, and the comparison is the same strict >.
     """
-    if not 0.0 <= w <= 1.0:
-        raise AdmissibilityError(f"indicator weight w={w} outside [0, 1]")
+    validate_weights(w, 1.0)
     if d < 1:
         raise ValueError(f"window d must be >= 1, got {d}")
-    p = np.asarray(prices, dtype=float)
+    p = validate_prices(prices)
     if p.shape[-1] < n:
         raise ValueError(f"need at least {n} prices, got {p.shape[-1]}")
     weights = np.zeros(p.shape[:-1] + (n,))
@@ -193,10 +189,14 @@ def ma_indicator_weights(prices, n: int, d: int, w: float) -> np.ndarray:
 
 
 def clamp_admissible(values: Sequence[float], w_max: float) -> np.ndarray:
-    """Map every value into [0, w_max].  Idempotent and order preserving."""
+    """Map every finite value into [0, w_max].  Idempotent and order preserving;
+    ValueError on NaN or an infinity, which have no admissible image."""
     if not 0.0 < w_max <= 1.0:
         raise ValueError(f"w_max must lie in (0, 1], got {w_max}")
-    return np.clip(np.asarray(values, dtype=float), 0.0, w_max)
+    v = np.asarray(values, dtype=float)
+    if not np.isfinite(v).all():
+        raise ValueError("cannot clamp a non-finite value")
+    return np.clip(v, 0.0, w_max)
 
 
 def dump_weight_table(path, values: Sequence[float], comment: Optional[str] = None) -> None:

@@ -1,5 +1,6 @@
 """Command line: exit codes, config precedence, output files, determinism."""
 
+import csv
 import json
 import math
 from pathlib import Path
@@ -212,6 +213,18 @@ class TestVerifyRpe:
         payload = read_json(tmp_path / "rpe.json")
         assert payload["mu_grid"] == [-0.3, 0.3]
 
+    @pytest.mark.parametrize("grid", ["0", "0,-0.0,0"])
+    def test_grid_without_nonzero_drift_writes_nothing(self, tmp_path, capsys, grid):
+        outdir = tmp_path / "out"
+        code, out, err = run(
+            capsys, "verify-rpe", "--mu-grid", grid, "--outdir", str(outdir)
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and "nonzero" in err
+        assert err.count("\n") == 1
+        assert not (outdir / "rpe.json").exists()
+
 
 class TestSimulate:
     def test_degenerate_single_path_matches_closed_form(self, tmp_path, capsys):
@@ -309,6 +322,38 @@ class TestBacktestCommand:
         assert metrics == ["gain_loss", "variance", "sharpe", "degenerate_sharpe", "n_periods"]
         assert (tmp_path / "curve_1.csv").exists()
         assert (tmp_path / "curve_3.csv").exists()
+
+    def read_backtest_csv(self, tmp_path):
+        with open(tmp_path / "backtest.csv", newline="") as fh:
+            return list(csv.reader(line for line in fh if not line.startswith("#")))
+
+    def test_repeated_spec_writes_nothing(self, tmp_path, capsys):
+        csv_path = self.write_prices(tmp_path)
+        outdir = tmp_path / "out"
+        code, out, err = run(
+            capsys, "backtest", "--csv", str(csv_path), "--w", "ma:2", "--w", "constant:0.5",
+            "--w", "ma:2", "--curves", "--outdir", str(outdir),
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: --w ma:2 ") and err.count("\n") == 1
+        assert not outdir.exists()
+
+    @pytest.mark.parametrize("name", ["w,1.csv", 'w"1.csv', "w.csv"])
+    def test_rows_are_as_wide_as_the_header(self, tmp_path, capsys, name):
+        csv_path = self.write_prices(tmp_path)
+        table = tmp_path / name
+        table.write_text("stage,weight\n1,0.5\n2,0.25\n")
+        spec = f"table:{table}"
+        code, _, _ = run(
+            capsys, "backtest", "--csv", str(csv_path), "--w", spec, "--w", "ma:2",
+            "--with-buy-hold", "--outdir", str(tmp_path),
+        )
+        assert code == 0
+        header, *rows = self.read_backtest_csv(tmp_path)
+        assert header == ["metric", "buy_and_hold", spec, "ma:2"]
+        assert len(rows) == 5
+        assert all(len(row) == len(header) for row in rows)
 
     def test_missing_csv_flag(self, tmp_path, capsys):
         code, _, err = run(capsys, "backtest", "--outdir", str(tmp_path))

@@ -23,21 +23,27 @@ from doublelinear import (
     ReturnMoments,
     TwoPointModel,
     WeightSpec,
+    clamp_admissible,
+    eval_schedule,
     evolve,
     expected_gain_loss,
     ingest_csv,
     initial_state,
+    ma_indicator_weight,
+    ma_value,
     monte_carlo_gain_loss,
     prices_to_returns,
     rpe_scan,
     second_moment_gain_loss,
+    sharpe_ratio,
     simulate_two_point,
     step_account,
+    survivability_bound,
     variance_gain_loss,
 )
 from doublelinear.cli import main
 from doublelinear.simulate import BLOCK
-from doublelinear.weights import KINDS
+from doublelinear.weights import KINDS, ma_indicator_weights
 
 BOUNDS = MarketBounds(-0.5, 1.0)
 CONFIG = PolicyConfig(alpha=0.5, bounds=BOUNDS)
@@ -86,6 +92,41 @@ class TestNonFiniteInputsRejected:
         text = f"timestamp,price\n1,100\n2,{bad}\n3,101\n"
         with pytest.raises(ValueError, match="row 3"):
             ingest_csv(io.StringIO(text))
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_moving_average_prices(self, bad, sign):
+        # a negative price is refused too, not read as a weight of 0 or w
+        prices = [100.0, 101.0, 102.0, sign * bad, 104.0]
+        spec = WeightSpec("ma_indicator", w=0.8, d=2)
+        for call in (
+            lambda: ma_value(prices, 4, 2),
+            lambda: ma_indicator_weight(prices, 4, 2, 0.8),
+            lambda: ma_indicator_weights(prices, 5, 2, 0.8),
+            lambda: ma_indicator_weights(np.array([prices, prices]), 5, 2, 0.8),
+            lambda: eval_schedule(spec, 4, prices=prices),
+        ):
+            with pytest.raises(ValueError, match="nonpositive or non-finite price"):
+                call()
+        with pytest.raises(ValueError, match="nonpositive or non-finite price"):
+            ma_value([100.0, -1.0, 102.0], 2, 2)
+
+    def test_moving_average_weight(self, bad):
+        with pytest.raises(AdmissibilityError, match="weight"):
+            ma_indicator_weight([100.0, 101.0], 1, 2, bad)
+        with pytest.raises(AdmissibilityError, match="weight"):
+            ma_indicator_weights([100.0, 101.0], 2, 2, bad)
+
+    def test_clamp_admissible(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            clamp_admissible([0.5, bad], 1.0)
+
+    def test_sharpe_ratio(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            sharpe_ratio([bad, 0.1, 0.2])
+
+    def test_survivability_bound(self, bad):
+        with pytest.raises(ValueError, match="k must be"):
+            survivability_bound(CONFIG, bad)
 
 
 @pytest.mark.parametrize(
