@@ -39,6 +39,8 @@ __all__ = [
     "sharpe_ratio",
 ]
 
+_INT64_MIN, _INT64_MAX = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
+
 
 @dataclass(frozen=True)
 class PriceSeries:
@@ -49,7 +51,10 @@ class PriceSeries:
     symbol: str = ""
 
     def __post_init__(self):
-        ts = np.asarray(self.timestamps, dtype=np.int64)
+        try:
+            ts = np.asarray(self.timestamps, dtype=np.int64)
+        except OverflowError:
+            raise ValueError("timestamps must fit in int64") from None
         px = np.asarray(self.prices, dtype=float)
         object.__setattr__(self, "timestamps", ts)
         object.__setattr__(self, "prices", px)
@@ -76,7 +81,6 @@ class BacktestReport:
     n_periods: int
     curve: np.ndarray  # shape (n_periods+1, 2): stage, cumulative gain
     weights_used: np.ndarray
-    symbol: str = ""
 
     def to_dict(self) -> dict:
         """JSON-shaped summary, one backtest.csv row per key; the curve has its own CSV."""
@@ -95,11 +99,13 @@ def ingest_csv(source, symbol: Optional[str] = None) -> PriceSeries:
     timestamp is an integer (epoch seconds or a plain ordinal), price a
     positive finite decimal.  source is a path or an open text file in
     the table format of doublelinear.tables ('#' and blank lines are
-    skipped).  Bad rows are rejected with their 1-based line number.
+    skipped).  Bad rows are rejected with their 1-based line number,
+    among them a timestamp outside int64 or not above the one before.
     """
     name = getattr(source, "name", "") if hasattr(source, "read") else str(source)
     timestamps: list[int] = []
     prices: list[float] = []
+    last = _INT64_MIN - 1
     for rownum, row in read_rows(source, ("timestamp", "price")):
         try:
             ts = int(row[0])
@@ -110,11 +116,13 @@ def ingest_csv(source, symbol: Optional[str] = None) -> PriceSeries:
             raise ValueError(f"row {rownum}: non-finite price {price}")
         if price <= 0.0:
             raise ValueError(f"row {rownum}: nonpositive price {price}")
+        if not last < ts <= _INT64_MAX:
+            fault = "does not increase" if _INT64_MIN <= ts <= _INT64_MAX else "is outside int64"
+            raise ValueError(f"row {rownum}: timestamp {ts} {fault}")
+        last = ts
         timestamps.append(ts)
         prices.append(price)
     label = symbol if symbol is not None else PurePath(name).stem  # "" without a name
-    # PriceSeries re-validates; duplicated/regressing times surface here
-    # as "nonmonotone timestamps".
     return PriceSeries(np.array(timestamps, np.int64), np.array(prices), label)
 
 
@@ -144,7 +152,7 @@ def _return_stats(r: np.ndarray) -> tuple[float, float, bool]:
     return sd * sd, float(r.mean()) / sd, False
 
 
-def _report(values: np.ndarray, v0: float, weights_used, symbol: str) -> BacktestReport:
+def _report(values: np.ndarray, v0: float, weights_used) -> BacktestReport:
     """Report of one account-value curve V(0..n)."""
     variance, sharpe, degenerate = _return_stats(values[1:] / values[:-1] - 1.0)
     gains = values - v0
@@ -156,7 +164,6 @@ def _report(values: np.ndarray, v0: float, weights_used, symbol: str) -> Backtes
         n_periods=len(values) - 1,
         curve=np.column_stack([np.arange(len(values), dtype=float), gains]),
         weights_used=weights_used,
-        symbol=symbol,
     )
 
 
@@ -192,7 +199,7 @@ def run_backtest(
         cfg = dataclasses.replace(config, bounds=_bounds_covering(config.bounds, x))
     w = eval_schedule(spec, n, prices=series.prices)
 
-    return _report(evolve(cfg, w, x).values, cfg.v0, w, series.symbol)
+    return _report(evolve(cfg, w, x).values, cfg.v0, w)
 
 
 def buy_and_hold_report(config: PolicyConfig, series: PriceSeries) -> BacktestReport:
@@ -209,7 +216,7 @@ def buy_and_hold_report(config: PolicyConfig, series: PriceSeries) -> BacktestRe
     if len(series) < 2:
         raise ValueError("series must contain at least two prices")
     values = config.v0 * series.prices / series.prices[0]
-    return _report(values, config.v0, np.ones(len(series) - 1), series.symbol)
+    return _report(values, config.v0, np.ones(len(series) - 1))
 
 
 def batch_backtest(

@@ -243,7 +243,7 @@ def _items(effective: dict, name: str, kind):
 
 
 def _outdir(args) -> Path:
-    out = getattr(args, "outdir", None) or os.environ.get(OUTDIR_ENV) or "."
+    out = args.outdir or os.environ.get(OUTDIR_ENV) or "."
     path = Path(out)
     path.mkdir(parents=True, exist_ok=True)
     return path
@@ -364,8 +364,7 @@ def _stage_indexed(command: str, text: str, w_max: float) -> WeightSpec:
 # ---------------------------------------------------------------- commands
 
 
-def cmd_analyze(args) -> int:
-    effective = _merge(args)
+def cmd_analyze(args, effective: dict) -> int:
     config = _policy(effective)
     spec = _stage_indexed("analyze", effective["w"], config.w_max)
     mus = _items(effective, "mu", float)
@@ -393,8 +392,7 @@ def cmd_analyze(args) -> int:
     return 0
 
 
-def cmd_simulate(args) -> int:
-    effective = _merge(args)
+def cmd_simulate(args, effective: dict) -> int:
     config = _policy(effective)
     spec = parse_weight_spec(effective["w"], w_max=config.w_max)
     single = effective["mu_star"] is not None
@@ -410,6 +408,8 @@ def cmd_simulate(args) -> int:
     dump = effective["dump_paths"]
     if dump < 0:
         raise _UsageError(f"--dump-paths must be >= 0, got {dump}")
+    if effective["seed"] < 0:
+        raise _UsageError(f"--seed must be >= 0, got {effective['seed']}")
     if effective["threads"] < 1:
         raise _UsageError(f"--threads must be >= 1, got {effective['threads']}")
     if dump and not single:
@@ -419,7 +419,6 @@ def cmd_simulate(args) -> int:
         raise _UsageError("--grid sweeps drifts; it cannot be combined with --mu-star")
     if grid == []:
         raise _UsageError("--grid must be nonempty")
-    outdir = _outdir(args)
     seed = effective["seed"]
     mc = {"workers": effective["threads"], "clip_returns": effective["clip"]}
 
@@ -445,6 +444,7 @@ def cmd_simulate(args) -> int:
         for mu_star, r in cells
     ]
     payload = {"command": "simulate", "config": effective, "results": rows}
+    outdir = _outdir(args)
     pieces = _write_json(outdir / "simulate.json", payload)
     comments = [_provenance_comment("simulate", effective)]
 
@@ -459,8 +459,7 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def cmd_backtest(args) -> int:
-    effective = _merge(args)
+def cmd_backtest(args, effective: dict) -> int:
     if not effective["csv"]:
         raise _UsageError("--csv is required")
     config = _policy(effective)
@@ -502,8 +501,7 @@ def cmd_backtest(args) -> int:
     return 0
 
 
-def cmd_verify_rpe(args) -> int:
-    effective = _merge(args)
+def cmd_verify_rpe(args, effective: dict) -> int:
     config = _policy(effective)
     spec = _stage_indexed("verify-rpe", effective["w"], config.w_max)
     k_max = effective["k_max"]
@@ -515,15 +513,7 @@ def cmd_verify_rpe(args) -> int:
         zip(report.mu_grid, report.entries[:, :, None]),
     )
     payload = {
-        "command": "verify-rpe",
-        "config": effective,
-        "certifiable": report.certifiable,
-        "certified": report.certified,
-        "reason": report.reason,
-        "min_gain": report.min_gain,
-        "argmin": list(report.argmin),
-        "mu_grid": list(report.mu_grid),
-        "k_range": list(report.k_range),
+        "command": "verify-rpe", "config": effective, **vars(report),
         "entries": report.entries.tolist(),
     }
     _write_json(_outdir(args) / "rpe.json", payload)
@@ -534,12 +524,16 @@ def cmd_verify_rpe(args) -> int:
     if report.certified:
         print(f"certified: min gain {report.min_gain} at mu={mu}, k={k}")
         return 0
-    print(f"positivity failed: min gain {report.min_gain} at mu={mu}, k={k}")
+    # At alpha = 1/2 every entry is v0*expm1 of a sum of log1p(x*tanh(h))
+    # terms, x and h of mu's sign, so >= 0: a failed entry underflowed to 0.
+    print(
+        f"underflow: the expected gain at mu={mu}, k={k} underflows to {report.min_gain}, "
+        "so float64 cannot show its sign"
+    )
     return 1
 
 
-def cmd_weights(args) -> int:
-    effective = _merge(args)
+def cmd_weights(args, effective: dict) -> int:
     spec = _stage_indexed("weights", effective["w"], effective["w_max"])
     values = eval_schedule(spec, effective["n"])
     out = Path(effective["out"])
@@ -554,7 +548,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return globals()["cmd_" + args.cmd.replace("-", "_")](args)
+        return globals()["cmd_" + args.cmd.replace("-", "_")](args, _merge(args))
     except (_UsageError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
@@ -228,7 +229,7 @@ def monte_carlo_gain_loss(
     gain array, so the result is bit-identical for a given
     (seed, n_paths) at any `workers` setting; the mean is then a single
     deterministic reduction of that array.  workers > 1 hands blocks to
-    a thread pool.
+    a thread pool of at most os.cpu_count() threads.
 
     Beside the gain G, each path yields its compensator A, the sum over
     stages k of mu*w_k*D(k-1) + rf*(1 - w_k)*V_L(k-1), with D = V_L - V_S
@@ -302,11 +303,13 @@ def monte_carlo_gain_loss(
             compensators[lo : lo + rows] = compensator
 
     blocks = range(-(-n_paths // BLOCK))
-    if workers <= 1 or len(blocks) == 1:
+    # map submits every block at once: more threads than CPUs only add threads
+    threads = min(workers, len(blocks), os.cpu_count() or 1)
+    if threads == 1:
         for block in blocks:
             run(block)
     else:
-        with ThreadPoolExecutor(max_workers=min(workers, len(blocks))) as pool:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
             list(pool.map(run, blocks))
 
     mean, std_error, variance = _sample_stats(gains)

@@ -49,6 +49,10 @@ class TestPriceSeries:
                 timestamps=np.array([2.0, 1.0]), prices=np.array([100.0, 101.0])
             )
 
+    def test_rejects_timestamp_outside_int64(self):
+        with pytest.raises(ValueError, match="int64"):
+            PriceSeries(timestamps=[1, 99999999999999999999], prices=[100.0, 101.0])
+
     def test_rejects_length_mismatch(self):
         with pytest.raises(ValueError):
             PriceSeries(timestamps=np.array([1.0]), prices=np.array([100.0, 101.0]))
@@ -78,6 +82,11 @@ class TestIngest:
     def test_bad_row_cites_row_number(self):
         with pytest.raises(ValueError, match="row 3"):
             ingest_csv(io.StringIO("timestamp,price\n1,100\n2,abc\n"))
+
+    @pytest.mark.parametrize("second", ["99999999999999999999", "1", "0"])
+    def test_bad_timestamp_cites_row_number(self, second):
+        with pytest.raises(ValueError, match="row 3"):
+            ingest_csv(io.StringIO(f"timestamp,price\n1,100\n{second},105\n"))
 
     def test_nonpositive_price_cites_row(self):
         with pytest.raises(ValueError, match="row 3: nonpositive"):

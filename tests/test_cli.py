@@ -97,6 +97,18 @@ class TestConfigPrecedence:
         assert code == 1
         assert "JSON" in err
 
+    @pytest.mark.parametrize("text, message", [(None, "cannot read"), ("[0.3]", "JSON object")])
+    def test_unusable_config_file_writes_nothing(self, tmp_path, capsys, text, message):
+        cfg = tmp_path / "cfg.json"
+        if text is not None:
+            cfg.write_text(text)
+        outdir = tmp_path / "out"
+        code, out, err = run(capsys, "analyze", "--config", str(cfg), "--outdir", str(outdir))
+        assert code == 1
+        assert err.startswith("error:") and message in err and err.count("\n") == 1
+        assert out == ""
+        assert not outdir.exists()
+
 
 class TestWeightsCommand:
     def read_table(self, path):
@@ -203,6 +215,18 @@ class TestVerifyRpe:
         )
         assert code == 0
         assert out == "certified: min gain 2.5e-19 at mu=1e-09, k=2\n"
+
+    def test_underflow_is_named(self, tmp_path, capsys):
+        # the k = 2 gain (w mu)^2 = 2.5e-401 is positive but below the float range
+        code, out, _ = run(
+            capsys, "verify-rpe", "--w", "constant:0.5", "--k-max", "3",
+            "--mu-grid", "1e-200", "--outdir", str(tmp_path),
+        )
+        assert code == 1
+        assert out == (
+            "underflow: the expected gain at mu=1e-200, k=2 underflows to 0.0, "
+            "so float64 cannot show its sign\n"
+        )
 
     def test_custom_grid(self, tmp_path, capsys):
         code, _, _ = run(
@@ -355,6 +379,17 @@ class TestBacktestCommand:
         assert len(rows) == 5
         assert all(len(row) == len(header) for row in rows)
 
+    @pytest.mark.parametrize("stamp", ["99999999999999999999", "1"])
+    def test_bad_timestamp_is_one_error_line(self, tmp_path, capsys, stamp):
+        csv_path = tmp_path / "prices.csv"
+        csv_path.write_text(f"timestamp,price\n1,100\n{stamp},110\n")
+        outdir = tmp_path / "out"
+        code, out, err = run(capsys, "backtest", "--csv", str(csv_path), "--outdir", str(outdir))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: row 3: timestamp ") and err.count("\n") == 1
+        assert not outdir.exists()
+
     def test_missing_csv_flag(self, tmp_path, capsys):
         code, _, err = run(capsys, "backtest", "--outdir", str(tmp_path))
         assert code == 1
@@ -438,6 +473,8 @@ class TestOptionTable:
             ("analyze", {"k": [2.5]}),
             ("analyze", {"mu": ["0.1"]}),
             ("backtest", {"w": 0.5}),
+            ("analyze", {"mu": "a"}),
+            ("analyze", {"mu": ""}),
         ],
     )
     def test_wrongly_typed_config_value_writes_nothing(self, tmp_path, capsys, command, values):
@@ -475,6 +512,7 @@ class TestSimulateChecksFirst:
             (["--grid", ""], "--grid"),
             (["--grid", " , "], "--grid"),
             (["--mu-star", "0.1", "--dump-paths", "-3"], "--dump-paths"),
+            (["--mu-star", "0.1", "--seed", "-1"], "--seed"),
         ],
     )
     def test_bad_input_writes_nothing(self, tmp_path, capsys, argv, message):
@@ -486,6 +524,17 @@ class TestSimulateChecksFirst:
         assert err.startswith("error:") and message in err
         assert out == ""
         assert not (outdir / "simulate.json").exists()
+
+    def test_engine_failure_leaves_no_outdir(self, tmp_path, capsys):
+        # prices this volatile underflow to 0, which the engine refuses
+        outdir = tmp_path / "out"
+        code, out, err = run(
+            capsys, "simulate", "--mu-star", "0", "--sigma-star", "10", "--dt", "1",
+            "--n", "150", "--paths", "64", "--lambda", "0", "--outdir", str(outdir),
+        )
+        assert code == 1
+        assert err.startswith("error:") and out == ""
+        assert not outdir.exists()
 
     def test_empty_grid_in_config_rejected(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"grid": []})
