@@ -48,14 +48,15 @@ BRUTE_FORCE_MAX_K = 25  # 2^k paths are enumerated; keep the tree sane
 
 @dataclass(frozen=True)
 class ReturnMoments:
-    """Common per-period mean and variance of the returns."""
+    """Common per-period mean (a float or a 1-d drift grid) and variance of the returns."""
 
-    mu: float
+    mu: float | np.ndarray
     sigma2: float
 
     def __post_init__(self):
-        if not np.isfinite(self.mu):
-            raise ValueError(f"mu must be finite, got {self.mu}")
+        finite = np.isfinite(self.mu)
+        if not np.all(finite):
+            raise ValueError(f"mu must be finite, got {np.ravel(self.mu)[np.argmin(finite)]}")
         if not 0.0 < self.sigma2 < np.inf:
             raise ValueError(f"sigma2 must be positive and finite, got {self.sigma2}")
 
@@ -135,8 +136,17 @@ def _schedule_head(config: PolicyConfig, weights: Sequence[float], k):
     return validate_weights(w[:k_max], config.w_max), ks - 1
 
 
-def _at_k(values: np.ndarray, k):
-    return float(values) if np.ndim(k) == 0 else values
+def _exposures(config: PolicyConfig, weights: Sequence[float], mu, k):
+    """x = w*mu over (drift, stage), then _schedule_head's weights and k - 1."""
+    if np.ndim(mu) > 1:
+        raise ValueError(f"drift mu must be a float or a 1-d grid, got {np.ndim(mu)}-d")
+    check_mu(mu)
+    w, idx = _schedule_head(config, weights, k)
+    return np.multiply.outer(np.asarray(mu, dtype=float), w), w, idx
+
+
+def _at_k(values: np.ndarray):
+    return float(values) if values.ndim == 0 else values
 
 
 def _log_value(alpha: float, x: np.ndarray) -> np.ndarray:
@@ -166,7 +176,7 @@ def _scaled_expm1(a, r, sign=1.0):
 
 
 def expected_gain_loss(
-    config: PolicyConfig, weights: Sequence[float], mu: float, k: int | Sequence[int]
+    config: PolicyConfig, weights: Sequence[float], mu: float | np.ndarray, k: int | Sequence[int]
 ) -> float | np.ndarray:
     """Expected terminal gain-loss at horizon k.
 
@@ -174,13 +184,13 @@ def expected_gain_loss(
 
     over the first k schedule entries.  With alpha = 1/2, k > 1, mu != 0
     and at least two strictly positive weights among the first k, the
-    value is strictly positive regardless of the sign of mu.  k may also
-    be a 1-d sequence of horizons; the result is then an array with one
-    entry per horizon, from one cumulative sum of logs.
+    value is strictly positive regardless of the sign of mu.  mu may be a
+    1-d drift grid and k a 1-d sequence of horizons; the result's axes
+    are then (drift, horizon), from one cumulative sum of logs per drift,
+    and it is a float when both are scalars.
     """
-    check_mu(mu)
-    w, idx = _schedule_head(config, weights, k)
-    return _at_k(_scaled_expm1(math.log(config.v0), _log_value(config.alpha, w * mu)[idx]), k)
+    x, _, idx = _exposures(config, weights, mu, k)
+    return _at_k(_scaled_expm1(math.log(config.v0), _log_value(config.alpha, x)[..., idx]))
 
 
 def expected_gain_loss_constant(
@@ -205,18 +215,17 @@ def _pair_logs(config, weights, moments: ReturnMoments, k):
     r of its factors 1 + q/(1+x)^2, 1 + q/(1-x)^2, |1 - q/(1-x^2)| (q =
     w^2 s2), and the sign of the last product, negative where an odd
     number of stages puts moment mass beyond 1/w."""
-    check_mu(moments.mu)
-    w, idx = _schedule_head(config, weights, k)
-    x, q = w * moments.mu, w * w * moments.sigma2
+    x, w, idx = _exposures(config, weights, moments.mu, k)
+    q = w * w * moments.sigma2
     cross = -q / ((1.0 - x) * (1.0 + x))
     negative = cross < -1.0
     cross = np.where(negative, -2.0 - cross, cross)  # log1p of it is log|1 + cross|
     with np.errstate(divide="ignore"):  # log 0 = -inf: alpha = 0 or 1, a cross factor of 0
         terms = [x, -x, q / (1.0 + x) ** 2, q / (1.0 - x) ** 2, cross]
-        up, down, *r = np.cumsum(np.log1p(terms), axis=-1)[:, idx]
+        up, down, *r = np.cumsum(np.log1p(terms), axis=-1)[..., idx]
         up += np.log(config.alpha * config.v0)
         down += np.log((1.0 - config.alpha) * config.v0)
-    sign = np.where(np.cumsum(negative)[idx] % 2 == 1, -1.0, 1.0)
+    sign = np.where(np.cumsum(negative, axis=-1)[..., idx] % 2 == 1, -1.0, 1.0)
     return (2.0 * up, 2.0 * down, math.log(2.0) + up + down), r, sign
 
 
@@ -234,18 +243,18 @@ def variance_gain_loss(
     The pairs cancel to first order in the exposure: the error is about
     1e-16 of their summed magnitude, near 1e-16/(w^2 (mu^2 + s2)) relative.
     At k = 1 the whole expression collapses to v0^2 * w^2 * s2 * (2 alpha - 1)^2.
-    k may be a 1-d sequence of horizons, as in expected_gain_loss.
+    mu and k may be 1-d grids, as in expected_gain_loss.
     """
     (a_up, a_down, a_cross), (r_up, r_down, r_cross), sign = _pair_logs(config, weights, moments, k)
     legs = _scaled_expm1(a_up, r_up) + _scaled_expm1(a_down, r_down)
     # |cross pair| <= the leg pairs' sum (Cauchy-Schwarz): it is infinite only with them
-    return _at_k(legs + np.where(np.isinf(legs), 0.0, _scaled_expm1(a_cross, r_cross, sign)), k)
+    return _at_k(legs + np.where(np.isinf(legs), 0.0, _scaled_expm1(a_cross, r_cross, sign)))
 
 
 def second_moment_gain_loss(
     config: PolicyConfig, weights: Sequence[float], moments: ReturnMoments, k: int | Sequence[int]
 ) -> float | np.ndarray:
-    """E[gain^2] at horizon k (an int or a 1-d sequence of horizons).
+    """E[gain^2] at horizon k; mu and k may be 1-d grids, as in expected_gain_loss.
 
         v0^2 * [ alpha^2     * prod(w^2 s2 + (1+w mu)^2)
                + (1-alpha)^2 * prod(w^2 s2 + (1-w mu)^2)
@@ -260,7 +269,7 @@ def second_moment_gain_loss(
     squares = legs + np.where(np.isinf(legs), 0.0, sign * np.exp(a[2] + r[2]))  # as in the variance
     linear = config.v0 * (config.v0 + 2.0 * expected_gain_loss(config, weights, moments.mu, k))
     # E[value^2] >= mean^2, so an infinite mean comes with infinite squares
-    return _at_k(squares - np.where(np.isinf(squares), 0.0, linear), k)
+    return _at_k(squares - np.where(np.isinf(squares), 0.0, linear))
 
 
 def gain_loss_stats(
@@ -353,29 +362,18 @@ def rpe_scan(
         raise ValueError("mu_grid must be nonempty")
     if not any(grid):
         raise ValueError("mu_grid needs a nonzero mu: mu = 0 rows never count")
-    for m in grid:
-        check_mu(m)
-    w, _ = _schedule_head(config, weights, k_max)
+    # One row per mu, horizons 2..k_max.  An entry past the float range is
+    # inf, which the report carries for the caller to reject.
+    with np.errstate(over="ignore"):
+        entries = expected_gain_loss(config, weights, grid, np.arange(2, k_max + 1))
 
     reason = None
     if config.alpha != 0.5:
         reason = f"alpha must equal 1/2 for the certificate, got {config.alpha}"
-    else:
-        positives = np.cumsum(w > 0.0)
-        lacking = np.flatnonzero(positives[1:] < 2)  # index j <-> horizon j+2
-        if lacking.size:
-            reason = (
-                f"fewer than two strictly positive weights among the first "
-                f"{int(lacking[0]) + 2} stages"
-            )
+    elif not np.all(np.asarray(weights, dtype=float)[:2] > 0.0):  # two suffice for every k >= 2
+        reason = "fewer than two strictly positive weights among the first 2 stages"
 
-    # One row per mu, horizons 2..k_max.  An entry past the float range is
-    # inf, which the report carries for the caller to reject.
-    mus = np.array(grid)[:, None]
-    with np.errstate(over="ignore"):
-        entries = _scaled_expm1(math.log(config.v0), _log_value(config.alpha, mus * w)[:, 1:])
-
-    nonzero = np.where(mus != 0.0, entries, np.inf)  # mu = 0 rows never count
+    nonzero = np.where(np.array(grid)[:, None] != 0.0, entries, np.inf)  # mu = 0 rows never count
     row, col = np.unravel_index(np.argmin(nonzero), nonzero.shape)
     min_gain = float(entries[row, col])
 

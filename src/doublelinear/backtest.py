@@ -51,10 +51,15 @@ class PriceSeries:
     symbol: str = ""
 
     def __post_init__(self):
+        raw = np.asarray(self.timestamps)
         try:
-            ts = np.asarray(self.timestamps, dtype=np.int64)
+            with np.errstate(invalid="ignore"):  # nan or a float past int64: named below
+                ts = raw.astype(np.int64)
         except OverflowError:
             raise ValueError("timestamps must fit in int64") from None
+        changed = ts != raw if raw.dtype.kind in "fuO" else False  # the cast wraps or truncates
+        if np.any(changed):
+            raise ValueError(f"timestamps must be integers within int64, got {raw[changed][0]}")
         px = np.asarray(self.prices, dtype=float)
         object.__setattr__(self, "timestamps", ts)
         object.__setattr__(self, "prices", px)

@@ -324,17 +324,16 @@ def _write_json(path: Path, payload: dict) -> list[str]:
     return pieces
 
 
-def _require_finite(name: str, quantities, ks, tables) -> None:
-    """Raise naming the first inf or nan cell in output order; tables yields
-    (mu, values) with values[j, q] = quantities[q] at horizon ks[j]."""
-    for mu, values in tables:
-        bad = np.argwhere(~np.isfinite(values))
-        if bad.size:
-            j, q = bad[0]
-            raise ValueError(
-                f"{name} not written, a result is inf or nan: the {quantities[q]} "
-                f"at mu={mu}, k={ks[j]} is {values[j, q]}"
-            )
+def _require_finite(name: str, quantities, mus, ks, values) -> None:
+    """Raise naming the first inf or nan cell in output order, where
+    values[i, j, q] is quantities[q] at drift mus[i] and horizon ks[j]."""
+    bad = ~np.isfinite(values)
+    if bad.any():
+        i, j, q = np.unravel_index(np.argmax(bad), bad.shape)
+        raise ValueError(
+            f"{name} not written, a result is inf or nan: the {quantities[q]} "
+            f"at mu={mus[i]}, k={ks[j]} is {values[i, j, q]}"
+        )
 
 
 def _provenance_comment(command: str, effective: dict) -> str:
@@ -373,19 +372,16 @@ def cmd_analyze(args, effective: dict) -> int:
         raise _UsageError("--mu and --k must be nonempty")
     schedule = eval_schedule(spec, max(ks))
     sigma2 = effective["sigma2"]
-    tables = []  # per mu: [k, (mean, variance if sigma2 is given)]
     with np.errstate(over="ignore"):  # overflowed cells are named below
-        for mu in mus:
-            variance = [] if sigma2 is None else [
-                variance_gain_loss(config, schedule, ReturnMoments(mu, sigma2), ks)
-            ]
-            mean = expected_gain_loss(config, schedule, mu, ks)
-            tables.append(np.column_stack([mean, *variance]))
-    _require_finite("analyze.json", ("mean", "variance"), ks, zip(mus, tables))
+        variance = [] if sigma2 is None else [
+            variance_gain_loss(config, schedule, ReturnMoments(mus, sigma2), ks)
+        ]
+        table = np.stack([expected_gain_loss(config, schedule, mus, ks), *variance], axis=-1)
+    _require_finite("analyze.json", ("mean", "variance"), mus, ks, table)  # [mu, k, quantity]
     results = [
         {"mu": mu, "k": k, "mean": cell[0], "variance": cell[1] if sigma2 is not None else None}
-        for mu, table in zip(mus, tables)
-        for k, cell in zip(ks, table.tolist())
+        for mu, rows in zip(mus, table.tolist())
+        for k, cell in zip(ks, rows)
     ]
     payload = {"command": "analyze", "config": effective, "results": results}
     sys.stdout.writelines(_write_json(_outdir(args) / "analyze.json", payload))
@@ -508,10 +504,8 @@ def cmd_verify_rpe(args, effective: dict) -> int:
     grid = _items(effective, "mu_grid", float)
     schedule = eval_schedule(spec, k_max)
     report = rpe_scan(config, schedule, DEFAULT_RPE_MU_GRID if grid is None else grid, k_max)
-    _require_finite(
-        "rpe.json", ("expected gain",), range(2, k_max + 1),
-        zip(report.mu_grid, report.entries[:, :, None]),
-    )
+    ks = range(2, k_max + 1)
+    _require_finite("rpe.json", ("expected gain",), report.mu_grid, ks, report.entries[..., None])
     payload = {
         "command": "verify-rpe", "config": effective, **vars(report),
         "entries": report.entries.tolist(),

@@ -100,7 +100,7 @@ def expected_growth_product(weights: Sequence[float], mu: float, sign) -> float:
     """Expected growth factor of one leg, prod(1 + sign*w_j*mu)."""
     s = _sign_factor(sign)
     w = _as_weights(weights)
-    check_mu(mu)
+    check_mu(float(mu))  # one drift: a grid would pair with the weights elementwise
     return float(np.prod(1.0 + s * w * mu))
 
 
@@ -114,7 +114,7 @@ def expected_growth_esp(esp: EspTable, mu: float, sign) -> float:
     legs, which is why the two legs average to 1 + (even block).
     """
     s = _sign_factor(sign)
-    check_mu(mu)
+    check_mu(float(mu))  # one drift, not a grid
     k = esp.k
     m = (k - 1) // 2 if k % 2 else k // 2
     top_odd = m if k % 2 else m - 1

@@ -174,10 +174,12 @@ def validate_prices(prices) -> np.ndarray:
     return p
 
 
-def check_mu(mu: float) -> None:
-    """ValueError unless |mu| < 1 (NaN included)."""
-    if not abs(mu) < 1.0:
-        raise ValueError(f"|mu| must be < 1, got {mu}")
+def check_mu(mu) -> None:
+    """ValueError unless |mu| < 1 (NaN included) for a drift or every drift
+    of a grid; the first offender is named."""
+    inside = np.abs(mu) < 1.0
+    if not np.all(inside):
+        raise ValueError(f"|mu| must be < 1, got {np.ravel(mu)[np.argmin(inside)]}")
 
 
 def leg_factors(w, x, rf: float, out=None):

@@ -53,6 +53,19 @@ class TestPriceSeries:
         with pytest.raises(ValueError, match="int64"):
             PriceSeries(timestamps=[1, 99999999999999999999], prices=[100.0, 101.0])
 
+    def test_rejects_unsigned_timestamp_the_cast_would_wrap(self):
+        with pytest.raises(ValueError, match="int64, got 9223372036854775808"):
+            PriceSeries(np.array([2**63, 2**63 + 1], np.uint64), [100.0, 101.0])
+
+    def test_rejects_fractional_timestamp(self):
+        with pytest.raises(ValueError, match="int64, got 1.5"):
+            PriceSeries(timestamps=[1.5, 2.7], prices=[100.0, 101.0])
+
+    def test_integral_float_timestamps_cast_exactly(self):
+        s = PriceSeries(timestamps=[1.0, 2.0], prices=[100.0, 101.0])
+        assert s.timestamps.dtype == np.int64
+        assert s.timestamps.tolist() == [1, 2]
+
     def test_rejects_length_mismatch(self):
         with pytest.raises(ValueError):
             PriceSeries(timestamps=np.array([1.0]), prices=np.array([100.0, 101.0]))

@@ -8,6 +8,7 @@ agree exactly at every rf; horizon vectors must equal the scalar calls.
 import dataclasses
 import io
 import math
+import re
 
 import numpy as np
 import pytest
@@ -71,6 +72,10 @@ class TestNonFiniteInputsRejected:
     def test_expected_gain_loss(self, bad):
         with pytest.raises(AdmissibilityError, match="at stage 1"):
             expected_gain_loss(CONFIG, [0.5, bad], 0.1, 2)
+
+    def test_expected_gain_loss_drift_grid(self, bad):
+        with pytest.raises(ValueError, match=re.escape(f"|mu| must be < 1, got {bad}")):
+            expected_gain_loss(CONFIG, [0.5, 0.5], [0.1, bad], 2)
 
     def test_variance_gain_loss(self, bad):
         with pytest.raises(AdmissibilityError, match="at stage 1"):
@@ -243,6 +248,42 @@ def test_constructors_raise_value_error_or_stay_finite(make, arguments, accessor
         assert all_finite(value), (obj, name, value)
 
 
+# the closed-form entry points as (config, weights, drift grid, sigma2, horizons) -> array
+CLOSED_FORMS = {
+    "expected_gain_loss": lambda cfg, w, mu, s2, k: expected_gain_loss(cfg, w, mu, k),
+    "variance_gain_loss": lambda cfg, w, mu, s2, k: variance_gain_loss(
+        cfg, w, ReturnMoments(mu, s2), k
+    ),
+    "second_moment_gain_loss": lambda cfg, w, mu, s2, k: second_moment_gain_loss(
+        cfg, w, ReturnMoments(mu, s2), k
+    ),
+    "rpe_scan": lambda cfg, w, mu, s2, k: rpe_scan(cfg, w, mu, max(k)).entries,
+}
+
+
+@pytest.mark.parametrize("form", CLOSED_FORMS.values(), ids=CLOSED_FORMS.keys())
+@given(
+    w=st.lists(st.floats(0.0, 1.0) | ANY_FLOAT, min_size=1, max_size=8),
+    n=st.integers(1, 2500),
+    alpha=st.floats(0.0, 1.0),
+    grid=st.lists(ANY_FLOAT | st.sampled_from([1.0, -1.0, 0.0]), min_size=1, max_size=5),
+    sigma2=st.floats(0.0, 2.0) | ANY_FLOAT,
+    data=st.data(),
+)
+@settings(max_examples=200, deadline=None)
+def test_closed_forms_raise_value_error_or_return_no_nan(form, w, n, alpha, grid, sigma2, data):
+    # the schedule repeats w up to n stages, so long horizons overflow:
+    # inf past the float range is the contract, nan never is
+    ks = data.draw(st.lists(st.integers(1, n), min_size=1, max_size=4))
+    cfg = PolicyConfig(alpha=alpha, bounds=BOUNDS)
+    try:
+        with np.errstate(over="ignore"):
+            values = form(cfg, np.resize(w, n), grid, sigma2, ks)
+    except ValueError:
+        return
+    assert not np.isnan(values).any(), values
+
+
 class TestStrictJsonOutputs:
     def test_backtest_on_nan_price_fails_cleanly(self, tmp_path, capsys):
         csv_path = tmp_path / "prices.csv"
@@ -365,3 +406,61 @@ class TestHorizonVectors:
     def test_bad_horizons_rejected(self, k):
         with pytest.raises(ValueError, match="horizon"):
             expected_gain_loss(CONFIG, [0.5, 0.5], 0.1, k)
+
+
+@st.composite
+def drift_grids(draw):
+    """A shuffled grid holding 0 and each drawn drift with both signs."""
+    drifts = draw(st.lists(st.floats(0.0, 0.99, exclude_min=True), min_size=1, max_size=3))
+    return draw(st.permutations([0.0, *drifts, *(-d for d in drifts)]))
+
+
+class TestDriftGrids:
+    @given(
+        base=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8),
+        n=st.integers(2, 2500),
+        alpha=st.floats(0.0, 1.0),
+        grid=drift_grids(),
+        sigma2=st.floats(1e-6, 4.0),
+        data=st.data(),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_grid_equals_stacked_scalar_calls(self, base, n, alpha, grid, sigma2, data):
+        # the schedule repeats base up to n stages, so long horizons reach inf
+        w = np.resize(base, n)
+        ks = data.draw(st.lists(st.integers(1, n), min_size=1, max_size=5))
+        cfg = PolicyConfig(alpha=alpha, bounds=BOUNDS)
+        with np.errstate(over="ignore"):
+            for fn, arg in (
+                (expected_gain_loss, lambda mu: mu),
+                (variance_gain_loss, lambda mu: ReturnMoments(mu, sigma2)),
+                (second_moment_gain_loss, lambda mu: ReturnMoments(mu, sigma2)),
+            ):
+                for k in (ks, ks[0]):
+                    stacked = np.array([fn(cfg, w, arg(mu), k) for mu in grid])
+                    assert np.array_equal(fn(cfg, w, arg(grid), k), stacked), (fn, k)
+            report = rpe_scan(cfg, w, grid, n)
+            for i, mu in enumerate(grid):
+                row = expected_gain_loss(cfg, w, mu, range(2, n + 1))
+                assert np.array_equal(report.entries[i], row)
+
+    def test_scalars_give_a_float_and_grids_their_axes(self):
+        w = [0.5, 0.4, 0.3]
+        assert type(expected_gain_loss(CONFIG, w, 0.1, 3)) is float
+        assert expected_gain_loss(CONFIG, w, [0.1, -0.1], 3).shape == (2,)
+        assert expected_gain_loss(CONFIG, w, 0.1, [1, 3]).shape == (2,)
+        moments = ReturnMoments([0.1, 0.0, -0.1], 0.01)
+        assert variance_gain_loss(CONFIG, w, moments, [1, 2]).shape == (3, 2)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda mu: expected_gain_loss(CONFIG, [0.5, 0.5], mu, 2),
+            lambda mu: variance_gain_loss(CONFIG, [0.5, 0.5], ReturnMoments(mu, 0.01), 2),
+            lambda mu: second_moment_gain_loss(CONFIG, [0.5, 0.5], ReturnMoments(mu, 0.01), [1, 2]),
+        ],
+        ids=["mean", "variance", "second_moment"],
+    )
+    def test_two_dimensional_drift_rejected(self, call):
+        with pytest.raises(ValueError, match="1-d grid"):
+            call([[0.1, 0.2]])

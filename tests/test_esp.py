@@ -56,6 +56,20 @@ class TestEspAll:
         with pytest.raises(ValueError, match="finite and nonnegative"):
             call([0.5, bad, 0.3])
 
+    @pytest.mark.parametrize("grid", [[0.1, 0.2], np.array([0.1, 0.2])], ids=["list", "array"])
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda mu: expected_growth_product([0.5, 0.5], mu, "+"),
+            lambda mu: expected_growth_esp(esp_all([0.5, 0.5]), mu, "+"),
+        ],
+        ids=["expected_growth_product", "expected_growth_esp"],
+    )
+    def test_rejects_a_drift_grid(self, call, grid):
+        # check_mu passes a grid of valid drifts; these take one drift
+        with pytest.raises(TypeError):
+            call(grid)
+
     def test_large_weights_stay_admissible(self):
         # verification device: no upper bound on the weights
         assert esp_all([2.0, 1e300]).e(1) == 1e300
