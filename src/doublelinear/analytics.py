@@ -26,7 +26,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .policy import PolicyConfig, check_mu, validate_weights
+from .policy import PolicyConfig, check_count, check_mu, validate_weights
 
 __all__ = [
     "ReturnMoments",
@@ -128,8 +128,7 @@ def _schedule_head(config: PolicyConfig, weights: Sequence[float], k):
     ks = np.asarray(k)
     if ks.ndim > 1 or ks.size == 0 or ks.dtype.kind not in "iu":
         raise ValueError(f"horizon k must be an int or a 1-d sequence of ints, got {k!r}")
-    if ks.min() < 1:
-        raise ValueError(f"horizon k must be >= 1, got {ks.min()}")
+    check_count("horizon k", ks.min())
     k_max = int(ks.max())
     if w.size < k_max:
         raise ValueError(f"horizon k={k_max} exceeds schedule length {w.size}")
@@ -199,8 +198,7 @@ def expected_gain_loss_constant(
     """Constant-weight reduction: v0*(alpha*(1+w*mu)^k + (1-alpha)*(1-w*mu)^k - 1)."""
     _require_frictionless(config)
     check_mu(mu)
-    if k < 1:
-        raise ValueError(f"horizon k must be >= 1, got {k}")
+    check_count("horizon k", k)
     validate_weights(w, config.w_max)
     a, x = config.alpha, w * mu
     return config.v0 * (
@@ -294,7 +292,7 @@ def brute_force_moments(
     none of the closed forms above, so agreement with them is evidence,
     not circularity.  Exponential in k; capped at k = 25.
     """
-    if k > BRUTE_FORCE_MAX_K:
+    if check_count("horizon k", k) > BRUTE_FORCE_MAX_K:
         raise ValueError(f"k={k} exceeds the 2^k enumeration cap of {BRUTE_FORCE_MAX_K}")
     w, _ = _schedule_head(config, weights, k)
     n = 1 << k
@@ -355,8 +353,7 @@ def rpe_scan(
     evaluated and reported either way.  Grid entries are mutually independent, so evaluation order
     cannot change the result.
     """
-    if k_max < 2:
-        raise ValueError(f"k_max must be >= 2, got {k_max}")
+    check_count("k_max", k_max, 2)
     grid = tuple(float(m) for m in mu_grid)
     if not grid:
         raise ValueError("mu_grid must be nonempty")

@@ -28,7 +28,7 @@ import numpy as np
 
 from .analytics import ReturnMoments, expected_gain_loss, rpe_scan, variance_gain_loss
 from .backtest import batch_backtest, ingest_csv
-from .policy import MarketBounds, PolicyConfig
+from .policy import MarketBounds, PolicyConfig, check_count
 from .simulate import (
     GbmJumpParams,
     dump_paths_csv,
@@ -370,6 +370,7 @@ def cmd_analyze(args, effective: dict) -> int:
     ks = _items(effective, "k", int)
     if not mus or not ks:
         raise _UsageError("--mu and --k must be nonempty")
+    check_count("--k", min(ks))
     schedule = eval_schedule(spec, max(ks))
     sigma2 = effective["sigma2"]
     with np.errstate(over="ignore"):  # overflowed cells are named below
@@ -401,13 +402,9 @@ def cmd_simulate(args, effective: dict) -> int:
         n_periods=effective["n"],
         s0=effective["s0"],
     )
-    dump = effective["dump_paths"]
-    if dump < 0:
-        raise _UsageError(f"--dump-paths must be >= 0, got {dump}")
-    if effective["seed"] < 0:
-        raise _UsageError(f"--seed must be >= 0, got {effective['seed']}")
-    if effective["threads"] < 1:
-        raise _UsageError(f"--threads must be >= 1, got {effective['threads']}")
+    dump = check_count("--dump-paths", effective["dump_paths"], 0)
+    check_count("--seed", effective["seed"], 0)
+    check_count("--threads", effective["threads"])
     if dump and not single:
         raise _UsageError("--dump-paths needs a single --mu-star run, not a sweep")
     grid = _items(effective, "grid", float)
@@ -500,7 +497,7 @@ def cmd_backtest(args, effective: dict) -> int:
 def cmd_verify_rpe(args, effective: dict) -> int:
     config = _policy(effective)
     spec = _stage_indexed("verify-rpe", effective["w"], config.w_max)
-    k_max = effective["k_max"]
+    k_max = check_count("--k-max", effective["k_max"], 2)
     grid = _items(effective, "mu_grid", float)
     schedule = eval_schedule(spec, k_max)
     report = rpe_scan(config, schedule, DEFAULT_RPE_MU_GRID if grid is None else grid, k_max)

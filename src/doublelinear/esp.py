@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .policy import check_mu
+from .policy import check_count, check_mu
 
 __all__ = [
     "EspTable",
@@ -89,7 +89,7 @@ def esp_naive(weights: Sequence[float], j: int) -> float:
     esp_all.
     """
     w = _as_weights(weights)
-    if not 1 <= j <= w.size:
+    if check_count("j", j) > w.size:
         raise ValueError(f"j must lie in [1, {w.size}], got {j}")
     return float(
         sum(math.prod(combo) for combo in itertools.combinations(w.tolist(), j))
@@ -107,20 +107,15 @@ def expected_growth_product(weights: Sequence[float], mu: float, sign) -> float:
 def expected_growth_esp(esp: EspTable, mu: float, sign) -> float:
     """The same growth factor from the polynomial expansion.
 
-    With k = 2m+1:
-        1 +/- sum_{j=0..m} e_{2j+1} mu^{2j+1} + sum_{j=1..m} e_{2j} mu^{2j}
-    With k = 2m the odd sum stops at j = m-1 instead.  Only the
-    odd-power block carries the sign; the even block is shared by both
-    legs, which is why the two legs average to 1 + (even block).
+        1 +/- sum_{j odd} e_j mu^j + sum_{j even} e_j mu^j,  j = 1..k
+
+    Only the odd-power block carries the sign; the even block is shared
+    by both legs, which is why the two legs average to 1 + (even block).
     """
     s = _sign_factor(sign)
     check_mu(float(mu))  # one drift, not a grid
-    k = esp.k
-    m = (k - 1) // 2 if k % 2 else k // 2
-    top_odd = m if k % 2 else m - 1
-    odd = sum(esp.e(2 * j + 1) * mu ** (2 * j + 1) for j in range(top_odd + 1))
-    even = sum(esp.e(2 * j) * mu ** (2 * j) for j in range(1, m + 1))
-    return 1.0 + s * odd + even
+    terms = [esp.e(j) * mu**j for j in range(1, esp.k + 1)]
+    return 1.0 + s * sum(terms[0::2]) + sum(terms[1::2])
 
 
 def e2_positive(weights: Sequence[float]) -> bool:

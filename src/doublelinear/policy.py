@@ -39,6 +39,7 @@ __all__ = [
     "validate_returns",
     "validate_prices",
     "check_mu",
+    "check_count",
     "leg_factors",
 ]
 
@@ -182,6 +183,16 @@ def check_mu(mu) -> None:
         raise ValueError(f"|mu| must be < 1, got {np.ravel(mu)[np.argmin(inside)]}")
 
 
+def check_count(name: str, value, minimum: int = 1) -> int:
+    """value as an int; ValueError naming the parameter unless it is a Python
+    or numpy integer (not a bool, float or None) of at least minimum."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value}")
+    return int(value)
+
+
 def leg_factors(w, x, rf: float, out=None):
     """Per-stage growth factors (long, short): 1 + w*x + (1 - w)*rf and 1 - w*x.
 
@@ -263,8 +274,7 @@ def survivability_bound(config: PolicyConfig, k: int) -> tuple[float, float]:
     w_max <= 1 and x_min > -1.  Short: v0*(1-alpha)*(1 - w_max*x_max)^k,
     which is >= 0 and touches 0 exactly when w_max = 1/x_max.
     """
-    if not 0 <= k < np.inf:  # NaN fails too
-        raise ValueError(f"k must be nonnegative and finite, got {k}")
+    check_count("k", k, 0)
     w_max = config.w_max
     lo_long = config.v0 * config.alpha * (1.0 + w_max * config.bounds.x_min) ** k
     lo_short = config.v0 * (1.0 - config.alpha) * (1.0 - w_max * config.bounds.x_max) ** k

@@ -35,7 +35,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .analytics import TwoPointModel
-from .policy import PolicyConfig, account_legs, validate_prices, validate_weights
+from .policy import PolicyConfig, account_legs, check_count, validate_prices, validate_weights
 from .tables import write_table
 from .weights import WeightSpec, eval_schedule
 
@@ -90,8 +90,7 @@ class GbmJumpParams:
             raise ValueError(f"delta must lie in [0, 1), got {self.delta}")
         if not self.dt > 0.0:
             raise ValueError(f"dt must be positive, got {self.dt}")
-        if self.n_periods < 1:
-            raise ValueError(f"n_periods must be >= 1, got {self.n_periods}")
+        check_count("n_periods", self.n_periods)
         if not self.s0 > 0.0:
             raise ValueError(f"s0 must be positive, got {self.s0}")
         if not math.isfinite(self.horizon_years):
@@ -141,7 +140,7 @@ class MonteCarloResult:
 
 def path_rng(seed: int, block: int) -> np.random.Generator:
     """The dedicated PCG64 substream of one path block, seeded with [seed, block]."""
-    return np.random.default_rng([seed, block])
+    return np.random.default_rng([check_count("seed", seed, 0), check_count("block", block, 0)])
 
 
 def _price_block(params: GbmJumpParams, seed: int, block: int) -> np.ndarray:
@@ -176,7 +175,7 @@ def simulate_path(params: GbmJumpParams, seed: int, path_index: int = 0) -> np.n
 
     Row path_index mod BLOCK of block path_index // BLOCK.
     """
-    block, row = divmod(path_index, BLOCK)
+    block, row = divmod(check_count("path_index", path_index, 0), BLOCK)
     return _price_block(params, seed, block)[row].copy()
 
 
@@ -199,9 +198,8 @@ def simulate_two_point(
 ) -> np.ndarray:
     """k i.i.d. draws from the two-point distribution: row path_index mod
     BLOCK of block path_index // BLOCK."""
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    block, row = divmod(path_index, BLOCK)
+    check_count("k", k)
+    block, row = divmod(check_count("path_index", path_index, 0), BLOCK)
     return _two_point_block(model, k, seed, block)[row].copy()
 
 
@@ -247,23 +245,18 @@ def monte_carlo_gain_loss(
     longer have mean mu, so the cv fields then repeat the plain ones.
     Weights are always validated against the config's w_max.
     """
-    if n_paths < 1:
-        raise ValueError(f"n_paths must be >= 1, got {n_paths}")
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
+    check_count("n_paths", n_paths)
+    check_count("seed", seed, 0)
+    check_count("workers", workers)
     if isinstance(generator, GbmJumpParams):
-        if n_periods is not None and n_periods != generator.n_periods:
+        if n_periods is not None and check_count("n_periods", n_periods) != generator.n_periods:
             raise ValueError(
                 f"n_periods={n_periods} conflicts with generator.n_periods={generator.n_periods}"
             )
         horizon = generator.n_periods
         price_generator = True
     elif isinstance(generator, TwoPointModel):
-        if n_periods is None:
-            raise ValueError("a two-point generator needs an explicit n_periods")
-        if n_periods < 1:
-            raise ValueError(f"n_periods must be >= 1, got {n_periods}")
-        horizon = n_periods
+        horizon = check_count("n_periods", n_periods)
         price_generator = False
     else:
         raise TypeError(f"unsupported generator {type(generator).__name__}")
@@ -285,7 +278,14 @@ def monte_carlo_gain_loss(
         rows = min(BLOCK, n_paths - lo)
         if price_generator:
             prices = _price_block(generator, seed, block)[:rows]
-            x = prices_to_returns(prices)
+            try:
+                x = prices_to_returns(prices)
+            except ValueError:  # a price of 0 or inf: exp left the float range
+                raise ValueError(
+                    f"simulated prices reached 0 or inf: mu_star={generator.mu_star}, "
+                    f"sigma_star={generator.sigma_star}, dt={generator.dt} and "
+                    f"n_periods={generator.n_periods} leave the float range"
+                ) from None
             w = static_w if static_w is not None else eval_schedule(spec, horizon, prices)
         else:
             x = _two_point_block(generator, horizon, seed, block)[:rows]
@@ -357,6 +357,7 @@ def sweep_mu_star(
     fixed (seed, grid) the whole sweep is deterministic and cells do not
     share paths.  The default grid is DEFAULT_MU_STAR_GRID.
     """
+    check_count("seed", seed, 0)
     grid = DEFAULT_MU_STAR_GRID if mu_star_grid is None else tuple(float(m) for m in mu_star_grid)
     results = []
     for index, mu_star in enumerate(grid):
@@ -378,8 +379,7 @@ def dump_paths_csv(
     comment: Optional[str] = None,
 ) -> None:
     """Write path_id,stage,price rows for paths 0..n_paths-1, one block draw per BLOCK paths."""
-    if n_paths < 1:
-        raise ValueError(f"n_paths must be >= 1, got {n_paths}")
+    check_count("n_paths", n_paths)
 
     def lines():
         for block in range(-(-n_paths // BLOCK)):

@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .policy import validate_prices, validate_weights
+from .policy import check_count, validate_prices, validate_weights
 from .tables import read_rows, write_table
 
 __all__ = [
@@ -71,8 +71,8 @@ class WeightSpec:
                 validate_weights(given, self.w_max)
         if self.kind in ("constant", "ma_indicator") and self.w is None:
             raise ValueError(f"{self.kind} spec needs a weight value w")
-        if self.kind == "ma_indicator" and (self.d is None or self.d < 1):
-            raise ValueError("ma_indicator spec needs a window d >= 1")
+        if self.kind == "ma_indicator":
+            check_count("window d", self.d)
         if self.kind == "table" and not self.values:
             raise ValueError("table spec needs a nonempty value sequence")
 
@@ -102,8 +102,7 @@ def eval_schedule(
     when the clamp changed anything); table values are already validated
     and pass through.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    check_count("n", n)
     if spec.kind == "constant":
         return np.full(n, float(spec.w))
     if spec.kind == "table":
@@ -143,8 +142,8 @@ def eval_schedule(
 
 def ma_value(prices: Sequence[float], k: int, d: int) -> float:
     """Trailing d-period simple moving average at index k."""
-    if d < 1:
-        raise ValueError(f"window d must be >= 1, got {d}")
+    check_count("k", k, 0)
+    check_count("window d", d)
     p = validate_prices(prices)
     if k < d - 1:
         raise ValueError(f"insufficient history: k={k} < d-1={d - 1}")
@@ -160,12 +159,12 @@ def ma_indicator_weight(prices: Sequence[float], k: int, d: int, w: float) -> fl
     also give 0 (the comparison is strict).  The value uses nothing past index k.
     """
     validate_weights(w, 1.0)
-    if d < 1:
-        raise ValueError(f"window d must be >= 1, got {d}")
+    check_count("k", k, 0)
+    check_count("window d", d)
     p = validate_prices(prices)
     if k < d - 1:
         return 0.0
-    return w if float(p[k]) > ma_value(p, k, d) else 0.0
+    return w if ma_value(p, k, d) < float(p[k]) else 0.0  # ma_value refuses k past the prices
 
 
 def ma_indicator_weights(prices, n: int, d: int, w: float) -> np.ndarray:
@@ -176,8 +175,8 @@ def ma_indicator_weights(prices, n: int, d: int, w: float) -> np.ndarray:
     reduction ma_value makes, and the comparison is the same strict >.
     """
     validate_weights(w, 1.0)
-    if d < 1:
-        raise ValueError(f"window d must be >= 1, got {d}")
+    check_count("n", n)
+    check_count("window d", d)
     p = validate_prices(prices)
     if p.shape[-1] < n:
         raise ValueError(f"need at least {n} prices, got {p.shape[-1]}")

@@ -536,12 +536,45 @@ class TestSimulateChecksFirst:
         assert err.startswith("error:") and out == ""
         assert not outdir.exists()
 
+    def test_engine_underflow_names_the_model(self, tmp_path, capsys):
+        outdir = tmp_path / "out"
+        code, out, err = run(
+            capsys, "simulate", "--mu-star", "0", "--sigma-star", "10", "--dt", "1",
+            "--n", "150", "--paths", "64", "--lambda", "0", "--outdir", str(outdir),
+        )
+        assert (code, out) == (1, "")
+        assert err == (
+            "error: simulated prices reached 0 or inf: mu_star=0.0, sigma_star=10.0, "
+            "dt=1.0 and n_periods=150 leave the float range\n"
+        )
+        assert not outdir.exists()
+
     def test_empty_grid_in_config_rejected(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"grid": []})
         code, _, err = run(capsys, "simulate", "--config", cfg, "--outdir", str(tmp_path))
         assert code == 1
         assert "--grid" in err
         assert not (tmp_path / "simulate.json").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["verify-rpe", "--k-max", "0"], "--k-max must be >= 2, got 0"),
+        (["verify-rpe", "--k-max", "1"], "--k-max must be >= 2, got 1"),
+        (["analyze", "--k", "0"], "--k must be >= 1, got 0"),
+        (["analyze", "--k", "5,-1,3"], "--k must be >= 1, got -1"),
+        (["simulate", "--mu-star", "0.1", "--seed", "-1"], "--seed must be >= 0, got -1"),
+        (["simulate", "--mu-star", "0.1", "--dump-paths", "-3"],
+         "--dump-paths must be >= 0, got -3"),
+        (["simulate", "--mu-star", "0.1", "--threads", "0"], "--threads must be >= 1, got 0"),
+    ],
+)
+def test_count_flags_are_named(tmp_path, capsys, argv, message):
+    outdir = tmp_path / "out"
+    code, out, err = run(capsys, *argv, "--outdir", str(outdir))
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+    assert not outdir.exists()
 
 
 @pytest.mark.parametrize("command", ["analyze", "verify-rpe", "weights"])

@@ -8,6 +8,7 @@ agree exactly at every rf; horizon vectors must equal the scalar calls.
 import dataclasses
 import io
 import math
+import os
 import re
 
 import numpy as np
@@ -24,26 +25,34 @@ from doublelinear import (
     ReturnMoments,
     TwoPointModel,
     WeightSpec,
+    brute_force_moments,
     clamp_admissible,
+    esp_naive,
     eval_schedule,
     evolve,
     expected_gain_loss,
+    expected_gain_loss_constant,
+    gain_loss_stats,
     ingest_csv,
     initial_state,
     ma_indicator_weight,
     ma_value,
     monte_carlo_gain_loss,
+    path_rng,
     prices_to_returns,
     rpe_scan,
     second_moment_gain_loss,
     sharpe_ratio,
+    simulate_path,
     simulate_two_point,
     step_account,
     survivability_bound,
+    sweep_mu_star,
     variance_gain_loss,
 )
 from doublelinear.cli import main
-from doublelinear.simulate import BLOCK
+from doublelinear.policy import check_count
+from doublelinear.simulate import BLOCK, dump_paths_csv
 from doublelinear.weights import KINDS, ma_indicator_weights
 
 BOUNDS = MarketBounds(-0.5, 1.0)
@@ -218,11 +227,14 @@ def test_constructors_reject_overflowing_accessors(make, kwargs):
 
 
 def all_finite(value) -> bool:
-    """True when every float inside value (dataclass fields, tuples) is finite."""
+    """True when every float inside value (dataclass fields, tuples, lists,
+    arrays) is finite."""
     if dataclasses.is_dataclass(value):
         return all(all_finite(getattr(value, f.name)) for f in dataclasses.fields(value))
-    if isinstance(value, tuple):
+    if isinstance(value, (tuple, list)):
         return all(map(all_finite, value))
+    if isinstance(value, np.ndarray):
+        return bool(np.isfinite(value).all())
     return not isinstance(value, float) or math.isfinite(value)
 
 
@@ -246,6 +258,155 @@ def test_constructors_raise_value_error_or_stay_finite(make, arguments, accessor
         except ValueError:
             continue
         assert all_finite(value), (obj, name, value)
+
+
+# Every public count as (function of the count, its name, its minimum, the
+# largest integer drawn), the other arguments valid.  The caps keep each
+# example small: at most 5000 stages, 300 paths and 4 workers.
+LONG_W = np.full(5000, 0.5)
+RISING = np.arange(1.0, 41.0)
+SHORT_GBM = GbmJumpParams(mu_star=0.1, n_periods=5)
+TWO_POINT = TwoPointModel(0.1, -0.1, 0.5)
+LOG_RAMP = WeightSpec("log_ramp")
+
+
+def mc(n_paths, seed, **options):
+    return monte_carlo_gain_loss(CONFIG, LOG_RAMP, SHORT_GBM, n_paths, seed, **options)
+
+
+COUNTS = {
+    "survivability_bound.k": (lambda v: survivability_bound(CONFIG, v), "k", 0, 5000),
+    "expected_gain_loss.k": (lambda v: expected_gain_loss(CONFIG, LONG_W, 0.1, v), "k", 1, 5000),
+    "variance_gain_loss.k": (
+        lambda v: variance_gain_loss(CONFIG, LONG_W, MOMENTS, v), "k", 1, 5000
+    ),
+    "second_moment_gain_loss.k": (
+        lambda v: second_moment_gain_loss(CONFIG, LONG_W, MOMENTS, v), "k", 1, 5000
+    ),
+    "gain_loss_stats.k": (lambda v: gain_loss_stats(CONFIG, LONG_W, MOMENTS, v), "k", 1, 5000),
+    "expected_gain_loss_constant.k": (
+        lambda v: expected_gain_loss_constant(CONFIG, 0.5, 0.1, v), "k", 1, 5000
+    ),
+    "brute_force_moments.k": (
+        lambda v: brute_force_moments(CONFIG, LONG_W, TWO_POINT, v), "k", 1, 12
+    ),
+    "rpe_scan.k_max": (lambda v: rpe_scan(CONFIG, LONG_W, [0.01], v), "k_max", 2, 5000),
+    "GbmJumpParams.n_periods": (
+        lambda v: GbmJumpParams(mu_star=0.1, n_periods=v), "n_periods", 1, 5000
+    ),
+    "path_rng.seed": (lambda v: path_rng(v, 0), "seed", 0, 2**64 - 1),
+    "path_rng.block": (lambda v: path_rng(0, v), "block", 0, 2**64 - 1),
+    "simulate_path.seed": (lambda v: simulate_path(SHORT_GBM, v), "seed", 0, 2**64 - 1),
+    "simulate_path.path_index": (
+        lambda v: simulate_path(SHORT_GBM, 0, v), "path_index", 0, 10**9
+    ),
+    "simulate_two_point.k": (lambda v: simulate_two_point(TWO_POINT, v, 0), "k", 1, 5000),
+    "simulate_two_point.seed": (
+        lambda v: simulate_two_point(TWO_POINT, 5, v), "seed", 0, 2**64 - 1
+    ),
+    "simulate_two_point.path_index": (
+        lambda v: simulate_two_point(TWO_POINT, 5, 0, v), "path_index", 0, 10**9
+    ),
+    "monte_carlo_gain_loss.n_paths": (lambda v: mc(v, 0), "n_paths", 1, 300),
+    "monte_carlo_gain_loss.seed": (lambda v: mc(3, v), "seed", 0, 2**64 - 1),
+    "monte_carlo_gain_loss.n_periods": (
+        lambda v: monte_carlo_gain_loss(CONFIG, LOG_RAMP, TWO_POINT, 3, 0, n_periods=v),
+        "n_periods", 1, 500,
+    ),
+    "monte_carlo_gain_loss.workers": (lambda v: mc(130, 0, workers=v), "workers", 1, 4),
+    "sweep_mu_star.n_paths": (
+        lambda v: sweep_mu_star(CONFIG, LOG_RAMP, SHORT_GBM, [0.1], v), "n_paths", 1, 300
+    ),
+    "sweep_mu_star.seed": (
+        lambda v: sweep_mu_star(CONFIG, LOG_RAMP, SHORT_GBM, [0.1], 3, v), "seed", 0, 2**64 - 1
+    ),
+    "sweep_mu_star.workers": (
+        lambda v: sweep_mu_star(CONFIG, LOG_RAMP, SHORT_GBM, [0.1], 130, workers=v),
+        "workers", 1, 4,
+    ),
+    "dump_paths_csv.seed": (
+        lambda v: dump_paths_csv(os.devnull, SHORT_GBM, v, 3), "seed", 0, 2**64 - 1
+    ),
+    "dump_paths_csv.n_paths": (
+        lambda v: dump_paths_csv(os.devnull, SHORT_GBM, 0, v), "n_paths", 1, 300
+    ),
+    "WeightSpec.d": (lambda v: WeightSpec("ma_indicator", w=0.5, d=v), "d", 1, 5000),
+    "eval_schedule.n": (lambda v: eval_schedule(LOG_RAMP, v), "n", 1, 5000),
+    # k runs past the 40 prices, n does not: a short history names n
+    "ma_value.k": (lambda v: ma_value(RISING, v, 3), "k", 0, 60),
+    "ma_value.d": (lambda v: ma_value(RISING, 39, v), "d", 1, 60),
+    "ma_indicator_weight.k": (lambda v: ma_indicator_weight(RISING, v, 3, 0.5), "k", 0, 60),
+    "ma_indicator_weight.d": (lambda v: ma_indicator_weight(RISING, 39, v, 0.5), "d", 1, 60),
+    "ma_indicator_weights.n": (lambda v: ma_indicator_weights(RISING, v, 3, 0.5), "n", 1, 40),
+    "ma_indicator_weights.d": (lambda v: ma_indicator_weights(RISING, 40, v, 0.5), "d", 1, 60),
+    "esp_naive.j": (lambda v: esp_naive(LONG_W[:8], v), "j", 1, 10),
+}
+NOT_COUNTS = [np.int64(3), True, False, 3.0, 2.5, math.nan, None]
+
+
+@pytest.mark.parametrize("call, name, minimum, cap", COUNTS.values(), ids=COUNTS.keys())
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_counts_raise_value_error_naming_them_or_stay_finite(call, name, minimum, cap, data):
+    value = data.draw(st.integers(-3, cap) | st.sampled_from(NOT_COUNTS), label=name)
+    is_count = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    try:
+        result = call(value)
+    except ValueError as exc:
+        assert re.search(rf"\b{name}\b", str(exc)), (value, str(exc))
+        return
+    assert is_count and value >= minimum, (value, result)
+    assert all_finite(result), (value, result)
+
+
+@pytest.mark.parametrize(
+    "message, call",
+    [
+        ("horizon k must be an integer, got 2.5",
+         lambda: expected_gain_loss_constant(CONFIG, 0.5, 0.1, 2.5)),
+        ("k must be an integer, got 2.5", lambda: survivability_bound(CONFIG, 2.5)),
+        ("n must be an integer, got 2.5", lambda: eval_schedule(LOG_RAMP, 2.5)),
+        ("n must be an integer, got 2.5",
+         lambda: eval_schedule(WeightSpec("constant", w=0.5), 2.5)),
+        ("n must be an integer, got 2.5",
+         lambda: eval_schedule(WeightSpec("table", values=(0.5,) * 3), 2.5)),
+        ("workers must be an integer, got 2.5", lambda: mc(3, 0, workers=2.5)),
+        ("n_periods must be an integer, got 2.5",
+         lambda: GbmJumpParams(mu_star=0.1, n_periods=2.5)),
+        ("n_paths must be an integer, got 2.5", lambda: mc(2.5, 0)),
+        ("n_paths must be an integer, got True", lambda: mc(True, 0)),
+        ("seed must be an integer, got 1.5", lambda: mc(3, 1.5)),
+        ("n_periods must be an integer, got 5.0", lambda: mc(3, 0, n_periods=5.0)),
+        ("k must be an integer, got 2.5", lambda: simulate_two_point(TWO_POINT, 2.5, 0)),
+        ("path_index must be an integer, got 2.5", lambda: simulate_path(SHORT_GBM, 0, 2.5)),
+        ("path_index must be >= 0, got -1", lambda: simulate_path(SHORT_GBM, 0, -1)),
+        ("window d must be an integer, got 2.5",
+         lambda: WeightSpec("ma_indicator", w=0.5, d=2.5)),
+        ("k must be an integer, got 2.5", lambda: ma_value(RISING, 2.5, 2)),
+        ("n must be an integer, got 2.5", lambda: ma_indicator_weights(RISING, 2.5, 2, 0.5)),
+        ("j must be an integer, got 1.5", lambda: esp_naive([0.5, 0.5], 1.5)),
+        ("n_paths must be an integer, got 2.5",
+         lambda: sweep_mu_star(CONFIG, LOG_RAMP, SHORT_GBM, [0.1], 2.5)),
+        ("n_paths must be an integer, got 2.5",
+         lambda: dump_paths_csv(os.devnull, SHORT_GBM, 0, 2.5)),
+        ("k_max must be an integer, got 5.5", lambda: rpe_scan(CONFIG, LONG_W, [0.1], 5.5)),
+        # range texts that predate the shared check
+        ("n_paths must be >= 1, got 0", lambda: mc(0, 0)),
+        ("horizon k must be >= 1, got 0", lambda: expected_gain_loss(CONFIG, LONG_W, 0.1, [3, 0])),
+        ("k_max must be >= 2, got 1", lambda: rpe_scan(CONFIG, LONG_W, [0.1], 1)),
+    ],
+)
+def test_count_errors_name_the_parameter(message, call):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+def test_check_count_returns_a_python_int():
+    assert check_count("n", np.int64(7)) == 7
+    assert type(check_count("n", np.uint8(0), 0)) is int
+    for bad in (True, np.bool_(True), 3.0, np.float64(3.0), None, "3"):
+        with pytest.raises(ValueError, match="^n must be an integer, got "):
+            check_count("n", bad)
 
 
 # the closed-form entry points as (config, weights, drift grid, sigma2, horizons) -> array
