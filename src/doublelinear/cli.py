@@ -393,6 +393,8 @@ def cmd_simulate(args, effective: dict) -> int:
     config = _policy(effective)
     spec = parse_weight_spec(effective["w"], w_max=config.w_max)
     single = effective["mu_star"] is not None
+    check_count("--paths", effective["paths"])
+    check_count("--n", effective["n"])
     params = GbmJumpParams(
         mu_star=effective["mu_star"] if single else 0.0,
         sigma_star=effective["sigma_star"],

@@ -3,8 +3,9 @@
 Price paths follow geometric Brownian motion with downward Poisson
 jumps, discretized exactly one trading period at a time:
 
-    S(k+1) = S(k) * exp((mu_star - sigma_star^2/2)*dt
-                        + sigma_star*sqrt(dt)*Z(k)) * (1-delta)^dN(k)
+    S(k+1) = S(k) * exp(g(k)),
+    g(k) = (mu_star - sigma_star^2/2)*dt + sigma_star*sqrt(dt)*Z(k)
+           + dN(k)*log(1-delta)
 
 with Z(k) standard normal and dN(k) ~ Poisson(lam*dt).  Sampling the
 closed form (rather than an Euler scheme) means the per-period price
@@ -13,14 +14,22 @@ period aggregate multiplicatively; delta < 1 keeps prices positive.
 
 Reproducibility contract: all randomness is numpy PCG64, drawn in
 fixed blocks of B = 64 paths.  Block b of a run seeded s draws from
-default_rng([s, b]), its own substream: first a (B, n) matrix of
-normals, then a (B, n) matrix of Poisson counts (the two-point
-generator draws one (B, n) matrix of uniforms instead).  Path i is row
-i mod B of block i // B.  A run of n_paths draws its last block at full
-size and keeps the rows it needs, so a path's draws depend on (s, i)
-alone: not on n_paths, on how many workers the harness uses, or on the
-order in which blocks were scheduled.  B and the draw order are part of
-the contract.
+default_rng([s, b]), its own substream, in this order: a (B, n) matrix
+of normals; one Poisson(lam*dt*n) jump total per path; then, for each
+row whose total is nonzero, in row order, multinomial(total, [1/n]*n)
+per-period jump counts.  Given its total, a Poisson process's counts
+over equal periods are multinomial with equal cells, so the counts are
+exactly those of the model (Glasserman, Monte Carlo Methods in
+Financial Engineering, 3.5).  The two-point generator draws one (B, n)
+matrix of uniforms instead.  Path i is row i mod B of block i // B.  A
+run of n_paths draws its last block at full size and keeps the rows it
+needs, so a path's draws depend on (s, i) alone: not on n_paths, on how
+many workers the harness uses, or on the order in which blocks were
+scheduled.  B and the draw order are part of the contract.
+
+The engine trades the simple returns expm1(g) (simulate_returns) and
+builds prices s0*exp(cumsum(g)) (simulate_path) only for price-driven
+schedules and path dumps.
 """
 
 from __future__ import annotations
@@ -46,6 +55,7 @@ __all__ = [
     "BLOCK",
     "path_rng",
     "simulate_path",
+    "simulate_returns",
     "prices_to_returns",
     "simulate_two_point",
     "monte_carlo_gain_loss",
@@ -59,6 +69,10 @@ DEFAULT_MU_STAR_GRID = tuple(np.linspace(-0.95, 0.95, 41).tolist())
 # Paths per substream block; part of the reproducibility contract.
 BLOCK = 64
 
+# Largest lam*dt*n_periods accepted: a path's jump total is one Poisson
+# draw, which numpy can only take below the int64 range.
+_MAX_EXPECTED_JUMPS = 1e18
+
 
 @dataclass(frozen=True)
 class GbmJumpParams:
@@ -67,7 +81,9 @@ class GbmJumpParams:
     Defaults other than mu_star describe a stressed trading year: daily
     periods (dt = 1/252), volatility 0.3563, jump intensity 0.2 per
     year, jump size 0.1.  sigma_star = 0 and lam = 0 are allowed and
-    give the deterministic drift-only degeneracy.
+    give the deterministic drift-only degeneracy.  A period's log drift
+    and volatility must be finite, and a path's expected jump count
+    lam*dt*n_periods at most 1e18.
     """
 
     mu_star: float
@@ -95,6 +111,16 @@ class GbmJumpParams:
             raise ValueError(f"s0 must be positive, got {self.s0}")
         if not math.isfinite(self.horizon_years):
             raise ValueError(f"dt * n_periods overflows, got dt={self.dt}")
+        if not (math.isfinite(self.log_drift) and math.isfinite(self.log_volatility)):
+            raise ValueError(
+                f"the log drift or volatility of a period overflows, got "
+                f"mu_star={self.mu_star}, sigma_star={self.sigma_star}, dt={self.dt}"
+            )
+        if not self.lam * self.dt * self.n_periods <= _MAX_EXPECTED_JUMPS:
+            raise ValueError(
+                f"lam*dt*n_periods, a path's expected jump count, must be at most "
+                f"{_MAX_EXPECTED_JUMPS:g}, got lam={self.lam}"
+            )
         try:
             finite_mean = math.isfinite(self.mu)
         except OverflowError:
@@ -108,6 +134,16 @@ class GbmJumpParams:
     def horizon_years(self) -> float:
         """T = dt * n_periods."""
         return self.dt * self.n_periods
+
+    @property
+    def log_drift(self) -> float:
+        """(mu_star - sigma_star^2/2)*dt, the drift of a period's log growth."""
+        return (self.mu_star - 0.5 * self.sigma_star * self.sigma_star) * self.dt
+
+    @property
+    def log_volatility(self) -> float:
+        """sigma_star*sqrt(dt), the standard deviation of a period's diffusion."""
+        return self.sigma_star * math.sqrt(self.dt)
 
     @property
     def mu(self) -> float:
@@ -143,25 +179,63 @@ def path_rng(seed: int, block: int) -> np.random.Generator:
     return np.random.default_rng([check_count("seed", seed, 0), check_count("block", block, 0)])
 
 
-def _price_block(params: GbmJumpParams, seed: int, block: int) -> np.ndarray:
-    """Prices of the BLOCK paths of one block: a (BLOCK, n_periods+1) matrix."""
+def _locate(path_index: int) -> tuple[int, int]:
+    """(block, row) of a path: row path_index mod BLOCK of block path_index // BLOCK."""
+    return divmod(check_count("path_index", path_index, 0), BLOCK)
+
+
+def _unwarned():
+    """Float overflow and inf - inf pass without a warning: the range checks
+    of _returns and _prices name what left the float range."""
+    return np.errstate(over="ignore", invalid="ignore")
+
+
+def _log_growth_block(params: GbmJumpParams, seed: int, block: int) -> np.ndarray:
+    """Per-period log growth g of the BLOCK paths of one block: a (BLOCK, n_periods) matrix."""
     rng = path_rng(seed, block)
     n = params.n_periods
-    z = rng.standard_normal((BLOCK, n))
-    jumps = rng.poisson(params.lam * params.dt, (BLOCK, n))
-    drift = (params.mu_star - 0.5 * params.sigma_star**2) * params.dt
-    # The log growth sigma*sqrt(dt)*z + drift + dN*log(1-delta), its running
-    # sum and its exp are built in place in the normals' buffer: one exp
-    # per price, (1-delta)^dN entering the exponent.
-    z *= params.sigma_star * math.sqrt(params.dt)
-    z += drift
-    z += math.log1p(-params.delta) * jumps
-    np.cumsum(z, axis=1, out=z)
-    np.exp(z, out=z)
-    prices = np.empty((BLOCK, n + 1))
+    g = rng.standard_normal((BLOCK, n))
+    totals = rng.poisson(params.lam * params.dt * n, BLOCK)
+    hit = np.flatnonzero(totals)
+    # per-period counts of the rows with jumps: (rows, n) integers at any
+    # intensity, where a uniform period drawn per jump would need memory per jump
+    counts = rng.multinomial(totals[hit], np.full(n, 1.0 / n))
+    with _unwarned():
+        g *= params.log_volatility
+        g += params.log_drift
+        g[hit] += math.log1p(-params.delta) * counts
+    return g
+
+
+def _float_range_error(params: GbmJumpParams) -> ValueError:
+    return ValueError(
+        f"simulated prices reached 0 or inf: mu_star={params.mu_star}, "
+        f"sigma_star={params.sigma_star}, dt={params.dt} and "
+        f"n_periods={params.n_periods} leave the float range"
+    )
+
+
+def _returns(params: GbmJumpParams, g: np.ndarray) -> np.ndarray:
+    """The simple returns expm1(g), computed in g's buffer; each must be > -1 and finite."""
+    with _unwarned():
+        x = np.expm1(g, out=g)
+    if not (x.min() > -1.0 and x.max() < np.inf):  # NaN fails too
+        raise _float_range_error(params)
+    return x
+
+
+def _prices(params: GbmJumpParams, g: np.ndarray) -> np.ndarray:
+    """Prices s0 and s0*exp(cumsum(g)) per row of g: a (rows, n_periods+1) matrix, all
+    positive and finite."""
+    prices = np.empty((g.shape[0], g.shape[1] + 1))
     prices[:, 0] = params.s0
-    np.multiply(z, params.s0, out=prices[:, 1:])
-    return prices
+    with _unwarned():
+        growth = np.exp(np.cumsum(g, axis=1))
+        np.multiply(growth, params.s0, out=prices[:, 1:])
+    try:
+        return validate_prices(prices)
+    except ValueError:
+        raise _float_range_error(params) from None
 
 
 def _two_point_block(model: TwoPointModel, k: int, seed: int, block: int) -> np.ndarray:
@@ -171,12 +245,24 @@ def _two_point_block(model: TwoPointModel, k: int, seed: int, block: int) -> np.
 
 
 def simulate_path(params: GbmJumpParams, seed: int, path_index: int = 0) -> np.ndarray:
-    """One price path: n_periods+1 prices starting at s0, all positive.
+    """One price path: n_periods+1 prices starting at s0, all positive and finite.
 
-    Row path_index mod BLOCK of block path_index // BLOCK.
+    Row path_index mod BLOCK of block path_index // BLOCK.  A price of 0
+    or inf is a ValueError naming the model.
     """
-    block, row = divmod(check_count("path_index", path_index, 0), BLOCK)
-    return _price_block(params, seed, block)[row].copy()
+    block, row = _locate(path_index)
+    return _prices(params, _log_growth_block(params, seed, block)[row : row + 1])[0]
+
+
+def simulate_returns(params: GbmJumpParams, seed: int, path_index: int = 0) -> np.ndarray:
+    """One path's n_periods simple returns, expm1 of its log growth, each > -1 and finite.
+
+    Bit for bit the row monte_carlo_gain_loss trades for this path; the
+    returns of simulate_path's prices agree only up to rounding.  A return
+    of -1 or inf is a ValueError naming the model.
+    """
+    block, row = _locate(path_index)
+    return _returns(params, _log_growth_block(params, seed, block)[row].copy())
 
 
 def prices_to_returns(prices: Sequence[float]) -> np.ndarray:
@@ -199,7 +285,7 @@ def simulate_two_point(
     """k i.i.d. draws from the two-point distribution: row path_index mod
     BLOCK of block path_index // BLOCK."""
     check_count("k", k)
-    block, row = divmod(check_count("path_index", path_index, 0), BLOCK)
+    block, row = _locate(path_index)
     return _two_point_block(model, k, seed, block)[row].copy()
 
 
@@ -277,16 +363,13 @@ def monte_carlo_gain_loss(
         lo = block * BLOCK
         rows = min(BLOCK, n_paths - lo)
         if price_generator:
-            prices = _price_block(generator, seed, block)[:rows]
-            try:
-                x = prices_to_returns(prices)
-            except ValueError:  # a price of 0 or inf: exp left the float range
-                raise ValueError(
-                    f"simulated prices reached 0 or inf: mu_star={generator.mu_star}, "
-                    f"sigma_star={generator.sigma_star}, dt={generator.dt} and "
-                    f"n_periods={generator.n_periods} leave the float range"
-                ) from None
-            w = static_w if static_w is not None else eval_schedule(spec, horizon, prices)
+            g = _log_growth_block(generator, seed, block)[:rows]
+            # only a price-driven schedule needs prices; they come before
+            # the returns take over g's buffer
+            w = static_w if static_w is not None else eval_schedule(
+                spec, horizon, _prices(generator, g)
+            )
+            x = _returns(generator, g)
         else:
             x = _two_point_block(generator, horizon, seed, block)[:rows]
             w = static_w
@@ -383,7 +466,8 @@ def dump_paths_csv(
 
     def lines():
         for block in range(-(-n_paths // BLOCK)):
-            prices = _price_block(params, seed, block)[: n_paths - block * BLOCK].tolist()
+            g = _log_growth_block(params, seed, block)[: n_paths - block * BLOCK]
+            prices = _prices(params, g).tolist()
             for i, row in enumerate(prices, start=block * BLOCK):
                 for stage, price in enumerate(row):
                     yield f"{i},{stage},{price!r}"

@@ -549,6 +549,18 @@ class TestSimulateChecksFirst:
         )
         assert not outdir.exists()
 
+    def test_overflowing_volatility_is_a_usage_error(self, tmp_path, capsys):
+        # sigma_star**2 leaves the float range: refused when the model is
+        # built, before any path is drawn
+        outdir = tmp_path / "out"
+        code, out, err = run(
+            capsys, "simulate", "--mu-star", "0.1", "--sigma-star", "1e200", "--paths", "1",
+            "--n", "2", "--outdir", str(outdir),
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith("error: the log drift or volatility of a period overflows")
+        assert not outdir.exists()
+
     def test_empty_grid_in_config_rejected(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"grid": []})
         code, _, err = run(capsys, "simulate", "--config", cfg, "--outdir", str(tmp_path))
@@ -568,6 +580,8 @@ class TestSimulateChecksFirst:
         (["simulate", "--mu-star", "0.1", "--dump-paths", "-3"],
          "--dump-paths must be >= 0, got -3"),
         (["simulate", "--mu-star", "0.1", "--threads", "0"], "--threads must be >= 1, got 0"),
+        (["simulate", "--mu-star", "0.1", "--paths", "0"], "--paths must be >= 1, got 0"),
+        (["simulate", "--mu-star", "0.1", "--n", "0"], "--n must be >= 1, got 0"),
     ],
 )
 def test_count_flags_are_named(tmp_path, capsys, argv, message):

@@ -28,8 +28,8 @@ from doublelinear import (
     evolve,
     expected_gain_loss,
     monte_carlo_gain_loss,
-    prices_to_returns,
     simulate_path,
+    simulate_returns,
     simulate_two_point,
 )
 from doublelinear.cli import main
@@ -110,7 +110,7 @@ def loop_compensators(config, spec_text, params, n_paths, seed):
     out = []
     for i in range(n_paths):
         prices = simulate_path(params, seed, i)
-        x = prices_to_returns(prices)
+        x = simulate_returns(params, seed, i)
         w = (
             ma_indicator_weights(prices[None, :], params.n_periods, spec.d, spec.w)[0]
             if spec.price_driven

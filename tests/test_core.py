@@ -44,6 +44,7 @@ from doublelinear import (
     second_moment_gain_loss,
     sharpe_ratio,
     simulate_path,
+    simulate_returns,
     simulate_two_point,
     step_account,
     survivability_bound,
@@ -195,7 +196,7 @@ CONSTRUCTORS = [
     (
         GbmJumpParams,
         st.tuples(*[ANY_FLOAT] * 5, st.integers(-10, 10**6), ANY_FLOAT),
-        ("horizon_years",),
+        ("horizon_years", "log_drift", "log_volatility"),
     ),
     (ReturnMoments, st.tuples(ANY_FLOAT, ANY_FLOAT), ()),
     (TwoPointModel, st.tuples(*[ANY_FLOAT] * 3), ("mu", "sigma2", "moments")),
@@ -219,6 +220,7 @@ CONSTRUCTORS = [
         (TwoPointModel, {"x_up": 1e308, "x_down": -0.5, "p_up": 0.5}),
         (TwoPointModel, {"x_up": 1e308, "x_down": -0.5, "p_up": 0.0}),
         (GbmJumpParams, {"mu_star": 0.1, "dt": 1e308, "n_periods": 2}),
+        (GbmJumpParams, {"mu_star": 0.1, "sigma_star": 1e200}),
     ],
 )
 def test_constructors_reject_overflowing_accessors(make, kwargs):
@@ -258,6 +260,27 @@ def test_constructors_raise_value_error_or_stay_finite(make, arguments, accessor
         except ValueError:
             continue
         assert all_finite(value), (obj, name, value)
+
+
+@given(fields=st.tuples(*[ANY_FLOAT] * 6), path_index=st.integers(0, 2 * BLOCK))
+@settings(max_examples=300, deadline=None)
+def test_gbm_paths_raise_value_error_or_stay_finite(fields, path_index):
+    # every float field of the model at once: the model is refused, a path
+    # leaves the float range with the named error, or its returns are
+    # finite and > -1 and its prices finite and positive
+    mu_star, sigma_star, lam, delta, dt, s0 = fields
+    try:
+        params = GbmJumpParams(mu_star, sigma_star, lam, delta, dt, 3, s0)
+    except ValueError:
+        return
+    for draw, low in ((simulate_returns, -1.0), (simulate_path, 0.0)):
+        try:
+            out = draw(params, 0, path_index)
+        except ValueError as exc:
+            assert "leave the float range" in str(exc), exc
+            continue
+        assert out.shape == (3 + (draw is simulate_path),)
+        assert np.isfinite(out).all() and (out > low).all(), (params, out)
 
 
 # Every public count as (function of the count, its name, its minimum, the

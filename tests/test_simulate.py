@@ -19,6 +19,7 @@ from doublelinear import (
     path_rng,
     prices_to_returns,
     simulate_path,
+    simulate_returns,
     simulate_two_point,
     sweep_mu_star,
 )
@@ -53,6 +54,8 @@ class TestParams:
             {"dt": 0.0},
             {"n_periods": 0},
             {"s0": 0.0},
+            {"sigma_star": 1e200},  # sigma_star**2 overflows the log drift
+            {"lam": 1e300},  # more jumps than one Poisson draw can hold
         ],
     )
     def test_rejects_bad_parameters(self, kwargs):
@@ -94,7 +97,7 @@ class TestPathGeneration:
         # per-path gains: each run's sample is exactly the first n_paths
         # per-path evolve gains
         gains = np.array([
-            evolve(cfg, w, prices_to_returns(simulate_path(params, 7, i))).final_gain
+            evolve(cfg, w, simulate_returns(params, 7, i)).final_gain
             for i in range(sizes[-1])
         ])
         for n_paths in sizes:
@@ -105,22 +108,44 @@ class TestPathGeneration:
 
     @pytest.mark.parametrize("i", [0, 5, BLOCK - 1, BLOCK, 3 * BLOCK + 5])
     def test_path_is_a_row_of_its_block(self, i):
-        # block i // BLOCK draws (BLOCK, n) normals, then (BLOCK, n)
-        # Poisson counts, from path_rng(seed, block); path i is one row
+        # block i // BLOCK draws (BLOCK, n) normals, then one Poisson jump
+        # total per path, then a multinomial per row with a nonzero total,
+        # from path_rng(seed, block); path i is one row of the log growth
         p = GbmJumpParams(mu_star=0.05, lam=30.0, n_periods=30, s0=2.0)
         rng = path_rng(7, i // BLOCK)
         z = rng.standard_normal((BLOCK, 30))
-        jumps = rng.poisson(p.lam * p.dt, (BLOCK, 30))
+        totals = rng.poisson(p.lam * p.dt * 30, BLOCK)
+        jumps = np.zeros((BLOCK, 30), dtype=np.int64)
+        for r in np.flatnonzero(totals):
+            jumps[r] = rng.multinomial(totals[r], [1.0 / 30] * 30)
         log_growth = (
-            (p.mu_star - 0.5 * p.sigma_star**2) * p.dt
+            (p.mu_star - 0.5 * p.sigma_star * p.sigma_star) * p.dt
             + p.sigma_star * math.sqrt(p.dt) * z[i % BLOCK]
             + math.log1p(-p.delta) * jumps[i % BLOCK]
         )
-        expected = p.s0 * np.exp(np.cumsum(log_growth))
+        np.testing.assert_array_equal(simulate_returns(p, 7, i), np.expm1(log_growth))
         prices = simulate_path(p, 7, i)
         assert prices[0] == p.s0
-        np.testing.assert_array_equal(prices[1:], expected)
+        np.testing.assert_array_equal(prices[1:], p.s0 * np.exp(np.cumsum(log_growth)))
         assert jumps[i % BLOCK].any()
+
+    def test_jump_counts_are_poisson_per_period(self):
+        # with sigma_star = 0 a period's log growth is drift + dN*log(1-delta),
+        # so its jump count is recoverable exactly from the returns
+        p = GbmJumpParams(mu_star=0.1, sigma_star=0.0, lam=126.0, delta=0.1, n_periods=20)
+        lam_dt = p.lam * p.dt  # 0.5 jumps per period
+        log_growth = np.log1p([simulate_returns(p, 3, i) for i in range(2000)])
+        counts = np.round((log_growth - p.mu_star * p.dt) / math.log1p(-p.delta)).ravel()
+        size = counts.size
+        assert counts.min() >= 0
+        mean = counts.mean()
+        assert abs(mean - lam_dt) < 4.0 * math.sqrt(lam_dt / size)
+        # the sample variance of a Poisson count has variance about
+        # (lam_dt + 2*lam_dt^2)/size
+        variance = counts.var(ddof=1)
+        assert abs(variance - lam_dt) < 4.0 * math.sqrt((lam_dt + 2.0 * lam_dt**2) / size)
+        zero_share, p_zero = float(np.mean(counts == 0)), math.exp(-lam_dt)
+        assert abs(zero_share - p_zero) < 4.0 * math.sqrt(p_zero * (1.0 - p_zero) / size)
 
     @pytest.mark.parametrize("i", [0, BLOCK - 1, BLOCK, 3 * BLOCK + 5])
     def test_two_point_path_is_a_row_of_its_block(self, i):
@@ -161,6 +186,38 @@ class TestPathGeneration:
         gross = np.concatenate(gross)
         se = gross.std(ddof=1) / math.sqrt(gross.size)
         assert abs(gross.mean() - 1.0) < 4.0 * se
+
+
+FLOAT_RANGE = "simulated prices reached 0 or inf: .* leave the float range"
+
+
+class TestFloatRange:
+    def test_huge_jump_intensity_is_the_float_range_error(self):
+        # 1e12 jumps a path: the multinomial holds only the (BLOCK, n)
+        # counts, and every return is -1, so the run ends in the named error
+        params = GbmJumpParams(mu_star=0.1, lam=1e12, n_periods=252)
+        with pytest.raises(ValueError, match=FLOAT_RANGE):
+            monte_carlo_gain_loss(make_config(), WeightSpec("constant", w=0.5), params, 3, 0)
+        with pytest.raises(ValueError, match=FLOAT_RANGE):
+            simulate_returns(params, 0, 5)
+
+    def test_static_schedules_trade_without_prices(self, tmp_path):
+        # returns of sqrt(e) - 1 are fine, but s0*e overflows: only the routes
+        # that build prices (ma:, simulate_path, dumps) meet the float range
+        params = GbmJumpParams(
+            mu_star=0.5, sigma_star=0.0, lam=0.0, dt=1.0, n_periods=3, s0=1e308
+        )
+        config = make_config()
+        res = monte_carlo_gain_loss(config, WeightSpec("constant", w=0.5), params, 2, 0)
+        x = math.expm1(0.5)
+        assert res.mean_gain == pytest.approx(expected_gain_loss_constant(config, 0.5, x, 3))
+        np.testing.assert_array_equal(simulate_returns(params, 0, 1), [x] * 3)
+        with pytest.raises(ValueError, match=FLOAT_RANGE):
+            monte_carlo_gain_loss(config, WeightSpec("ma_indicator", w=0.5, d=2), params, 2, 0)
+        with pytest.raises(ValueError, match=FLOAT_RANGE):
+            simulate_path(params, 0, 1)
+        with pytest.raises(ValueError, match=FLOAT_RANGE):
+            dump_paths_csv(tmp_path / "paths.csv", params, 0, 2)
 
 
 class TestReturnsAndTwoPoint:
