@@ -26,7 +26,7 @@ import numpy as np
 
 from .policy import MarketBounds, PolicyConfig, evolve, validate_prices
 from .simulate import prices_to_returns
-from .tables import read_rows
+from .tables import read_columns
 from .weights import WeightSpec, eval_schedule
 
 __all__ = [
@@ -108,27 +108,27 @@ def ingest_csv(source, symbol: Optional[str] = None) -> PriceSeries:
     among them a timestamp outside int64 or not above the one before.
     """
     name = getattr(source, "name", "") if hasattr(source, "read") else str(source)
-    timestamps: list[int] = []
-    prices: list[float] = []
-    last = _INT64_MIN - 1
-    for rownum, row in read_rows(source, ("timestamp", "price")):
-        try:
-            ts = int(row[0])
-            price = float(row[1])
-        except ValueError:
-            raise ValueError(f"row {rownum}: could not parse {row[:2]!r}") from None
-        if not math.isfinite(price):
-            raise ValueError(f"row {rownum}: non-finite price {price}")
-        if price <= 0.0:
-            raise ValueError(f"row {rownum}: nonpositive price {price}")
-        if not last < ts <= _INT64_MAX:
-            fault = "does not increase" if _INT64_MIN <= ts <= _INT64_MAX else "is outside int64"
-            raise ValueError(f"row {rownum}: timestamp {ts} {fault}")
-        last = ts
-        timestamps.append(ts)
-        prices.append(price)
+    timestamps, prices = read_columns(source, ("timestamp", "price"), _price_fault)
     label = symbol if symbol is not None else PurePath(name).stem  # "" without a name
-    return PriceSeries(np.array(timestamps, np.int64), np.array(prices), label)
+    return PriceSeries(timestamps, prices, label)
+
+
+def _price_fault(timestamps: np.ndarray, prices: np.ndarray):
+    """(index, complaint) of the first row with a non-finite or nonpositive price, or a
+    timestamp outside int64 or not above the one before; None if there is none."""
+    outside = (timestamps < _INT64_MIN) | (timestamps > _INT64_MAX)
+    late = np.zeros(timestamps.size, dtype=bool)
+    late[1:] = timestamps[1:] <= timestamps[:-1]
+    bad = ~(prices > 0.0) | np.isinf(prices) | outside | late
+    if not bad.any():
+        return None
+    i = int(np.argmax(bad))
+    price, ts = float(prices[i]), int(timestamps[i])
+    if not math.isfinite(price):
+        return i, f"non-finite price {price}"
+    if price <= 0.0:
+        return i, f"nonpositive price {price}"
+    return i, f"timestamp {ts} {'is outside int64' if outside[i] else 'does not increase'}"
 
 
 def sharpe_ratio(period_returns: Sequence[float]) -> float:

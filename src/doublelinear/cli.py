@@ -389,21 +389,32 @@ def cmd_analyze(args, effective: dict) -> int:
     return 0
 
 
+# The GbmJumpParams fields its error texts name, and the simulate flags that set them.
+_MODEL_FLAGS = {
+    **{name: _flag(name) for name in ("mu_star", "sigma_star", "lam", "delta", "dt", "s0")},
+    "n_periods": "--n",
+}
+_MODEL_FIELD = re.compile(r"\b(" + "|".join(_MODEL_FLAGS) + r")\b")
+
+
 def cmd_simulate(args, effective: dict) -> int:
     config = _policy(effective)
     spec = parse_weight_spec(effective["w"], w_max=config.w_max)
     single = effective["mu_star"] is not None
     check_count("--paths", effective["paths"])
     check_count("--n", effective["n"])
-    params = GbmJumpParams(
-        mu_star=effective["mu_star"] if single else 0.0,
-        sigma_star=effective["sigma_star"],
-        lam=effective["lam"],
-        delta=effective["delta"],
-        dt=effective["dt"],
-        n_periods=effective["n"],
-        s0=effective["s0"],
-    )
+    try:
+        params = GbmJumpParams(
+            mu_star=effective["mu_star"] if single else 0.0,
+            sigma_star=effective["sigma_star"],
+            lam=effective["lam"],
+            delta=effective["delta"],
+            dt=effective["dt"],
+            n_periods=effective["n"],
+            s0=effective["s0"],
+        )
+    except ValueError as exc:  # the model names its fields; name the flags that set them
+        raise _UsageError(_MODEL_FIELD.sub(lambda m: _MODEL_FLAGS[m[1]], str(exc))) from None
     dump = check_count("--dump-paths", effective["dump_paths"], 0)
     check_count("--seed", effective["seed"], 0)
     check_count("--threads", effective["threads"])

@@ -1,37 +1,127 @@
 """CSV tables: the one reader and the one writer of every CSV the package handles.
 
 A table is '# ' comment lines, a header row and data rows, each line ending in "\\n".
-The reader also skips blank and '#' lines anywhere, accepts any line end, and
-matches the header regardless of case and surrounding spaces.
+The reader skips every line that is blank or whose first non-space character is
+'#', accepts any line end, and matches the header regardless of case and
+surrounding spaces.  A quoted cell ends with its line.
 """
 
 from __future__ import annotations
 
 import csv
+import warnings
 from contextlib import nullcontext
 from itertools import islice
 
+import numpy as np
 
-def read_rows(source, header):
-    """Yield (line number, row) per data row of the table at source, a path or open file;
-    ValueError on no header row, a wrong header, a row with fewer columns or no data rows."""
-    width = len(header)
-    seen = 0  # header and data rows
-    with nullcontext(source) if hasattr(source, "read") else open(source, newline="") as fh:
-        reader = csv.reader(fh)
-        for row in reader:
-            if not row or not row[0].strip() or row[0].lstrip().startswith("#"):
-                continue
-            seen += 1
-            if seen == 1:
-                if [c.strip().lower() for c in row[:width]] != list(header):
-                    raise ValueError(f"expected header {','.join(header)!r}, got {','.join(row)!r}")
-            elif len(row) < width:
-                raise ValueError(f"row {reader.line_num}: expected {width} columns, got {len(row)}")
-            else:
-                yield reader.line_num, row
-    if seen < 2:
-        raise ValueError("no data rows" if seen else "empty file")
+_COLUMNS = np.dtype([("int", np.int64), ("float", np.float64)])
+# Characters NumPy's number parser skips as spaces and Python's int() and float() refuse.
+_NUMPY_ONLY_SPACES = "\x1c\x1d\x1e\x1f"
+_CHUNK = 1 << 18  # characters per read of the check before the bulk parse
+
+
+def read_columns(source, header, fault):
+    """The first two columns of the table at source, a path or an open text file: an
+    int64 array of integers and a float64 array of decimals, each cell read as Python's
+    int() and float() read it.
+
+    fault(ints, floats) returns (index, complaint) for the first bad row, or None.  The
+    row scan also calls it on the rows before one that does not parse, with ints an
+    object array that may hold integers outside int64; fault must name those.
+    ValueError "row N: complaint" names the 1-based line of the first bad row: a fault,
+    fewer columns than the header, or a cell that does not parse.  ValueError also on
+    a wrong header, no header ("empty file") and no data rows.
+
+    One np.loadtxt pass reads the table.  Where its parse could differ from int() and
+    float() (non-ASCII text, '#' after the start of a line), where it fails, or where
+    fault finds a bad row, the table is read again row by row.
+    """
+    with nullcontext(source) if hasattr(source, "read") else open(source) as fh:
+        if not fh.seekable():
+            return _scan(fh, header, fault)
+        start = fh.tell()
+        columns = _bulk(fh, header)
+        if columns is not None and fault(*columns) is None:
+            return columns
+        fh.seek(start)
+        return _scan(fh, header, fault)
+
+
+def _skipped(line: str) -> bool:
+    return line.lstrip()[:1] in ("", "#")
+
+
+def _cells(line: str) -> list[str]:
+    line = line.rstrip("\r\n")
+    return next(csv.reader([line])) if '"' in line else line.split(",")
+
+
+def _header(fh, header) -> int:
+    """Read through the header row, checking it; the number of lines read."""
+    for number, line in enumerate(iter(fh.readline, ""), start=1):
+        if _skipped(line):
+            continue
+        cells = _cells(line)
+        if [c.strip().lower() for c in cells[: len(header)]] != list(header):
+            raise ValueError(f"expected header {','.join(header)!r}, got {','.join(cells)!r}")
+        return number
+    raise ValueError("empty file")
+
+
+def _bulk(fh, header):
+    """The columns from one np.loadtxt pass, or None where it cannot vouch for them."""
+    _header(fh, header)
+    data = fh.tell()
+    last = "\n"
+    try:
+        while chunk := fh.read(_CHUNK):
+            if not chunk.isascii() or any(c in chunk for c in _NUMPY_ONLY_SPACES):
+                return None  # NumPy reads some non-ASCII letters as digits
+            if "#" in chunk and (last + chunk).count("\n#") != chunk.count("#"):
+                return None  # np.loadtxt would cut a data row at its '#'
+            last = chunk[-1]
+        fh.seek(data)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no data, or an integer read via a float
+            table = np.loadtxt(
+                fh, dtype=_COLUMNS, delimiter=",", comments="#", quotechar=None,
+                usecols=(0, 1), ndmin=1,
+            )
+    except (ValueError, Warning):
+        return None
+    return np.ascontiguousarray(table["int"]), np.ascontiguousarray(table["float"])
+
+
+def _scan(fh, header, fault):
+    """read_columns one row at a time: the same columns, or the same complaint."""
+    rows = []  # (line number, int, float) per data row
+    stop = None  # (line number, complaint) of the first row that does not parse
+    for number, line in enumerate(fh, start=_header(fh, header) + 1):
+        if _skipped(line):
+            continue
+        try:
+            cells = _cells(line)
+            if len(cells) < len(header):
+                stop = number, f"expected {len(header)} columns, got {len(cells)}"
+                break
+            rows.append((number, int(cells[0]), float(cells[1])))
+        except csv.Error as exc:
+            stop = number, f"could not parse: {exc}"
+            break
+        except ValueError:
+            stop = number, f"could not parse {cells[:2]!r}"
+            break
+    if not rows and stop is None:
+        raise ValueError("no data rows")
+    lines, ints, floats = zip(*rows) if rows else ((), (), ())
+    # the rows before the stop are checked first: a row's faults need only the rows up to it
+    found = fault(np.array(ints, dtype=object), np.array(floats, dtype=float))
+    if found is not None:
+        stop = lines[found[0]], found[1]
+    if stop is not None:
+        raise ValueError("row {}: {}".format(*stop))
+    return np.array(ints, dtype=np.int64), np.array(floats, dtype=float)
 
 
 def write_table(path, comments, header, lines) -> None:

@@ -22,7 +22,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .policy import check_count, validate_prices, validate_weights
-from .tables import read_rows, write_table
+from .tables import read_columns, write_table
 
 __all__ = [
     "WeightSpec",
@@ -207,19 +207,19 @@ def dump_weight_table(path, values: Sequence[float], comment: Optional[str] = No
 def load_weight_table(path) -> np.ndarray:
     """Read a stage,weight table (see doublelinear.tables) into a weight
     vector; the stages must run 1..n in order."""
-    weights = []
     try:
-        for line, row in read_rows(path, ("stage", "weight")):
-            try:
-                stage, weight = int(row[0]), float(row[1])
-            except ValueError:
-                raise ValueError(f"row {line}: malformed data row {row[:2]!r}") from None
-            if stage != len(weights) + 1:
-                raise ValueError(f"row {line}: stage {stage}, expected {len(weights) + 1}")
-            weights.append(weight)
+        return read_columns(path, ("stage", "weight"), _stage_fault)[1]
     except ValueError as exc:
         raise ValueError(f"weight table {path}: {exc}") from None
-    return np.array(weights)
+
+
+def _stage_fault(stages: np.ndarray, weights: np.ndarray):
+    """(index, complaint) of the first row whose stage is not its 1-based position."""
+    wrong = stages != np.arange(1, stages.size + 1)
+    if not wrong.any():
+        return None
+    i = int(np.argmax(wrong))
+    return i, f"stage {int(stages[i])}, expected {i + 1}"
 
 
 def parse_weight_spec(text: str, w_max: float = 1.0) -> WeightSpec:

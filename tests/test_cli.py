@@ -591,6 +591,29 @@ def test_count_flags_are_named(tmp_path, capsys, argv, message):
     assert not outdir.exists()
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--sigma-star", "-1"], "--sigma-star must be >= 0, got -1.0"),
+        (["--lambda", "-1"], "--lambda must be >= 0, got -1.0"),
+        (["--delta", "1"], "--delta must lie in [0, 1), got 1.0"),
+        (["--dt", "0"], "--dt must be positive, got 0.0"),
+        (["--s0", "-2"], "--s0 must be positive, got -2.0"),
+        (["--dt", "inf"], "--dt must be finite, got inf"),
+        (
+            ["--lambda", "1e300"],
+            "--lambda*--dt*--n, a path's expected jump count, must be at most 1e+18, "
+            "got --lambda=1e+300",
+        ),
+    ],
+)
+def test_model_flags_are_named(tmp_path, capsys, argv, message):
+    outdir = tmp_path / "out"
+    code, out, err = run(capsys, "simulate", "--mu-star", "0.1", *argv, "--outdir", str(outdir))
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+    assert not outdir.exists()
+
+
 @pytest.mark.parametrize("command", ["analyze", "verify-rpe", "weights"])
 def test_price_driven_refusal_names_both_commands(tmp_path, capsys, command):
     code, _, err = run(capsys, command, "--w", "ma:5", "--outdir", str(tmp_path))

@@ -1,13 +1,20 @@
 """CSV tables: one format for every CSV the CLI writes, one reader for every CSV it reads."""
 
+import csv
 import json
+import math
+import os
+import warnings
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import doublelinear.cli as cli
 from doublelinear import ingest_csv, load_weight_table
 from doublelinear.cli import main
-from doublelinear.tables import read_rows, write_table
+from doublelinear.tables import read_columns, write_table
 
 PROVENANCE = "# config: "
 
@@ -74,9 +81,12 @@ class TestTableModule:
         path = tmp_path / "t.csv"
         write_table(path, ["one", "two"], ("a", "b"), (f"{i},{i / 4!r}" for i in range(3)))
         assert path.read_bytes() == b"# one\n# two\na,b\n0,0.0\n1,0.25\n2,0.5\n"
-        assert list(read_rows(path, ("a", "b"))) == [
-            (4, ["0", "0.0"]), (5, ["1", "0.25"]), (6, ["2", "0.5"]),
-        ]
+        ints, floats = read_columns(path, ("a", "b"), no_fault)
+        assert (ints.dtype, floats.dtype) == (np.int64, np.float64)
+        assert (ints.tolist(), floats.tolist()) == ([0, 1, 2], [0.0, 0.25, 0.5])
+        for index, line in enumerate([4, 5, 6]):
+            with pytest.raises(ValueError, match=f"^row {line}: flagged$"):
+                read_columns(path, ("a", "b"), lambda ints, floats, i=index: (i, "flagged"))
 
     def test_writes_a_list_longer_than_one_block(self, tmp_path):
         path = tmp_path / "t.csv"
@@ -88,7 +98,33 @@ class TestTableModule:
         path = tmp_path / "t.csv"
         path.write_text("a,b,c\n1,2,3\n")
         with open(path, newline="") as fh:
-            assert list(read_rows(fh, ("a", "b"))) == [(2, ["1", "2", "3"])]
+            ints, floats = read_columns(fh, ("a", "b"), no_fault)
+            assert (ints.tolist(), floats.tolist()) == ([1], [2.0])
+
+    def test_reads_a_pipe(self):
+        read, write = os.pipe()
+        with open(write, "w") as fh:
+            fh.write("a,b\n1,2\n3,4\n")
+        with open(read) as fh:
+            ints, floats = read_columns(fh, ("a", "b"), no_fault)
+        assert (ints.tolist(), floats.tolist()) == ([1, 3], [2.0, 4.0])
+
+    def test_crlf_and_comment_lines_take_one_bulk_pass(self, tmp_path, monkeypatch):
+        path = tmp_path / "t.csv"
+        body = "".join(f"{i},{i / 8!r}\r\n# note {i}\r\n\r\n" for i in range(1, 2001))
+        path.write_bytes(f"# provenance\r\nA , B\r\n{body}".encode())
+
+        def no_scan(*args):
+            raise AssertionError("the table was read row by row")
+
+        monkeypatch.setattr("doublelinear.tables._scan", no_scan)
+        ints, floats = read_columns(path, ("a", "b"), no_fault)
+        assert ints.tolist() == list(range(1, 2001))
+        assert floats.tolist() == [i / 8 for i in range(1, 2001)]
+
+
+def no_fault(ints, floats):
+    return None
 
 
 # Each text is given once per reader, with {header} filled in with that
@@ -104,6 +140,7 @@ READER_CASES = {
     "empty file": ("", None),
     "wrong header": ("first,second\n1,0.25\n", None),
     "short row": ("{header}\n1,0.25\n2\n", None),
+    "empty first cell": ("{header}\n1,100\n,999\n3,101\n", None),
 }
 
 
@@ -129,3 +166,231 @@ def test_price_and_weight_readers_agree(tmp_path, case):
     # the same complaint, prefixed with the table's name; headers name their own columns
     price_text = str(price_error.value).replace("timestamp,price", "stage,weight")
     assert str(weight_error.value) == f"weight table {weights}: {price_text}"
+
+
+@pytest.mark.parametrize(
+    "cells",
+    [
+        ["2", "2.5#"], ["2", "2.5 # note"], ["2", "2.5\x1c"], ["2", "\x1f2.5"],
+        ["3\x1e", "101"], ["ݡ1", "101"], ["1ǿ", "101"],
+    ],
+)
+def test_cells_only_numpy_would_read_are_refused(tmp_path, cells):
+    # np.loadtxt cuts a cell at '#', skips \x1c-\x1f as spaces and reads some
+    # letters as digits; int() and float() refuse all of these
+    path = tmp_path / "prices.csv"
+    path.write_text(f"timestamp,price\n1,100\n{','.join(cells)}\n", encoding="utf-8")
+    with pytest.raises(ValueError) as error:
+        ingest_csv(path)
+    assert str(error.value) == f"row 3: could not parse {cells!r}"
+
+
+@pytest.mark.parametrize(
+    "text", ["timestamp,price\n", "# provenance\n# more\n", "timestamp,price\n# note\n\n  \n"]
+)
+def test_tables_without_data_warn_nothing(tmp_path, text):
+    path = tmp_path / "t.csv"
+    path.write_text(text)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ValueError, match="^(no data rows|empty file)$"):
+            read_columns(path, ("timestamp", "price"), no_fault)
+    assert caught == []
+
+
+# The reader as it stood before the bulk pass: a per-row csv reader and the
+# two loops over its rows, copied as they were apart from these deliberate
+# differences, each marked below:
+#   1. only a blank line or one whose first non-space character is '#' is
+#      skipped; the old reader also dropped any row whose first cell was blank
+#      or started with '#' (",999" or '"#x",1' were lost, not refused);
+#   2. a weight table names a cell that does not parse as a price table does,
+#      "could not parse [...]" (it said "malformed data row [...]").
+# A third one the tables below avoid: a quoted cell now ends with its line,
+# where csv let it run on over line ends.  Underscores and non-ASCII digits
+# read as int() and float() read them: the bulk pass hands such tables to the
+# row scan, so the readers accept no less than before.
+
+_INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
+
+
+def old_read_rows(source, header):
+    width = len(header)
+    seen = 0  # header and data rows
+    raw = []  # difference 1: the line each row came from
+
+    def lines(fh):
+        for line in fh:
+            raw.append(line)
+            yield line
+
+    with open(source, newline="") as fh:
+        reader = csv.reader(lines(fh))
+        for row in reader:
+            if raw[-1].lstrip()[:1] in ("", "#"):  # difference 1
+                continue
+            seen += 1
+            if seen == 1:
+                if [c.strip().lower() for c in row[:width]] != list(header):
+                    raise ValueError(f"expected header {','.join(header)!r}, got {','.join(row)!r}")
+            elif len(row) < width:
+                raise ValueError(f"row {reader.line_num}: expected {width} columns, got {len(row)}")
+            else:
+                yield reader.line_num, row
+    if seen < 2:
+        raise ValueError("no data rows" if seen else "empty file")
+
+
+def old_ingest_csv(source):
+    timestamps, prices = [], []
+    last = _INT64_MIN - 1
+    for rownum, row in old_read_rows(source, ("timestamp", "price")):
+        try:
+            ts = int(row[0])
+            price = float(row[1])
+        except ValueError:
+            raise ValueError(f"row {rownum}: could not parse {row[:2]!r}") from None
+        if not math.isfinite(price):
+            raise ValueError(f"row {rownum}: non-finite price {price}")
+        if price <= 0.0:
+            raise ValueError(f"row {rownum}: nonpositive price {price}")
+        if not last < ts <= _INT64_MAX:
+            fault = "does not increase" if _INT64_MIN <= ts <= _INT64_MAX else "is outside int64"
+            raise ValueError(f"row {rownum}: timestamp {ts} {fault}")
+        last = ts
+        timestamps.append(ts)
+        prices.append(price)
+    return np.array(timestamps, np.int64), np.array(prices)
+
+
+def old_load_weight_table(path):
+    weights = []
+    try:
+        for line, row in old_read_rows(path, ("stage", "weight")):
+            try:
+                stage, weight = int(row[0]), float(row[1])
+            except ValueError:
+                # difference 2
+                raise ValueError(f"row {line}: could not parse {row[:2]!r}") from None
+            if stage != len(weights) + 1:
+                raise ValueError(f"row {line}: stage {stage}, expected {len(weights) + 1}")
+            weights.append(weight)
+    except ValueError as exc:
+        raise ValueError(f"weight table {path}: {exc}") from None
+    return np.array(weights)
+
+
+# Cells that int() or float() may or may not read, NumPy's parser may or may
+# not read (it skips \x1c-\x1f as spaces, reads some non-ASCII letters as
+# digits and stops at a '#' comment), or that are read but refused by a check.
+_ODD_CELLS = [
+    "", " ", "1_000", "٣", "1.0", "1e3", "0x10", "nan", "-inf", "inf", "1e999", "0", "-0.0",
+    "-5", " 7 ", "\t8", "9\x1c", "\x1f2", "1.5\x1d", "\x0b4", "5\x85", "ݡ1", "1ǿ", "#", "2#",
+    "3 #4", "4.5#x", "1 2",
+    "+", "--1", "9223372036854775807", "9223372036854775808", "-9223372036854775809",
+]
+# Digits mixed with what the two parsers may disagree on.
+_EDGE = st.text(alphabet="0123456789+-.e_# \t\x1c\x1f٣ݡǿ", min_size=1, max_size=5)
+_NOT_IN_CELLS = '\r\n",\x00'  # line ends, quotes, commas; csv refuses NUL before 3.11
+_TOKEN = st.text(
+    alphabet=st.characters(exclude_characters=_NOT_IN_CELLS, exclude_categories=("Cs",)),
+    max_size=6,
+)
+_PRINTABLE = st.text(alphabet=st.characters(codec="ascii", min_codepoint=32), max_size=6).map(
+    lambda text: text.translate({ord(c): None for c in _NOT_IN_CELLS})
+)
+
+
+@st.composite
+def tables_text(draw, names):
+    """A table with the given column names: comment and blank lines anywhere, header
+    case and spaces, LF, CRLF or CR line ends, extra and quoted cells, odd cells, and
+    stages or timestamps 1, 2, 3, ... that may repeat, fall back or leave int64.
+
+    Half the tables are plain: printable ASCII apart from odd cells, empty blank
+    lines, '#' first on its line, no quotes.  The bulk pass reads those itself
+    unless an odd cell stops it; the others mostly go row by row."""
+    plain = draw(st.booleans())
+    token = _PRINTABLE.map(lambda text: text.replace("#", "")) if plain else _TOKEN | _PRINTABLE
+    blanks = [""] if plain else ["", " ", "\t", "  \x0b"]
+    notes = ["#", "# note"] if plain else ["#", "#a # b", "  # indented", "\t#"]
+    ends = draw(st.lists(st.sampled_from(["\n", "\r\n", "\r"]), min_size=1, max_size=3))
+    header = [draw(st.sampled_from([n, n.upper(), f" {n} ", n.title()])) for n in names]
+    if draw(st.booleans()):
+        header.append(draw(token))
+    if draw(st.integers(0, 19)) == 0:
+        header = draw(st.lists(token, min_size=1, max_size=3))
+    lines = [",".join(header)]
+    k = 0  # data rows so far
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.integers(0, 9))
+        if kind == 0:
+            lines.append(draw(st.sampled_from(blanks)))
+            continue
+        if kind == 1:
+            lines.append(draw(st.sampled_from(notes)))
+            continue
+        k += 1
+        cells = [str(k), repr(draw(st.floats(0.01, 1e4)))] + draw(st.lists(token, max_size=2))
+        for column in (0, 1):
+            if draw(st.integers(0, 5)) == 0:
+                near = [str(k - 1), str(k + 1), str(-k)] if column == 0 else ["-1.5", "0.0"]
+                cells[column] = draw(
+                    st.sampled_from(_ODD_CELLS + near) | _EDGE
+                    | st.integers(-(2**64), 2**64).map(str) | st.floats().map(repr) | token
+                )
+        if not plain and draw(st.integers(0, 5)) == 0:
+            cells = [f'"{cell}"' for cell in cells]
+        if not plain and draw(st.integers(0, 9)) == 0:
+            cells = cells[:1]
+        lines.append(",".join(cells))
+    if draw(st.booleans()):
+        lines.insert(0, "# provenance")
+    text = "".join(line + draw(st.sampled_from(ends)) for line in lines)
+    return text if draw(st.integers(0, 4)) else text.rstrip("\r\n")
+
+
+# The properties write each example to the same tmp_path file.
+EXAMPLES = settings(
+    max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+
+
+def outcome(read, path):
+    try:
+        return read(path)
+    except ValueError as exc:
+        return str(exc)
+
+
+def same(new, old):
+    if isinstance(old, str) or isinstance(new, str):
+        return new == old
+    return len(new) == len(old) and all(
+        a.dtype == b.dtype and a.tobytes() == b.tobytes() for a, b in zip(new, old)
+    )
+
+
+@EXAMPLES
+@given(prices=tables_text(("timestamp", "price")), weights=tables_text(("stage", "weight")))
+def test_readers_match_the_row_by_row_reader(tmp_path, prices, weights):
+    price_path = tmp_path / "prices.csv"
+    price_path.write_bytes(prices.encode())
+    new = outcome(lambda p: (lambda s: (s.timestamps, s.prices))(ingest_csv(p)), price_path)
+    assert same(new, outcome(old_ingest_csv, price_path))
+    weight_path = tmp_path / "weights.csv"
+    weight_path.write_bytes(weights.encode())
+    new = outcome(lambda p: (load_weight_table(p),), weight_path)
+    assert same(new, outcome(lambda p: (old_load_weight_table(p),), weight_path))
+
+
+@EXAMPLES
+@given(text=st.text(alphabet=st.characters(blacklist_categories=("Cs",))))
+def test_readers_raise_only_value_error_on_any_text(tmp_path, text):
+    path = tmp_path / "any.csv"
+    path.write_bytes(text.encode())
+    for read in (ingest_csv, load_weight_table):
+        try:
+            read(path)
+        except ValueError:
+            pass

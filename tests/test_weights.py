@@ -101,7 +101,7 @@ class TestTableSchedules:
             ("3,0.1\n1,0.2\n1,0.3\n", "row 2: stage 3, expected 1"),
             ("1,0.1\n1,0.2\n", "row 3: stage 1, expected 2"),
             ("1,0.1\n3,0.2\n", "row 3: stage 3, expected 2"),
-            ("1,0.1\n2.0,0.2\n", "row 3: malformed data row ['2.0', '0.2']"),
+            ("1,0.1\n2.0,0.2\n", "row 3: could not parse ['2.0', '0.2']"),
         ],
         ids=["out-of-order", "repeated", "missing", "non-integer"],
     )
@@ -115,7 +115,7 @@ class TestTableSchedules:
     def test_load_rejects_malformed(self, tmp_path):
         path = tmp_path / "w.csv"
         path.write_text("stage,weight\n1,abc\n")
-        with pytest.raises(ValueError, match="malformed"):
+        with pytest.raises(ValueError, match=r"row 2: could not parse \['1', 'abc'\]$"):
             load_weight_table(path)
 
     def test_load_rejects_empty(self, tmp_path):
