@@ -8,8 +8,8 @@ is flags over config-file values over built-in defaults, and every
 output file embeds the effective configuration (plus the seed where one
 exists).  Outputs are byte-deterministic for a fixed configuration:
 JSON is written with sorted keys, CSVs carry a leading provenance
-comment, nothing is timestamped, and results do not depend on
---threads.
+comment, nothing is timestamped, and the engine runs on one thread
+whatever --threads says.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from .analytics import ReturnMoments, expected_gain_loss, rpe_scan, variance_gai
 from .backtest import batch_backtest, ingest_csv
 from .policy import MarketBounds, PolicyConfig, check_count
 from .simulate import (
+    DEFAULT_MU_STAR_GRID,
     GbmJumpParams,
     dump_paths_csv,
     monte_carlo_gain_loss,
@@ -102,7 +103,8 @@ COMMANDS = {
         "s0": (float, 1.0, "initial price"),
         "paths": (int, 10_000, "Monte Carlo paths"),
         "seed": (int, 0, "base seed"),
-        "threads": (int, 1, "worker cap (results do not depend on it)"),
+        "threads": (int, 1, "no effect: the engine runs on one thread, so results never "
+                            "depend on it"),
         "clip": (bool, False, "clip simulated returns into the market bounds before trading"),
         "dump_paths": (int, 0, "also write the first N price paths (single-run mode only)"),
     }),
@@ -141,9 +143,6 @@ _EXPECTED = {
 
 def _defaults(command: str) -> dict:
     return {name: default for name, (_, default, _) in COMMANDS[command][1].items()}
-
-
-DEF_WEIGHTS = _defaults("weights")
 
 
 def _flag(name: str) -> str:
@@ -403,36 +402,44 @@ def cmd_simulate(args, effective: dict) -> int:
     single = effective["mu_star"] is not None
     check_count("--paths", effective["paths"])
     check_count("--n", effective["n"])
-    try:
-        params = GbmJumpParams(
-            mu_star=effective["mu_star"] if single else 0.0,
-            sigma_star=effective["sigma_star"],
-            lam=effective["lam"],
-            delta=effective["delta"],
-            dt=effective["dt"],
-            n_periods=effective["n"],
-            s0=effective["s0"],
-        )
-    except ValueError as exc:  # the model names its fields; name the flags that set them
-        raise _UsageError(_MODEL_FIELD.sub(lambda m: _MODEL_FLAGS[m[1]], str(exc))) from None
-    dump = check_count("--dump-paths", effective["dump_paths"], 0)
-    check_count("--seed", effective["seed"], 0)
-    check_count("--threads", effective["threads"])
-    if dump and not single:
-        raise _UsageError("--dump-paths needs a single --mu-star run, not a sweep")
     grid = _items(effective, "grid", float)
     if grid is not None and single:
         raise _UsageError("--grid sweeps drifts; it cannot be combined with --mu-star")
     if grid == []:
         raise _UsageError("--grid must be nonempty")
+    if single:
+        drifts, flags = [effective["mu_star"]], _MODEL_FLAGS
+    else:
+        drifts = DEFAULT_MU_STAR_GRID if grid is None else grid
+        flags = {**_MODEL_FLAGS, "mu_star": "--grid"}
+    try:  # every cell's model is built, and so checked, before any path is drawn
+        params, *_ = [
+            GbmJumpParams(
+                mu_star=mu_star,
+                sigma_star=effective["sigma_star"],
+                lam=effective["lam"],
+                delta=effective["delta"],
+                dt=effective["dt"],
+                n_periods=effective["n"],
+                s0=effective["s0"],
+            )
+            for mu_star in drifts
+        ]
+    except ValueError as exc:  # the model names its fields; name the flags that set them
+        raise _UsageError(_MODEL_FIELD.sub(lambda m: flags[m[1]], str(exc))) from None
+    dump = check_count("--dump-paths", effective["dump_paths"], 0)
+    check_count("--seed", effective["seed"], 0)
+    check_count("--threads", effective["threads"])  # checked and echoed, never used
+    if dump and not single:
+        raise _UsageError("--dump-paths needs a single --mu-star run, not a sweep")
     seed = effective["seed"]
-    mc = {"workers": effective["threads"], "clip_returns": effective["clip"]}
+    mc = {"clip_returns": effective["clip"]}
 
     if single:
         result = monte_carlo_gain_loss(config, spec, params, effective["paths"], seed, **mc)
         cells = [(params.mu_star, result)]
     else:
-        cells = sweep_mu_star(config, spec, params, grid, effective["paths"], seed, **mc)
+        cells = sweep_mu_star(config, spec, params, drifts, effective["paths"], seed, **mc)
 
     # The answer is the control-variate estimate; the plain sample
     # statistics ride along under sample_*.
@@ -539,7 +546,7 @@ def cmd_verify_rpe(args, effective: dict) -> int:
 
 def cmd_weights(args, effective: dict) -> int:
     spec = _stage_indexed("weights", effective["w"], effective["w_max"])
-    values = eval_schedule(spec, effective["n"])
+    values = eval_schedule(spec, check_count("--n", effective["n"]))
     out = Path(effective["out"])
     path = out if out.is_absolute() else _outdir(args) / out
     path.parent.mkdir(parents=True, exist_ok=True)

@@ -23,9 +23,8 @@ exactly those of the model (Glasserman, Monte Carlo Methods in
 Financial Engineering, 3.5).  The two-point generator draws one (B, n)
 matrix of uniforms instead.  Path i is row i mod B of block i // B.  A
 run of n_paths draws its last block at full size and keeps the rows it
-needs, so a path's draws depend on (s, i) alone: not on n_paths, on how
-many workers the harness uses, or on the order in which blocks were
-scheduled.  B and the draw order are part of the contract.
+needs, so a path's draws depend on (s, i) alone, not on n_paths.  B and
+the draw order are part of the contract.
 
 The engine trades the simple returns expm1(g) (simulate_returns) and
 builds prices s0*exp(cumsum(g)) (simulate_path) only for price-driven
@@ -36,8 +35,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
@@ -297,7 +294,6 @@ def monte_carlo_gain_loss(
     seed: int,
     *,
     n_periods: Optional[int] = None,
-    workers: int = 1,
     clip_returns: bool = False,
 ) -> MonteCarloResult:
     """Estimate the terminal gain-loss over simulated paths.
@@ -310,10 +306,9 @@ def monte_carlo_gain_loss(
 
     Paths are simulated and traded a block of BLOCK at a time, each
     block from its own substream into its own slice of a preallocated
-    gain array, so the result is bit-identical for a given
-    (seed, n_paths) at any `workers` setting; the mean is then a single
-    deterministic reduction of that array.  workers > 1 hands blocks to
-    a thread pool of at most os.cpu_count() threads.
+    gain array; the mean is then a single deterministic reduction of
+    that array, so the result is bit-identical for a given
+    (seed, n_paths).
 
     Beside the gain G, each path yields its compensator A, the sum over
     stages k of mu*w_k*D(k-1) + rf*(1 - w_k)*V_L(k-1), with D = V_L - V_S
@@ -333,7 +328,6 @@ def monte_carlo_gain_loss(
     """
     check_count("n_paths", n_paths)
     check_count("seed", seed, 0)
-    check_count("workers", workers)
     if isinstance(generator, GbmJumpParams):
         if n_periods is not None and check_count("n_periods", n_periods) != generator.n_periods:
             raise ValueError(
@@ -359,7 +353,7 @@ def monte_carlo_gain_loss(
     gains = np.empty(n_paths)
     compensators = None if clip_returns else np.empty(n_paths)
 
-    def run(block: int) -> None:
+    for block in range(-(-n_paths // BLOCK)):
         lo = block * BLOCK
         rows = min(BLOCK, n_paths - lo)
         if price_generator:
@@ -384,16 +378,6 @@ def monte_carlo_gain_loss(
             if config.rf:
                 compensator += config.rf * _row_dot(v_long, 1.0 - w)
             compensators[lo : lo + rows] = compensator
-
-    blocks = range(-(-n_paths // BLOCK))
-    # map submits every block at once: more threads than CPUs only add threads
-    threads = min(workers, len(blocks), os.cpu_count() or 1)
-    if threads == 1:
-        for block in blocks:
-            run(block)
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(run, blocks))
 
     mean, std_error, variance = _sample_stats(gains)
     cv_mean, cv_std_error, _ = _sample_stats(gains if compensators is None else compensators)
@@ -430,7 +414,6 @@ def sweep_mu_star(
     n_paths: int = 10_000,
     seed: int = 0,
     *,
-    workers: int = 1,
     clip_returns: bool = False,
 ) -> list[tuple[float, MonteCarloResult]]:
     """Monte Carlo mean gain across a grid of annualized drifts.
@@ -447,8 +430,7 @@ def sweep_mu_star(
         cell = dataclasses.replace(params, mu_star=mu_star)
         cell_seed = int(np.random.SeedSequence([seed, index]).generate_state(1, np.uint64)[0])
         outcome = monte_carlo_gain_loss(
-            config, spec, cell, n_paths, cell_seed,
-            workers=workers, clip_returns=clip_returns,
+            config, spec, cell, n_paths, cell_seed, clip_returns=clip_returns
         )
         results.append((mu_star, outcome))
     return results

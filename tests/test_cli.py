@@ -3,6 +3,10 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -290,6 +294,33 @@ class TestSimulate:
             b = (tmp_path / "b" / name).read_bytes()
             assert a == b
 
+    def test_threads_change_nothing_and_start_no_thread(self, tmp_path, capsys, monkeypatch):
+        def refuse(thread):
+            raise AssertionError(f"thread {thread.name} started")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        results = []
+        for threads in ("1", "3"):
+            outdir = tmp_path / threads
+            code, out, _ = run(
+                capsys,
+                "simulate", "--grid", "-0.1,0.1", "--w", "ma:5", "--paths", "150", "--n", "12",
+                "--seed", "2", "--threads", threads, "--outdir", str(outdir),
+            )
+            assert code == 0
+            payload = read_json(outdir / "simulate.json")
+            assert payload["config"]["threads"] == int(threads)
+            results.append(payload["results"])
+        assert results[0] == results[1]
+
+    def test_import_loads_no_thread_pool(self):
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+        probe = "import sys, doublelinear.cli; print('concurrent.futures' in sys.modules)"
+        out = subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+        ).stdout
+        assert out == "False\n"
+
     def test_dump_paths_single_run_only(self, tmp_path, capsys):
         code, _, err = run(
             capsys,
@@ -561,6 +592,23 @@ class TestSimulateChecksFirst:
         assert err.startswith("error: the log drift or volatility of a period overflows")
         assert not outdir.exists()
 
+    @pytest.mark.parametrize(
+        "grid, message",
+        [
+            ("0.1,1e308",
+             "the mean return of a period overflows, got --grid=1e+308, --dt=0.003968253968253968"),
+            ("nan", "--grid must be finite, got nan"),
+        ],
+    )
+    def test_sweep_cells_are_checked_before_any_path(self, tmp_path, capsys, grid, message):
+        outdir = tmp_path / "out"
+        code, out, err = run(
+            capsys, "simulate", "--grid", grid, "--paths", "64", "--n", "5",
+            "--outdir", str(outdir),
+        )
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+        assert not outdir.exists()
+
     def test_empty_grid_in_config_rejected(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"grid": []})
         code, _, err = run(capsys, "simulate", "--config", cfg, "--outdir", str(tmp_path))
@@ -582,6 +630,7 @@ class TestSimulateChecksFirst:
         (["simulate", "--mu-star", "0.1", "--threads", "0"], "--threads must be >= 1, got 0"),
         (["simulate", "--mu-star", "0.1", "--paths", "0"], "--paths must be >= 1, got 0"),
         (["simulate", "--mu-star", "0.1", "--n", "0"], "--n must be >= 1, got 0"),
+        (["weights", "--n", "0"], "--n must be >= 1, got 0"),
     ],
 )
 def test_count_flags_are_named(tmp_path, capsys, argv, message):

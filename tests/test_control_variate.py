@@ -204,20 +204,6 @@ class TestEdgeCases:
         )
         assert (res.cv_mean_gain, res.cv_std_error) == (res.mean_gain, res.std_error)
 
-    @pytest.mark.parametrize("spec_text", SPECS)
-    @pytest.mark.parametrize("rf", [0.0, 2e-4])
-    def test_workers_do_not_change_results(self, spec_text, rf):
-        config = PolicyConfig(alpha=0.5, bounds=BOUNDS, rf=rf)
-        spec = parse_weight_spec(spec_text)
-        serial = monte_carlo_gain_loss(config, spec, gbm(), 300, 12, workers=1)
-        for workers in (2, 7):
-            assert monte_carlo_gain_loss(config, spec, gbm(), 300, 12, workers=workers) == serial
-
-    @pytest.mark.parametrize("workers", [0, -5])
-    def test_worker_cap_below_one_rejected(self, workers):
-        with pytest.raises(ValueError, match="workers"):
-            monte_carlo_gain_loss(CONFIG, WeightSpec("log_ramp"), gbm(), 10, 0, workers=workers)
-
 
 class TestCli:
     def run(self, capsys, outdir, *argv):

@@ -285,7 +285,7 @@ def test_gbm_paths_raise_value_error_or_stay_finite(fields, path_index):
 
 # Every public count as (function of the count, its name, its minimum, the
 # largest integer drawn), the other arguments valid.  The caps keep each
-# example small: at most 5000 stages, 300 paths and 4 workers.
+# example small: at most 5000 stages and 300 paths.
 LONG_W = np.full(5000, 0.5)
 RISING = np.arange(1.0, 41.0)
 SHORT_GBM = GbmJumpParams(mu_star=0.1, n_periods=5)
@@ -336,16 +336,11 @@ COUNTS = {
         lambda v: monte_carlo_gain_loss(CONFIG, LOG_RAMP, TWO_POINT, 3, 0, n_periods=v),
         "n_periods", 1, 500,
     ),
-    "monte_carlo_gain_loss.workers": (lambda v: mc(130, 0, workers=v), "workers", 1, 4),
     "sweep_mu_star.n_paths": (
         lambda v: sweep_mu_star(CONFIG, LOG_RAMP, SHORT_GBM, [0.1], v), "n_paths", 1, 300
     ),
     "sweep_mu_star.seed": (
         lambda v: sweep_mu_star(CONFIG, LOG_RAMP, SHORT_GBM, [0.1], 3, v), "seed", 0, 2**64 - 1
-    ),
-    "sweep_mu_star.workers": (
-        lambda v: sweep_mu_star(CONFIG, LOG_RAMP, SHORT_GBM, [0.1], 130, workers=v),
-        "workers", 1, 4,
     ),
     "dump_paths_csv.seed": (
         lambda v: dump_paths_csv(os.devnull, SHORT_GBM, v, 3), "seed", 0, 2**64 - 1
@@ -393,7 +388,6 @@ def test_counts_raise_value_error_naming_them_or_stay_finite(call, name, minimum
          lambda: eval_schedule(WeightSpec("constant", w=0.5), 2.5)),
         ("n must be an integer, got 2.5",
          lambda: eval_schedule(WeightSpec("table", values=(0.5,) * 3), 2.5)),
-        ("workers must be an integer, got 2.5", lambda: mc(3, 0, workers=2.5)),
         ("n_periods must be an integer, got 2.5",
          lambda: GbmJumpParams(mu_star=0.1, n_periods=2.5)),
         ("n_paths must be an integer, got 2.5", lambda: mc(2.5, 0)),

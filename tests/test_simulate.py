@@ -23,7 +23,6 @@ from doublelinear import (
     simulate_two_point,
     sweep_mu_star,
 )
-from doublelinear import simulate
 from doublelinear.simulate import BLOCK, DEFAULT_MU_STAR_GRID, dump_paths_csv
 
 BOUNDS = MarketBounds(-0.5, 1.0)
@@ -266,40 +265,6 @@ class TestMonteCarlo:
         x = np.clip(prices_to_returns(prices), BOUNDS.x_min, BOUNDS.x_max)
         traj = evolve(cfg, [0.6] * 40, x)
         assert res.mean_gain == pytest.approx(traj.final_gain, rel=1e-12)
-
-    def test_workers_do_not_change_results(self):
-        params = GbmJumpParams(mu_star=0.1, n_periods=20)
-        cfg = make_config()
-        spec = WeightSpec("log_ramp")
-        serial = monte_carlo_gain_loss(cfg, spec, params, 64, seed=11, workers=1)
-        threaded = monte_carlo_gain_loss(cfg, spec, params, 64, seed=11, workers=4)
-        assert serial == threaded
-
-    def test_pool_is_bounded_by_the_cpus(self, monkeypatch):
-        # a recorder stands in for the pool, so no thread is started
-        sizes = []
-
-        class Recorder:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
-        monkeypatch.setattr(simulate, "ThreadPoolExecutor", Recorder)
-        monkeypatch.setattr(simulate.os, "cpu_count", lambda: 2)
-        params = GbmJumpParams(mu_star=0.1, n_periods=20)
-        cfg, spec = make_config(), WeightSpec("log_ramp")
-        serial = monte_carlo_gain_loss(cfg, spec, params, 4 * BLOCK, seed=11, workers=1)
-        pooled = monte_carlo_gain_loss(cfg, spec, params, 4 * BLOCK, seed=11, workers=3)
-        assert sizes == [2]
-        assert serial == pooled
 
     def test_two_point_generator_needs_horizon(self):
         model = TwoPointModel(0.1, -0.1, 0.5)

@@ -60,7 +60,7 @@ class TestWrittenTables:
         capsys.readouterr()
         command = argv[0]
         if command == "weights":
-            config = {**cli.DEF_WEIGHTS, "w": "log_ramp", "n": 7}
+            config = {**cli._defaults("weights"), "w": "log_ramp", "n": 7}
         else:
             config = read_json(outdir / f"{command}.json")["config"]
         for name, header in tables.items():
