@@ -6,127 +6,17 @@ formulation for cross-checks, a robust positive expectation certificate,
 a jump-diffusion Monte Carlo engine, and a CSV backtest engine.
 """
 
-from .analytics import (
-    BRUTE_FORCE_MAX_K,
-    GainLossStats,
-    ReturnMoments,
-    RpeScanReport,
-    TwoPointModel,
-    brute_force_moments,
-    expected_gain_loss,
-    expected_gain_loss_constant,
-    gain_loss_stats,
-    rpe_scan,
-    second_moment_gain_loss,
-    sign_condition_gain,
-    variance_gain_loss,
-)
-from .backtest import (
-    BacktestReport,
-    PriceSeries,
-    batch_backtest,
-    buy_and_hold_report,
-    ingest_csv,
-    run_backtest,
-    sharpe_ratio,
-)
-from .esp import (
-    EspTable,
-    e2_positive,
-    esp_all,
-    esp_naive,
-    expected_growth_esp,
-    expected_growth_product,
-)
-from .policy import (
-    AccountState,
-    AdmissibilityError,
-    MarketBounds,
-    PolicyConfig,
-    Trajectory,
-    derive_w_max,
-    evolve,
-    initial_state,
-    step_account,
-    survivability_bound,
-)
-from .simulate import (
-    GbmJumpParams,
-    MonteCarloResult,
-    monte_carlo_gain_loss,
-    path_rng,
-    prices_to_returns,
-    simulate_path,
-    simulate_returns,
-    simulate_two_point,
-    sweep_mu_star,
-)
-from .weights import (
-    WeightSpec,
-    clamp_admissible,
-    dump_weight_table,
-    eval_schedule,
-    load_weight_table,
-    ma_indicator_weight,
-    ma_value,
-    parse_weight_spec,
-)
+from . import analytics, backtest, esp, policy, simulate, weights
+from .analytics import *
+from .backtest import *
+from .esp import *
+from .policy import *
+from .simulate import *
+from .weights import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AccountState",
-    "AdmissibilityError",
-    "BacktestReport",
-    "BRUTE_FORCE_MAX_K",
-    "EspTable",
-    "GainLossStats",
-    "GbmJumpParams",
-    "MarketBounds",
-    "MonteCarloResult",
-    "PolicyConfig",
-    "PriceSeries",
-    "ReturnMoments",
-    "RpeScanReport",
-    "Trajectory",
-    "TwoPointModel",
-    "WeightSpec",
-    "batch_backtest",
-    "brute_force_moments",
-    "buy_and_hold_report",
-    "clamp_admissible",
-    "derive_w_max",
-    "dump_weight_table",
-    "e2_positive",
-    "esp_all",
-    "esp_naive",
-    "eval_schedule",
-    "evolve",
-    "expected_gain_loss",
-    "expected_gain_loss_constant",
-    "expected_growth_esp",
-    "expected_growth_product",
-    "gain_loss_stats",
-    "ingest_csv",
-    "initial_state",
-    "load_weight_table",
-    "ma_indicator_weight",
-    "ma_value",
-    "monte_carlo_gain_loss",
-    "parse_weight_spec",
-    "path_rng",
-    "prices_to_returns",
-    "rpe_scan",
-    "run_backtest",
-    "second_moment_gain_loss",
-    "sharpe_ratio",
-    "sign_condition_gain",
-    "simulate_path",
-    "simulate_returns",
-    "simulate_two_point",
-    "step_account",
-    "survivability_bound",
-    "sweep_mu_star",
-    "variance_gain_loss",
-    "__version__",
-]
+__all__ = (
+    analytics.__all__ + backtest.__all__ + esp.__all__ + policy.__all__
+    + simulate.__all__ + weights.__all__ + ["__version__"]
+)

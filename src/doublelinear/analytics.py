@@ -29,6 +29,7 @@ import numpy as np
 from .policy import PolicyConfig, check_count, check_mu, validate_weights
 
 __all__ = [
+    "BRUTE_FORCE_MAX_K",
     "ReturnMoments",
     "GainLossStats",
     "TwoPointModel",

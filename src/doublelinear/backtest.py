@@ -25,7 +25,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .policy import MarketBounds, PolicyConfig, evolve, validate_prices
-from .simulate import prices_to_returns
+from .simulate import _sample_stats, prices_to_returns
 from .tables import read_columns
 from .weights import WeightSpec, eval_schedule
 
@@ -148,13 +148,12 @@ def sharpe_ratio(period_returns: Sequence[float]) -> float:
 def _return_stats(r: np.ndarray) -> tuple[float, float, bool]:
     """(variance, sharpe, degenerate) as the module docstring defines them.
 
-    Fewer than two returns have no spread to measure: degenerate."""
-    if r.size < 2:
-        return 0.0, 0.0, True
-    sd = float(r.std(ddof=1))
+    One return has no spread to measure: degenerate."""
+    mean, _, variance = _sample_stats(r)
+    sd = math.sqrt(variance)
     if sd == 0.0:
         return 0.0, 0.0, True
-    return sd * sd, float(r.mean()) / sd, False
+    return sd * sd, mean / sd, False
 
 
 def _report(values: np.ndarray, v0: float, weights_used) -> BacktestReport:

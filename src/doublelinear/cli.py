@@ -242,10 +242,8 @@ def _items(effective: dict, name: str, kind):
 
 
 def _outdir(args) -> Path:
-    out = args.outdir or os.environ.get(OUTDIR_ENV) or "."
-    path = Path(out)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
+    """The output directory; the first file written into it creates it."""
+    return Path(args.outdir or os.environ.get(OUTDIR_ENV) or ".")
 
 
 def _leaf(obj) -> str:
@@ -309,8 +307,8 @@ def _encode(obj, indent: str, out: list[str]) -> None:
 def _write_json(path: Path, payload: dict) -> list[str]:
     """Write payload as strict, indented, key-sorted JSON and return its pieces.
 
-    It is serialized before the file is opened, so a result strict JSON
-    cannot hold (nan, inf) leaves no file.
+    It is serialized before the file or its directory is made, so a result
+    strict JSON cannot hold (nan, inf) leaves neither.
     """
     pieces: list[str] = []
     try:
@@ -318,6 +316,7 @@ def _write_json(path: Path, payload: dict) -> list[str]:
     except ValueError as exc:
         raise ValueError(f"{path.name} not written, a result is inf or nan: {exc}") from None
     pieces.append("\n")
+    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as fh:
         fh.writelines(pieces)
     return pieces

@@ -32,15 +32,8 @@ __all__ = [
     "derive_w_max",
     "initial_state",
     "step_account",
-    "account_legs",
     "evolve",
     "survivability_bound",
-    "validate_weights",
-    "validate_returns",
-    "validate_prices",
-    "check_mu",
-    "check_count",
-    "leg_factors",
 ]
 
 
@@ -230,15 +223,24 @@ def account_legs(config: PolicyConfig, w, x) -> tuple[np.ndarray, np.ndarray]:
     """Per-leg account values (long, short) at stages 0..n, validating nothing.
 
     w and x broadcast to (..., n), one path per row.  Each leg, (..., n+1), is
-    the stage-0 split, then its leg_factors multiplied out in stage order."""
+    the stage-0 split, then its leg_factors multiplied out in stage order.
+    A final total past the float range (inf or nan) is a ValueError."""
     shape = np.broadcast_shapes(np.shape(w), np.shape(x))
     v_long = np.empty(shape[:-1] + (shape[-1] + 1,))
     v_short = np.empty_like(v_long)
     start = initial_state(config)
     v_long[..., 0], v_short[..., 0] = start.v_long, start.v_short
-    leg_factors(w, x, config.rf, out=(v_long[..., 1:], v_short[..., 1:]))
-    np.multiply.accumulate(v_long, axis=-1, out=v_long)
-    np.multiply.accumulate(v_short, axis=-1, out=v_short)
+    with np.errstate(over="ignore", invalid="ignore"):  # a total out of range is named below
+        leg_factors(w, x, config.rf, out=(v_long[..., 1:], v_short[..., 1:]))
+        np.multiply.accumulate(v_long, axis=-1, out=v_long)
+        np.multiply.accumulate(v_short, axis=-1, out=v_short)
+        total = v_long[..., -1] + v_short[..., -1]
+    finite = np.isfinite(total)
+    if not finite.all():
+        raise ValueError(
+            f"the account value leaves the float range: a final value is "
+            f"{np.ravel(total)[np.argmin(finite)]}"
+        )
     return v_long, v_short
 
 

@@ -48,8 +48,6 @@ from .weights import WeightSpec, eval_schedule
 __all__ = [
     "GbmJumpParams",
     "MonteCarloResult",
-    "DEFAULT_MU_STAR_GRID",
-    "BLOCK",
     "path_rng",
     "simulate_path",
     "simulate_returns",
@@ -57,7 +55,6 @@ __all__ = [
     "simulate_two_point",
     "monte_carlo_gain_loss",
     "sweep_mu_star",
-    "dump_paths_csv",
 ]
 
 # Default sweep grid: evenly spaced drifts strictly inside (-1, 1).
@@ -183,7 +180,8 @@ def _locate(path_index: int) -> tuple[int, int]:
 
 def _unwarned():
     """Float overflow and inf - inf pass without a warning: the range checks
-    of _returns and _prices name what left the float range."""
+    of _returns and _prices name what left the float range, and a statistic
+    past it is inf or nan, which no output accepts."""
     return np.errstate(over="ignore", invalid="ignore")
 
 
@@ -263,16 +261,23 @@ def simulate_returns(params: GbmJumpParams, seed: int, path_index: int = 0) -> n
 
 
 def prices_to_returns(prices: Sequence[float]) -> np.ndarray:
-    """Per-period simple returns (S(k+1) - S(k)) / S(k); each is > -1.
+    """Per-period simple returns (S(k+1) - S(k)) / S(k); each is > -1 and finite.
 
-    A (paths, n+1) price matrix gives (paths, n) returns, row by row.
+    A (paths, n+1) price matrix gives (paths, n) returns, row by row.  A
+    price ratio that rounds to a return of -1 or inf is a ValueError.
     """
     p = np.asarray(prices, dtype=float)
     if p.ndim not in (1, 2) or p.shape[-1] < 2:
         raise ValueError("need a series (or rows) of at least two prices")
     validate_prices(p)
-    x = p[..., 1:] / p[..., :-1]
+    with _unwarned():
+        x = p[..., 1:] / p[..., :-1]
     x -= 1.0
+    if x.size and not (x.min() > -1.0 and x.max() < np.inf):
+        raise ValueError(
+            f"a price ratio leaves the float range: returns must lie in (-1, inf), "
+            f"got {x.min() if x.min() <= -1.0 else x.max()}"
+        )
     return x
 
 
@@ -374,9 +379,10 @@ def monte_carlo_gain_loss(
         if compensators is not None:
             # The legs entering each stage: V(k-1) for k = 1..horizon.
             v_long, v_short = v_long[:, :-1], v_short[:, :-1]
-            compensator = generator.mu * (_row_dot(v_long, w) - _row_dot(v_short, w))
-            if config.rf:
-                compensator += config.rf * _row_dot(v_long, 1.0 - w)
+            with _unwarned():
+                compensator = generator.mu * (_row_dot(v_long, w) - _row_dot(v_short, w))
+                if config.rf:
+                    compensator += config.rf * _row_dot(v_long, 1.0 - w)
             compensators[lo : lo + rows] = compensator
 
     mean, std_error, variance = _sample_stats(gains)
@@ -401,9 +407,13 @@ def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _sample_stats(values: np.ndarray) -> tuple[float, float, float]:
-    """Mean, standard error of the mean and unbiased variance (0 for one value)."""
-    variance = float(np.var(values, ddof=1)) if values.size > 1 else 0.0
-    return float(np.mean(values)), math.sqrt(variance / values.size), variance
+    """Mean, standard error of the mean and unbiased variance (0 for one value).
+
+    A statistic past the float range is inf or nan."""
+    with _unwarned():
+        variance = float(np.var(values, ddof=1)) if values.size > 1 else 0.0
+        mean = float(np.mean(values))
+    return mean, math.sqrt(variance / values.size), variance
 
 
 def sweep_mu_star(

@@ -26,12 +26,9 @@ from .tables import read_columns, write_table
 
 __all__ = [
     "WeightSpec",
-    "KINDS",
-    "DEFAULT_MA_W",
     "eval_schedule",
     "ma_value",
     "ma_indicator_weight",
-    "ma_indicator_weights",
     "clamp_admissible",
     "load_weight_table",
     "dump_weight_table",

@@ -72,6 +72,10 @@ class TestExpectedGainLoss:
         with pytest.raises(ValueError, match="exceeds"):
             expected_gain_loss(make_config(), [0.5], 0.1, 2)
 
+    def test_two_dimensional_weights_rejected(self):
+        with pytest.raises(ValueError, match="weights must be one-dimensional"):
+            expected_gain_loss(make_config(), [[0.5]], 0.1, 1)
+
     def test_inadmissible_weight_rejected(self):
         cfg = make_config(bounds=MarketBounds(-0.2, 2.0))
         with pytest.raises(AdmissibilityError):

@@ -1,6 +1,7 @@
 """CSV ingestion, backtest metrics, batch reports."""
 
 import io
+import warnings
 
 import numpy as np
 import pytest
@@ -65,6 +66,10 @@ class TestPriceSeries:
         s = PriceSeries(timestamps=[1.0, 2.0], prices=[100.0, 101.0])
         assert s.timestamps.dtype == np.int64
         assert s.timestamps.tolist() == [1, 2]
+
+    def test_rejects_empty_series(self):
+        with pytest.raises(ValueError, match="empty series"):
+            PriceSeries([], [])
 
     def test_rejects_length_mismatch(self):
         with pytest.raises(ValueError):
@@ -156,6 +161,24 @@ class TestRunBacktest:
         assert report.sharpe == 0.0
         assert report.degenerate_sharpe
 
+    def test_one_return_has_a_degenerate_sharpe(self):
+        report = run_backtest(make_config(), WeightSpec("constant", w=0.5), series([100.0, 104.0]))
+        assert report.n_periods == 1
+        assert (report.variance, report.sharpe, report.degenerate_sharpe) == (0.0, 0.0, True)
+
+    @pytest.mark.parametrize(
+        "report",
+        [
+            lambda config, s: run_backtest(config, WeightSpec("constant", w=0.5), s),
+            buy_and_hold_report,
+        ],
+        ids=["run_backtest", "buy_and_hold_report"],
+    )
+    def test_one_row_csv_rejected(self, report):
+        s = ingest_csv(io.StringIO("timestamp,price\n1,100\n"))
+        with pytest.raises(ValueError, match="series must contain at least two prices"):
+            report(make_config(), s)
+
     def test_out_of_bounds_return_rejected_by_default(self):
         s = series([100.0, 250.0, 240.0])  # +150% breaches x_max = 1.0
         with pytest.raises(AdmissibilityError):
@@ -201,6 +224,12 @@ class TestBuyAndHold:
         s = series([100.0, 300.0, 50.0])  # +200%, -83% breach both defaults
         report = buy_and_hold_report(make_config(), s)
         assert report.gain_loss == pytest.approx(-0.5, rel=1e-12)
+
+    def test_variance_past_the_float_range_is_inf(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = buy_and_hold_report(make_config(), series([1.0, 1e200, 1.0]))
+        assert (report.variance, report.sharpe, report.degenerate_sharpe) == (np.inf, 0.0, False)
 
     def test_equals_policy_at_alpha_one_on_admissible_data(self):
         s = series([100.0, 108.0, 95.0, 101.0])

@@ -10,6 +10,7 @@ import io
 import math
 import os
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -483,6 +484,63 @@ class TestStrictJsonOutputs:
         assert "certified" not in captured.out
         assert "rpe.json not written, a result is inf or nan" in captured.err
         assert list(tmp_path.iterdir()) == []
+
+
+# Runs whose results leave the float range, and the start of their one error line.
+FLOAT_RANGE_RUNS = {
+    "account legs": (
+        ["simulate", "--mu-star", "2", "--sigma-star", "0.5", "--lambda", "0", "--dt", "1",
+         "--n", "3000", "--paths", "64", "--w", "constant:1.0"],
+        "the account value leaves the float range: a final value is nan",
+    ),
+    "sample variance": (
+        ["simulate", "--mu-star", "0.1", "--rf", "10000", "--n", "45", "--paths", "64",
+         "--w", "constant:0.5"],
+        "simulate.json not written, a result is inf or nan",
+    ),
+    "compensator": (
+        ["simulate", "--mu-star", "0", "--sigma-star", "0", "--lambda", "0", "--rf", "0.1",
+         "--n", "14550", "--paths", "2", "--w", "constant:0.5"],
+        "simulate.json not written, a result is inf or nan",
+    ),
+    "price ratio": (
+        ["backtest", "--csv", "{csv}"],
+        "a price ratio leaves the float range: returns must lie in (-1, inf), got -1.0",
+    ),
+    "price ratio, bounds from data": (
+        ["backtest", "--csv", "{csv}", "--bounds-from-data"],
+        "a price ratio leaves the float range: returns must lie in (-1, inf), got -1.0",
+    ),
+}
+
+
+class TestFloatRange:
+    @pytest.mark.parametrize("argv, message", FLOAT_RANGE_RUNS.values(), ids=FLOAT_RANGE_RUNS)
+    def test_is_one_error_line_without_warning(self, tmp_path, capsys, argv, message):
+        csv_path = tmp_path / "prices.csv"
+        csv_path.write_text("timestamp,price\n1,1e300\n2,1e-300\n3,1e300\n")
+        outdir = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main([arg.format(csv=csv_path) for arg in argv] + ["--outdir", str(outdir)])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (1, "")
+        assert captured.err.startswith(f"error: {message}")
+        assert captured.err.count("\n") == 1
+        assert not outdir.exists()
+
+    def test_price_ratio_rejected(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="price ratio leaves the float range"):
+                prices_to_returns([1e300, 1e-300, 1e300])
+
+    def test_account_value_rejected(self):
+        config = PolicyConfig(alpha=0.5, bounds=BOUNDS, rf=1e300)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="account value leaves the float range"):
+                evolve(config, [0.5, 0.5], [0.1, 0.1])
 
 
 @st.composite

@@ -36,6 +36,10 @@ class TestEspAll:
         with pytest.raises(IndexError):
             table.e(-1)
 
+    def test_rejects_empty_weights(self):
+        with pytest.raises(ValueError, match="nonempty"):
+            esp_all([])
+
     def test_rejects_negative_weights(self):
         with pytest.raises(ValueError):
             esp_all([0.5, -0.1])

@@ -272,6 +272,10 @@ class TestMonteCarlo:
         with pytest.raises(ValueError, match="n_periods"):
             monte_carlo_gain_loss(cfg, WeightSpec("constant", w=0.5), model, 10, 0)
 
+    def test_unsupported_generator_rejected(self):
+        with pytest.raises(TypeError, match="unsupported generator object"):
+            monte_carlo_gain_loss(make_config(), WeightSpec("constant", w=0.5), object(), 4, 0)
+
     def test_horizon_conflict_rejected(self):
         params = GbmJumpParams(mu_star=0.1, n_periods=20)
         with pytest.raises(ValueError, match="conflicts"):

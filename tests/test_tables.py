@@ -185,6 +185,15 @@ def test_cells_only_numpy_would_read_are_refused(tmp_path, cells):
     assert str(error.value) == f"row 3: could not parse {cells!r}"
 
 
+def test_cell_past_the_csv_field_limit_is_named(tmp_path):
+    limit = csv.field_size_limit()
+    path = tmp_path / "prices.csv"
+    path.write_text(f'timestamp,price\n"{"1" * (limit + 1)}",100\n')
+    with pytest.raises(ValueError) as error:
+        ingest_csv(path)
+    assert str(error.value) == f"row 2: could not parse: field larger than field limit ({limit})"
+
+
 @pytest.mark.parametrize(
     "text", ["timestamp,price\n", "# provenance\n# more\n", "timestamp,price\n# note\n\n  \n"]
 )

@@ -63,6 +63,10 @@ class TestNamedSchedules:
             vals = eval_schedule(spec, 252)
         assert np.all(vals <= 0.5)
 
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(ValueError, match="unknown schedule kind 'bogus'"):
+            WeightSpec("bogus")
+
     def test_n_validation(self):
         with pytest.raises(ValueError):
             eval_schedule(WeightSpec("constant", w=0.5), 0)
