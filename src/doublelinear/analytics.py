@@ -45,6 +45,7 @@ __all__ = [
 ]
 
 BRUTE_FORCE_MAX_K = 25  # 2^k paths are enumerated; keep the tree sane
+_LOG_MAX = math.log(np.finfo(float).max)  # exp and expm1 overflow past it
 
 
 @dataclass(frozen=True)
@@ -168,11 +169,12 @@ def _scaled_expm1(a, r, sign=1.0):
     and r < 1 as exp(a/2) * (exp(a/2) * expm1(r)), else as the exp of
     a + log|sign*e^r - 1|; each form gets a = -inf in the other's lanes."""
     near = (r < 1.0) & (sign > 0.0)
-    half = np.exp(0.5 * np.where(near, a, -np.inf))
     r_far = np.maximum(r, 1.0)  # log(e^r - 1) = r + log1p(-e^-r) for r >= 1
     log_far = np.where(sign > 0.0, r_far + np.log1p(-np.exp(-r_far)), np.logaddexp(r, 0.0))
-    far = sign * np.exp(np.where(near, -np.inf, a) + log_far)
-    return half * (half * np.expm1(np.minimum(r, 1.0))) + far
+    with np.errstate(over="ignore"):  # a value past the float range is inf
+        half = np.exp(0.5 * np.where(near, a, -np.inf))
+        far = sign * np.exp(np.where(near, -np.inf, a) + log_far)
+        return half * (half * np.expm1(np.minimum(r, 1.0))) + far
 
 
 def expected_gain_loss(
@@ -196,15 +198,21 @@ def expected_gain_loss(
 def expected_gain_loss_constant(
     config: PolicyConfig, w: float, mu: float, k: int
 ) -> float:
-    """Constant-weight reduction: v0*(alpha*(1+w*mu)^k + (1-alpha)*(1-w*mu)^k - 1)."""
+    """Constant-weight reduction: v0*(alpha*(1+w*mu)^k + (1-alpha)*(1-w*mu)^k - 1),
+    inf past the float range; a leg whose coefficient is 0 adds 0 however it grows."""
     _require_frictionless(config)
     check_mu(mu)
     check_count("horizon k", k)
     validate_weights(w, config.w_max)
     a, x = config.alpha, w * mu
-    return config.v0 * (
-        a * math.expm1(k * math.log1p(x)) + (1.0 - a) * math.expm1(k * math.log1p(-x))
-    )
+    near = far = 0.0
+    for coefficient, log_growth in ((a, k * math.log1p(x)), (1.0 - a, k * math.log1p(-x))):
+        if log_growth <= _LOG_MAX:
+            near += coefficient * math.expm1(log_growth)
+        elif coefficient > 0.0:  # past expm1's range the leg's -1 is below its rounding
+            log_leg = math.log(config.v0) + math.log(coefficient) + log_growth
+            far += math.exp(log_leg) if log_leg <= _LOG_MAX else math.inf
+    return config.v0 * near + far
 
 
 def _pair_logs(config, weights, moments: ReturnMoments, k):
@@ -213,19 +221,22 @@ def _pair_logs(config, weights, moments: ReturnMoments, k):
     prod(1-x)^2, 2 alpha(1-alpha) v0^2 prod(1-x^2); x = w mu), the log-sum
     r of its factors 1 + q/(1+x)^2, 1 + q/(1-x)^2, |1 - q/(1-x^2)| (q =
     w^2 s2), and the sign of the last product, negative where an odd
-    number of stages puts moment mass beyond 1/w."""
+    number of stages puts moment mass beyond 1/w.  A pair with coefficient
+    0 (alpha = 0 or 1) gets r = 0: an infinite factor cannot make it nan."""
     x, w, idx = _exposures(config, weights, moments.mu, k)
     q = w * w * moments.sigma2
-    cross = -q / ((1.0 - x) * (1.0 + x))
-    negative = cross < -1.0
-    cross = np.where(negative, -2.0 - cross, cross)  # log1p of it is log|1 + cross|
-    with np.errstate(divide="ignore"):  # log 0 = -inf: alpha = 0 or 1, a cross factor of 0
+    # log 0 = -inf: alpha = 0 or 1, a cross factor of 0; a ratio past the float range is inf
+    with np.errstate(divide="ignore", over="ignore"):
+        cross = -q / ((1.0 - x) * (1.0 + x))
+        negative = cross < -1.0
+        cross = np.where(negative, -2.0 - cross, cross)  # log1p of it is log|1 + cross|
         terms = [x, -x, q / (1.0 + x) ** 2, q / (1.0 - x) ** 2, cross]
         up, down, *r = np.cumsum(np.log1p(terms), axis=-1)[..., idx]
         up += np.log(config.alpha * config.v0)
         down += np.log((1.0 - config.alpha) * config.v0)
     sign = np.where(np.cumsum(negative, axis=-1)[..., idx] % 2 == 1, -1.0, 1.0)
-    return (2.0 * up, 2.0 * down, math.log(2.0) + up + down), r, sign
+    logs = (2.0 * up, 2.0 * down, math.log(2.0) + up + down)
+    return logs, [np.where(a == -np.inf, 0.0, s) for a, s in zip(logs, r)], sign
 
 
 def variance_gain_loss(
@@ -245,9 +256,10 @@ def variance_gain_loss(
     mu and k may be 1-d grids, as in expected_gain_loss.
     """
     (a_up, a_down, a_cross), (r_up, r_down, r_cross), sign = _pair_logs(config, weights, moments, k)
-    legs = _scaled_expm1(a_up, r_up) + _scaled_expm1(a_down, r_down)
-    # |cross pair| <= the leg pairs' sum (Cauchy-Schwarz): it is infinite only with them
-    return _at_k(legs + np.where(np.isinf(legs), 0.0, _scaled_expm1(a_cross, r_cross, sign)))
+    with np.errstate(over="ignore"):  # finite pairs may sum past the float range, to inf
+        legs = _scaled_expm1(a_up, r_up) + _scaled_expm1(a_down, r_down)
+        # |cross pair| <= the leg pairs' sum (Cauchy-Schwarz): it is infinite only with them
+        return _at_k(legs + np.where(np.isinf(legs), 0.0, _scaled_expm1(a_cross, r_cross, sign)))
 
 
 def second_moment_gain_loss(
@@ -264,11 +276,13 @@ def second_moment_gain_loss(
     different grouping of the same products).
     """
     a, r, sign = _pair_logs(config, weights, moments, k)
-    legs = np.exp(a[0] + r[0]) + np.exp(a[1] + r[1])
-    squares = legs + np.where(np.isinf(legs), 0.0, sign * np.exp(a[2] + r[2]))  # as in the variance
-    linear = config.v0 * (config.v0 + 2.0 * expected_gain_loss(config, weights, moments.mu, k))
-    # E[value^2] >= mean^2, so an infinite mean comes with infinite squares
-    return _at_k(squares - np.where(np.isinf(squares), 0.0, linear))
+    mean = expected_gain_loss(config, weights, moments.mu, k)
+    with np.errstate(over="ignore"):  # past the float range is inf; the cross as in the variance
+        legs = np.exp(a[0] + r[0]) + np.exp(a[1] + r[1])
+        squares = legs + np.where(np.isinf(legs), 0.0, sign * np.exp(a[2] + r[2]))
+        linear = config.v0 * (config.v0 + 2.0 * mean)
+        # E[value^2] >= mean^2, so an infinite mean comes with infinite squares
+        return _at_k(squares - np.where(np.isinf(squares), 0.0, linear))
 
 
 def gain_loss_stats(
@@ -362,8 +376,7 @@ def rpe_scan(
         raise ValueError("mu_grid needs a nonzero mu: mu = 0 rows never count")
     # One row per mu, horizons 2..k_max.  An entry past the float range is
     # inf, which the report carries for the caller to reject.
-    with np.errstate(over="ignore"):
-        entries = expected_gain_loss(config, weights, grid, np.arange(2, k_max + 1))
+    entries = expected_gain_loss(config, weights, grid, np.arange(2, k_max + 1))
 
     reason = None
     if config.alpha != 0.5:

@@ -157,7 +157,11 @@ def _return_stats(r: np.ndarray) -> tuple[float, float, bool]:
 
 
 def _report(values: np.ndarray, v0: float, weights_used) -> BacktestReport:
-    """Report of one account-value curve V(0..n)."""
+    """Report of one account-value curve V(0..n); no return follows a V of 0 before stage n."""
+    ruined = values[:-1] == 0.0
+    if ruined.any():
+        raise ValueError(f"the account value reaches 0 at stage {int(np.argmax(ruined))}, "
+                         "so its per-period returns are undefined")
     variance, sharpe, degenerate = _return_stats(values[1:] / values[:-1] - 1.0)
     gains = values - v0
     return BacktestReport(

@@ -247,26 +247,14 @@ def _outdir(args) -> Path:
 
 
 def _leaf(obj) -> str:
-    """JSON text of a scalar or an empty container, as the json module writes it."""
-    if isinstance(obj, str):
-        return encode_basestring_ascii(obj)
-    if obj is None:
-        return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
-    if isinstance(obj, int):
-        return int.__repr__(obj)
+    """JSON text of a scalar or an empty container, as the json module writes it.
+    Floats, most leaves, are written here: json.dumps without an indent runs
+    the C encoder, whose error for nan or inf does not name the value."""
     if isinstance(obj, float):
         if not math.isfinite(obj):
             raise ValueError(f"Out of range float values are not JSON compliant: {obj!r}")
         return float.__repr__(obj)
-    if isinstance(obj, (list, tuple)):
-        return "[]"
-    if isinstance(obj, dict):
-        return "{}"
-    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+    return json.dumps(obj)
 
 
 def _encode(obj, indent: str, out: list[str]) -> None:
@@ -371,11 +359,10 @@ def cmd_analyze(args, effective: dict) -> int:
     check_count("--k", min(ks))
     schedule = eval_schedule(spec, max(ks))
     sigma2 = effective["sigma2"]
-    with np.errstate(over="ignore"):  # overflowed cells are named below
-        variance = [] if sigma2 is None else [
-            variance_gain_loss(config, schedule, ReturnMoments(mus, sigma2), ks)
-        ]
-        table = np.stack([expected_gain_loss(config, schedule, mus, ks), *variance], axis=-1)
+    variance = [] if sigma2 is None else [
+        variance_gain_loss(config, schedule, ReturnMoments(mus, sigma2), ks)
+    ]
+    table = np.stack([expected_gain_loss(config, schedule, mus, ks), *variance], axis=-1)
     _require_finite("analyze.json", ("mean", "variance"), mus, ks, table)  # [mu, k, quantity]
     results = [
         {"mu": mu, "k": k, "mean": cell[0], "variance": cell[1] if sigma2 is not None else None}
@@ -562,7 +549,3 @@ def main(argv=None) -> int:
     except (_UsageError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

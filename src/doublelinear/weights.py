@@ -116,16 +116,13 @@ def eval_schedule(
         raw = np.log1p((k / n) * (np.e - 1.0))
     elif spec.kind == "sin_burst":
         arg = (0.02 / n) * k - 0.01
-        raw = np.empty(n)
-        regular = arg != 0.0
-        raw[regular] = 0.5 * (np.sin(1.0 / arg[regular]) + 1.0)
-        raw[~regular] = 0.5  # envelope midpoint at the singular stage
+        with np.errstate(divide="ignore", invalid="ignore"):  # singular stage: envelope midpoint
+            raw = np.where(arg != 0.0, 0.5 * (np.sin(1.0 / arg) + 1.0), 0.5)
     else:  # edge_sin
         f = (4.0 / n) * k - 2.0
-        raw = np.zeros(n)
-        regular = f != 0.0
-        g = f[regular] * np.sin(1.0 / f[regular])
-        raw[regular] = np.where(g >= 0.0, g, 0.0)
+        with np.errstate(divide="ignore", invalid="ignore"):  # g is nan at f = 0, which fails >=
+            g = f * np.sin(1.0 / f)
+            raw = np.where(g >= 0.0, g, 0.0)
 
     clamped = clamp_admissible(raw, spec.w_max)
     if np.any(clamped != raw):

@@ -42,6 +42,7 @@ from doublelinear import (
     path_rng,
     prices_to_returns,
     rpe_scan,
+    run_backtest,
     second_moment_gain_loss,
     sharpe_ratio,
     simulate_path,
@@ -463,6 +464,85 @@ def test_closed_forms_raise_value_error_or_return_no_nan(form, w, n, alpha, grid
     assert not np.isnan(values).any(), values
 
 
+# CLOSED_FORMS with the constant-weight reduction at the schedule's first weight
+ALL_CLOSED_FORMS = {
+    **CLOSED_FORMS,
+    "expected_gain_loss_constant": lambda cfg, w, mu, s2, k: np.array(
+        [[expected_gain_loss_constant(cfg, w[0], m, kk) for kk in k] for m in mu]
+    ),
+}
+
+
+@pytest.mark.parametrize("form", ALL_CLOSED_FORMS.values(), ids=ALL_CLOSED_FORMS.keys())
+@given(
+    w=st.lists(st.floats(0.0, 1.0) | ANY_FLOAT, min_size=1, max_size=8),
+    n=st.integers(1, 2500),
+    alpha=st.floats(0.0, 1.0),
+    grid=st.lists(ANY_FLOAT | st.sampled_from([1.0, -1.0, 0.0]), min_size=1, max_size=5),
+    sigma2=st.floats(0.0, 2.0) | ANY_FLOAT,
+    data=st.data(),
+)
+@settings(max_examples=200, deadline=None)
+def test_closed_forms_return_finite_or_inf_without_warning(form, w, n, alpha, grid, sigma2, data):
+    # past the float range a closed form is inf by itself, with no warning to hide
+    ks = data.draw(st.lists(st.integers(1, n), min_size=1, max_size=4))
+    cfg = PolicyConfig(alpha=alpha, bounds=BOUNDS)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            values = np.asarray(form(cfg, np.resize(w, n), grid, sigma2, ks))
+        except ValueError:
+            return
+    assert (np.isfinite(values) | (values == np.inf)).all(), values
+
+
+# Closed forms whose value leaves the float range, with the factors that carry it there.
+PAST_FLOAT_RANGE = {
+    "expected_gain_loss": lambda cfg: expected_gain_loss(cfg, [0.5] * 5000, 0.9, 5000),
+    "variance_gain_loss": lambda cfg: variance_gain_loss(
+        cfg, [0.9] * 3000, ReturnMoments(0.9, 0.01), 3000
+    ),
+    "second_moment_gain_loss": lambda cfg: second_moment_gain_loss(
+        cfg, [0.9] * 3000, ReturnMoments(0.9, 0.01), 3000
+    ),
+}
+
+
+@pytest.mark.parametrize("form", PAST_FLOAT_RANGE.values(), ids=PAST_FLOAT_RANGE.keys())
+def test_closed_form_past_float_range_is_inf_without_warning(form):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert form(PolicyConfig(alpha=0.5, bounds=BOUNDS)) == math.inf
+
+
+@pytest.mark.parametrize("form", [variance_gain_loss, second_moment_gain_loss])
+def test_pair_with_coefficient_zero_ignores_an_infinite_factor(form):
+    # alpha = 0 leaves the long pair, whose factor 1 + q/(1 - 0.5)^2 overflows, out
+    cfg = PolicyConfig(alpha=0.0, bounds=BOUNDS)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value = form(cfg, [1.0], ReturnMoments(-0.5, 1e308), 1)
+    assert value == pytest.approx(1e308)
+
+
+class TestConstantReductionPastFloatRange:
+    # w*mu = 0.81 over 2000 stages: the long leg grows past the float range,
+    # the short leg decays to 0
+    @pytest.mark.parametrize("alpha, expected", [(0.0, -1.0), (0.5, math.inf), (1.0, math.inf)])
+    def test_matches_the_general_form(self, alpha, expected):
+        cfg = PolicyConfig(alpha=alpha, bounds=BOUNDS)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert expected_gain_loss_constant(cfg, 0.9, 0.9, 2000) == expected
+            assert expected_gain_loss(cfg, [0.9] * 2000, 0.9, 2000) == expected
+
+    def test_finite_past_expm1_range_when_the_coefficient_brings_it_back(self):
+        cfg = PolicyConfig(alpha=1e-3, bounds=BOUNDS, v0=0.01)  # 1e-5 * 1.81^1200 ~ 1.6e304
+        general = expected_gain_loss(cfg, [0.9] * 1200, 0.9, 1200)
+        assert math.isfinite(general)
+        assert expected_gain_loss_constant(cfg, 0.9, 0.9, 1200) == pytest.approx(general, rel=1e-9)
+
+
 class TestStrictJsonOutputs:
     def test_backtest_on_nan_price_fails_cleanly(self, tmp_path, capsys):
         csv_path = tmp_path / "prices.csv"
@@ -541,6 +621,41 @@ class TestFloatRange:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="account value leaves the float range"):
                 evolve(config, [0.5, 0.5], [0.1, 0.1])
+
+
+class TestAccountReachingZero:
+    # a return of exactly x_max = 1 zeroes the short leg, which alpha = 0 holds alone
+    CONFIG = PolicyConfig(alpha=0.0, bounds=BOUNDS)
+
+    def test_run_backtest_names_the_stage(self):
+        series = PriceSeries([1, 2, 3], [1.0, 2.0, 3.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=(
+                "^the account value reaches 0 at stage 1, so its per-period returns are undefined$"
+            )):
+                run_backtest(self.CONFIG, WeightSpec("constant", w=1.0), series)
+
+    def test_cli_is_one_error_line_without_warning(self, tmp_path, capsys):
+        csv_path = tmp_path / "prices.csv"
+        csv_path.write_text("timestamp,price\n1,1\n2,2\n3,3\n")
+        outdir = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["backtest", "--csv", str(csv_path), "--alpha", "0",
+                         "--w", "constant:1.0", "--outdir", str(outdir)])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (1, "")
+        assert captured.err.startswith("error: ") and "stage 1" in captured.err
+        assert captured.err.count("\n") == 1
+        assert not outdir.exists()
+
+    def test_zero_at_the_last_stage_is_reported(self):
+        series = PriceSeries([1, 2, 3], [1.0, 1.5, 3.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = run_backtest(self.CONFIG, WeightSpec("constant", w=1.0), series)
+        assert report.gain_loss == -1.0
 
 
 @st.composite
