@@ -135,8 +135,8 @@ class Trajectory:
 
 
 def initial_state(config: PolicyConfig) -> AccountState:
-    """The stage-0 split: alpha*v0 long, (1-alpha)*v0 short."""
-    return AccountState(config.alpha * config.v0, (1.0 - config.alpha) * config.v0, 0)
+    """The stage-0 split: alpha*v0 long, (1-alpha)*v0 short (Fractions stay exact)."""
+    return AccountState(config.alpha * config.v0, (1 - config.alpha) * config.v0, 0)
 
 
 def _reject_outside(values, lo: float, hi: float, what: str) -> np.ndarray:

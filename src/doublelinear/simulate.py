@@ -41,7 +41,14 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .analytics import TwoPointModel
-from .policy import PolicyConfig, account_legs, check_count, validate_prices, validate_weights
+from .policy import (
+    PolicyConfig,
+    account_legs,
+    check_count,
+    initial_state,
+    validate_prices,
+    validate_weights,
+)
 from .tables import write_table
 from .weights import WeightSpec, eval_schedule
 
@@ -156,7 +163,9 @@ class MonteCarloResult:
     statistics of the path gains.  cv_mean_gain and cv_std_error are the
     mean and standard error of the paths' compensators (see
     monte_carlo_gain_loss), which estimate the same expectation with less
-    variance; with clipped returns they repeat the plain ones.
+    variance: the second-order A2 for a static schedule, the first-order
+    A for a price-driven one.  With clipped returns they repeat the plain
+    ones.
     """
 
     mean_gain: float
@@ -315,14 +324,35 @@ def monte_carlo_gain_loss(
     that array, so the result is bit-identical for a given
     (seed, n_paths).
 
-    Beside the gain G, each path yields its compensator A, the sum over
-    stages k of mu*w_k*D(k-1) + rf*(1 - w_k)*V_L(k-1), with D = V_L - V_S
-    the difference of the legs and mu = generator.mu the mean return.
+    Beside the gain G, each path yields a compensator with G's mean and
+    less variance (Glasserman, Monte Carlo Methods in Financial
+    Engineering, 4.1); cv_mean_gain and cv_std_error are its sample mean
+    and standard error.  With r_k = rf*(1 - w_k), D = V_L - V_S the
+    difference of the legs, V = V_L + V_S and mu = generator.mu the mean
+    return, the first-order compensator is
+
+        A = sum_k mu*w_k*D(k-1) + r_k*V_L(k-1).
+
     A stage's weight and legs are fixed before its return is drawn (ma:
     weights are causal) and the return has mean mu, so G - A is a
-    martingale: A has G's mean and, removing that noise, less variance
-    (Glasserman, Monte Carlo Methods in Financial Engineering, 4.1).
-    cv_mean_gain and cv_std_error are its sample mean and standard error.
+    martingale.  A static schedule also fixes every later weight, so the
+    drift the return x_j adds to the later terms of A is known when x_j
+    is drawn, and the second-order compensator takes it out:
+
+        A2 = A - sum_j w_j*(x_j - mu)*(mu*S_j*V(j-1) + R_j*V_L(j-1)),
+
+    S_j and R_j summing w_k and r_k over the stages k > j.  The subtracted
+    sum is a martingale, so A2 keeps A's mean; at 2000 paths of a trading
+    year its standard error is about 1/180 of the plain one, against
+    1/2.4 for A.  In terms of the legs entering each stage,
+
+        A2 = c0 + V_L(:-1) @ a_L + V_S(:-1) @ a_S,
+        a_S = mu^2*w*S,  a_L = a_S + mu*r*S + (mu*w + r)*R,
+        c0 = mu*D(0)*sum(w) + V_L(0)*sum(r),
+
+    two row dots a block, with coefficients computed once a run.  An ma:
+    schedule's later weights depend on later prices, so it keeps A, in
+    the same form: c0 = 0, a_L = mu*w + r, a_S = -mu*w, per block.
 
     clip_returns clamps simulated returns into the configured market
     bounds before trading.  It is off by default: the jump-diffusion
@@ -357,6 +387,9 @@ def monte_carlo_gain_loss(
 
     gains = np.empty(n_paths)
     compensators = None if clip_returns else np.empty(n_paths)
+    if static_w is not None:
+        with _unwarned():
+            coefficients = _compensator_coefficients(config, static_w, generator.mu)
 
     for block in range(-(-n_paths // BLOCK)):
         lo = block * BLOCK
@@ -377,13 +410,14 @@ def monte_carlo_gain_loss(
         v_long, v_short = account_legs(config, w, x)  # the fold evolve makes, one path per row
         gains[lo : lo + rows] = v_long[:, -1] + v_short[:, -1] - config.v0
         if compensators is not None:
-            # The legs entering each stage: V(k-1) for k = 1..horizon.
-            v_long, v_short = v_long[:, :-1], v_short[:, :-1]
             with _unwarned():
-                compensator = generator.mu * (_row_dot(v_long, w) - _row_dot(v_short, w))
-                if config.rf:
-                    compensator += config.rf * _row_dot(v_long, 1.0 - w)
-            compensators[lo : lo + rows] = compensator
+                if static_w is None:
+                    coefficients = _compensator_coefficients(config, w, generator.mu)
+                c0, a_long, a_short = coefficients
+                # the legs entering each stage: V(k-1) for k = 1..horizon
+                compensators[lo : lo + rows] = (
+                    c0 + _row_dot(v_long[:, :-1], a_long) + _row_dot(v_short[:, :-1], a_short)
+                )
 
     mean, std_error, variance = _sample_stats(gains)
     cv_mean, cv_std_error, _ = _sample_stats(gains if compensators is None else compensators)
@@ -396,6 +430,33 @@ def monte_carlo_gain_loss(
         cv_mean_gain=cv_mean,
         cv_std_error=cv_std_error,
     )
+
+
+def _compensator_coefficients(config: PolicyConfig, w, mu):
+    """(c0, a_long, a_short): a path's compensator is c0 + V_L(:-1) @ a_long +
+    V_S(:-1) @ a_short, its legs entering each stage weighted stage by stage.
+
+    A static schedule w (one row) gets the second-order compensator A2, an ma:
+    weight matrix (a row per path) the first-order A: c0 = 0, a_long = mu*w + r,
+    a_short = -mu*w, with r = (1 - w)*rf.  Exact arithmetic in, exact out: w
+    may be an object array of Fractions, and config and mu Fractions."""
+    r = (1 - w) * config.rf
+    if w.ndim > 1:
+        a_short = -mu * w
+        return 0.0, r - a_short, a_short
+    ahead, r_ahead = _suffix_sums(w), _suffix_sums(r)
+    a_short = mu * w * ahead * mu  # mu last: 0, not nan, at the last stage if mu*mu overflows
+    a_long = a_short + mu * r * ahead + (mu * w + r) * r_ahead
+    start = initial_state(config)
+    c0 = mu * (start.v_long - start.v_short) * w.sum() + start.v_long * r.sum()
+    return c0, a_long, a_short
+
+
+def _suffix_sums(v: np.ndarray) -> np.ndarray:
+    """out[j] = sum(v[j+1:]): what the stages after stage j+1 add up to."""
+    out = np.zeros_like(v)
+    out[:-1] = np.cumsum(v[:0:-1])[::-1]
+    return out
 
 
 def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:

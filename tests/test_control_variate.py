@@ -1,11 +1,18 @@
 """The martingale control variate of the Monte Carlo mean.
 
-Each path's compensator A sums, over stages k, the expected gain
-increment given the past: mu*w_k*D(k-1) + rf*(1 - w_k)*V_L(k-1), with
-D = V_L - V_S.  Its mean is the expected gain, exactly; these tests pin
-the identity behind that, the engine's compensator against a loop over
-evolve trajectories, the estimate against the plain one and against the
-closed form, and the cases where it must fall back or vanish.
+The first-order compensator A sums, over stages k, the expected gain
+increment given the past: mu*w_k*D(k-1) + r_k*V_L(k-1), with
+D = V_L - V_S and r_k = rf*(1 - w_k).  A static schedule gets the
+second-order A2 = A - sum_j w_j*(x_j - mu)*(mu*S_j*V(j-1) + R_j*V_L(j-1)),
+V = V_L + V_S and S_j, R_j the sums of w_k and r_k over k > j: the drift
+x_j adds to the later terms of A, known when x_j is drawn because the
+later weights are.  The engine computes A2 as c0 + V_L(:-1) @ a_L +
+V_S(:-1) @ a_S.  An ma: schedule's later weights depend on later prices,
+so it keeps A.  Both means are the expected gain, exactly; these tests
+pin the identities behind that, the engine's compensator against a loop
+over evolve trajectories, the estimate against the plain one and against
+the closed form, its standard error against the spread over seeds, and
+the cases where it must fall back or vanish.
 """
 
 import json
@@ -33,6 +40,7 @@ from doublelinear import (
     simulate_two_point,
 )
 from doublelinear.cli import main
+from doublelinear.simulate import _compensator_coefficients
 from doublelinear.weights import ma_indicator_weights, parse_weight_spec
 
 BOUNDS = MarketBounds(-0.5, 1.0)
@@ -73,6 +81,31 @@ class TestTelescopingIdentity:
         assert value == pytest.approx(float(exact), rel=1e-12, abs=1e-300)
 
 
+class TestSecondOrderCoefficients:
+    @given(
+        weights=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=40),
+        mu=st.floats(-0.9, 0.9),
+        alpha=st.floats(0.0, 1.0),
+        rf=st.floats(0.0, 0.1),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_fused_mean_is_the_expected_gain(self, weights, mu, alpha, rf):
+        # For a deterministic schedule each leg's mean multiplies out stage by
+        # stage, E[V_L(j)] = E[V_L(j-1)]*(1 + w_j*mu + r_j) and E[V_S(j)] =
+        # E[V_S(j-1)]*(1 - w_j*mu), and the engine's coefficients weight
+        # those means into the expected gain, exactly.
+        m = Fraction(mu)
+        config = PolicyConfig(Fraction(alpha), BOUNDS, v0=Fraction(1), rf=Fraction(rf))
+        w = np.array([Fraction(v) for v in weights], dtype=object)
+        c0, a_long, a_short = _compensator_coefficients(config, w, m)
+        long, short = [config.alpha], [1 - config.alpha]
+        for wk in w:
+            long.append(long[-1] * (1 + wk * m + (1 - wk) * config.rf))
+            short.append(short[-1] * (1 - wk * m))
+        mean = c0 + sum(a_long * long[:-1]) + sum(a_short * short[:-1])
+        assert mean == long[-1] + short[-1] - 1
+
+
 def test_gbm_mu_is_the_exact_per_period_mean():
     # The oracle forms E[G] - 1 by subtraction and so carries an absolute
     # error of a few ulp of 1: compare the gross returns 1 + mu.
@@ -104,8 +137,22 @@ def test_gbm_with_an_overflowing_mean_return_rejected():
         GbmJumpParams(mu_star=1000.0, sigma_star=math.sqrt(2000.0), dt=1.0, n_periods=1)
 
 
+def second_order_term(config, w, x, mu, v_long, v_short):
+    """sum_j w_j*(x_j - mu)*(mu*S_j*V(j-1) + R_j*V_L(j-1)) over a path's legs,
+    S_j and R_j the weights and riskless rates r_k = rf*(1 - w_k) of the stages
+    after j."""
+    total = 0.0
+    for j in range(len(w)):
+        ahead = sum(w[j + 1 :])
+        r_ahead = sum(config.rf * (1.0 - wk) for wk in w[j + 1 :])
+        v = v_long[j] + v_short[j]
+        total += w[j] * (x[j] - mu) * (mu * ahead * v + r_ahead * v_long[j])
+    return total
+
+
 def loop_compensators(config, spec_text, params, n_paths, seed):
-    """Per path, sum_k mu*w_k*D(k-1) + rf*(1 - w_k)*V_L(k-1) over evolve's legs."""
+    """Per path, A = sum_k mu*w_k*D(k-1) + rf*(1 - w_k)*V_L(k-1) over evolve's
+    legs, less second_order_term for a static schedule."""
     spec = parse_weight_spec(spec_text)
     out = []
     for i in range(n_paths):
@@ -121,6 +168,10 @@ def loop_compensators(config, spec_text, params, n_paths, seed):
         for k in range(params.n_periods):
             d = traj.v_long[k] - traj.v_short[k]
             total += params.mu * w[k] * d + config.rf * (1.0 - w[k]) * traj.v_long[k]
+        if not spec.price_driven:
+            total -= second_order_term(
+                config, w.tolist(), x.tolist(), params.mu, traj.v_long, traj.v_short
+            )
         out.append(total)
     return np.array(out)
 
@@ -146,9 +197,14 @@ class TestEngineCompensator:
         )
         reference = []
         for i in range(5):
-            traj = evolve(CONFIG, w, simulate_two_point(model, 4, 2, i))
+            x = simulate_two_point(model, 4, 2, i)
+            traj = evolve(CONFIG, w, x)
             d = traj.v_long[:-1] - traj.v_short[:-1]
-            reference.append(sum(model.mu * wk * dk for wk, dk in zip(w, d.tolist())))
+            first_order = sum(model.mu * wk * dk for wk, dk in zip(w, d.tolist()))
+            reference.append(
+                first_order
+                - second_order_term(CONFIG, w, x.tolist(), model.mu, traj.v_long, traj.v_short)
+            )
         assert res.cv_mean_gain == pytest.approx(float(np.mean(reference)), rel=1e-12)
 
 
@@ -179,6 +235,17 @@ class TestEstimate:
             CONFIG, WeightSpec("constant", w=0.8), GbmJumpParams(mu_star=0.3), 2000, 1
         )
         assert res.cv_std_error < 0.5 * res.std_error
+
+    @pytest.mark.parametrize("spec_text", ["constant:0.8", "log_ramp"])
+    def test_second_order_standard_error_is_small_and_honest(self, spec_text):
+        # the benchmark's mc-static model: a trading year of daily periods
+        spec, params = parse_weight_spec(spec_text), GbmJumpParams(mu_star=0.3)
+        res = monte_carlo_gain_loss(CONFIG, spec, params, 2000, 1)
+        assert res.cv_std_error < res.std_error / 50
+        runs = [monte_carlo_gain_loss(CONFIG, spec, params, 500, seed) for seed in range(30)]
+        spread = float(np.std([r.cv_mean_gain for r in runs], ddof=1))
+        reported = float(np.mean([r.cv_std_error for r in runs]))
+        assert reported / 2 <= spread <= 2 * reported
 
 
 class TestEdgeCases:
