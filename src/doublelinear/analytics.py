@@ -157,11 +157,20 @@ def _log_value(alpha: float, x: np.ndarray) -> np.ndarray:
     odd part h = sum(atanh(x)); their mix grows at stage j by 1 + x_j*tanh(h + c),
     h over the earlier stages and tanh(c) = 2*alpha - 1, so s drops out.
     At alpha = 1/2 no term is negative and the sum does not cancel."""
-    h = np.zeros_like(x)
-    np.cumsum(np.arctanh(x[..., :-1]), axis=-1, out=h[..., 1:])
+    h = np.zeros_like(x)  # every step below runs in h's buffer
+    np.arctanh(x[..., :-1], out=h[..., 1:])
+    np.cumsum(h[..., 1:], axis=-1, out=h[..., 1:])
     with np.errstate(divide="ignore"):  # alpha = 0 or 1 puts c at -inf or inf
-        c = 0.5 * (np.log(alpha) - np.log1p(-alpha))
-    return np.cumsum(np.log1p(x * np.tanh(h + c)), axis=-1)
+        h += 0.5 * (np.log(alpha) - np.log1p(-alpha))
+    np.tanh(h, out=h)
+    h *= x
+    return _log1p_cumsum(h)
+
+
+def _log1p_cumsum(a: np.ndarray) -> np.ndarray:
+    """cumsum(log1p(a)) along the last axis, in a's buffer."""
+    np.log1p(a, out=a)
+    return np.cumsum(a, axis=-1, out=a)
 
 
 def _scaled_expm1(a, r, sign=1.0):
@@ -225,18 +234,29 @@ def _pair_logs(config, weights, moments: ReturnMoments, k):
     0 (alpha = 0 or 1) gets r = 0: an infinite factor cannot make it nan."""
     x, w, idx = _exposures(config, weights, moments.mu, k)
     q = w * w * moments.sigma2
-    # log 0 = -inf: alpha = 0 or 1, a cross factor of 0; a ratio past the float range is inf
+    # Each series is made, summed and read at the horizons in the one buffer t, in turn;
+    # x's own buffer goes last.  log 0 = -inf: alpha = 0 or 1, a cross factor of 0; a
+    # ratio past the float range is inf
     with np.errstate(divide="ignore", over="ignore"):
-        cross = -q / ((1.0 - x) * (1.0 + x))
-        negative = cross < -1.0
-        cross = np.where(negative, -2.0 - cross, cross)  # log1p of it is log|1 + cross|
-        terms = [x, -x, q / (1.0 + x) ** 2, q / (1.0 - x) ** 2, cross]
-        up, down, *r = np.cumsum(np.log1p(terms), axis=-1)[..., idx]
+        t = 1.0 - x
+        t *= 1.0 + x
+        np.divide(-q, t, out=t)  # the cross ratio
+        negative = t < -1.0
+        np.subtract(-2.0, t, out=t, where=negative)  # log1p of it is log|1 + ratio|
+        sign = np.where(np.logical_xor.accumulate(negative, axis=-1)[..., idx], -1.0, 1.0)
+        r_cross = _log1p_cumsum(t)[..., idx]
+        t = 1.0 + x
+        r_up = _log1p_cumsum(np.divide(q, np.square(t, out=t), out=t))[..., idx]
+        t = 1.0 - x
+        r_down = _log1p_cumsum(np.divide(q, np.square(t, out=t), out=t))[..., idx]
+        t = np.negative(x)
+        down = _log1p_cumsum(t)[..., idx]
+        up = _log1p_cumsum(x)[..., idx]
         up += np.log(config.alpha * config.v0)
         down += np.log((1.0 - config.alpha) * config.v0)
-    sign = np.where(np.cumsum(negative, axis=-1)[..., idx] % 2 == 1, -1.0, 1.0)
     logs = (2.0 * up, 2.0 * down, math.log(2.0) + up + down)
-    return logs, [np.where(a == -np.inf, 0.0, s) for a, s in zip(logs, r)], sign
+    r = [np.where(a == -np.inf, 0.0, s) for a, s in zip(logs, (r_up, r_down, r_cross))]
+    return logs, r, sign
 
 
 def variance_gain_loss(

@@ -36,7 +36,7 @@ from .simulate import (
     monte_carlo_gain_loss,
     sweep_mu_star,
 )
-from .tables import write_table
+from .tables import write_series, write_table
 from .weights import WeightSpec, dump_weight_table, eval_schedule, parse_weight_spec
 
 __all__ = ["main", "build_parser"]
@@ -490,11 +490,12 @@ def cmd_backtest(args, effective: dict) -> int:
     write_table(outdir / "backtest.csv", [comment], ["metric", *reports], lines)
 
     if effective["curves"]:
-        for position, (name, report) in enumerate(reports.items(), start=1):
-            # curve rows are stages 0..n in order
-            lines = (f"{stage},{gain!r}" for stage, gain in enumerate(report.curve[:, 1].tolist()))
-            comments = [comment, f"spec: {name}"]
-            write_table(outdir / f"curve_{position}.csv", comments, ("stage", "gain"), lines)
+        curves = (
+            (outdir / f"curve_{position}.csv", [comment, f"spec: {name}"], ("stage", "gain"),
+             report.curve[:, 1])
+            for position, (name, report) in enumerate(reports.items(), start=1)
+        )
+        write_series(curves, first=0)  # curve rows are stages 0..n in order
 
     sys.stdout.writelines(pieces)
     return 0

@@ -1,4 +1,4 @@
-"""CSV tables: the one reader and the one writer of every CSV the package handles.
+"""CSV tables: the one reader and the writers of every CSV the package handles.
 
 A table is '# ' comment lines, a header row and data rows, each line ending in "\\n".
 The reader skips every line that is blank or whose first non-space character is
@@ -9,8 +9,10 @@ surrounding spaces.  A quoted cell ends with its line.
 from __future__ import annotations
 
 import csv
+import os
+import sys
 import warnings
-from contextlib import nullcontext
+from contextlib import ExitStack, nullcontext
 from itertools import islice
 
 import numpy as np
@@ -19,6 +21,18 @@ _COLUMNS = np.dtype([("int", np.int64), ("float", np.float64)])
 # Characters NumPy's number parser skips as spaces and Python's int() and float() refuse.
 _NUMPY_ONLY_SPACES = "\x1c\x1d\x1e\x1f"
 _CHUNK = 1 << 18  # characters per read of the check before the bulk parse
+# Rows from which a table goes to a helper interpreter: at about 1 us a row, formatting
+# them here takes longer than the helper's start, about 14 ms.
+_HELPER_ROWS = 20_000
+# A helper's program: the float64 values on stdin, as rows "stage,repr" on stdout.
+_HELPER = """
+import sys
+from array import array
+first, values, out = int(sys.argv[1]), array("d", sys.stdin.buffer.read()), sys.stdout.buffer
+for start in range(0, len(values), 4096):
+    rows = enumerate(values[start:start + 4096], first + start)
+    out.write("".join([f"{i},{v!r}\\n" for i, v in rows]).encode("ascii"))
+"""
 
 
 def read_columns(source, header, fault):
@@ -62,7 +76,10 @@ def _header(fh, header) -> int:
     for number, line in enumerate(iter(fh.readline, ""), start=1):
         if _skipped(line):
             continue
-        cells = _cells(line)
+        try:
+            cells = _cells(line)
+        except csv.Error as exc:
+            raise ValueError(f"row {number}: could not parse: {exc}") from None
         if [c.strip().lower() for c in cells[: len(header)]] != list(header):
             raise ValueError(f"expected header {','.join(header)!r}, got {','.join(cells)!r}")
         return number
@@ -129,7 +146,57 @@ def write_table(path, comments, header, lines) -> None:
     ending in "\\n".  Lines are joined 4096 at a time; a generator never sits in memory whole."""
     lines = iter(lines)
     with open(path, "w", newline="") as fh:
-        fh.writelines(f"# {comment}\n" for comment in comments)
-        csv.writer(fh, lineterminator="\n").writerow(header)
+        _head(fh, comments, header)
         while block := list(islice(lines, 4096)):
             fh.write("\n".join(block) + "\n")
+
+
+def write_series(tables, first) -> None:
+    """Write each (path, comments, header, values) table as write_table does, with the
+    row "{first + i},{values[i]!r}" per value.
+
+    The first table, tables under _HELPER_ROWS rows and those past one per CPU this
+    process may run on are formatted here.  Each other table goes to a helper
+    interpreter, this same Python without numpy, which formats it while this process
+    formats the rest; float repr is the same in both, so are the bytes.  OSError names
+    a table whose helper failed; no helper outlives the call."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    spare = cpus if cpus > 1 and sys.executable else 0
+    local, helped = [], []
+    with ExitStack() as stack:
+        for position, (path, comments, header, values) in enumerate(tables):
+            values = np.asarray(values, dtype=np.float64)
+            if position and values.size >= _HELPER_ROWS and len(helped) < spare:
+                helper = stack.enter_context(_start_helper(path, comments, header, first))
+                helped.append((path, values, helper))
+            else:
+                local.append((path, comments, header, values))
+        for _, values, helper in helped:  # fed once all have started: their starts overlap
+            try:
+                with helper.stdin:
+                    helper.stdin.write(np.ascontiguousarray(values))
+            except BrokenPipeError:
+                pass  # a helper that died says so by its exit status
+        for path, comments, header, values in local:
+            rows = (f"{i},{v!r}" for i, v in enumerate(values.tolist(), first))
+            write_table(path, comments, header, rows)
+        for path, _, helper in helped:
+            if helper.wait():
+                raise OSError(f"{path}: its helper interpreter exited with status {helper.returncode}")
+
+
+def _head(fh, comments, header) -> None:
+    fh.writelines(f"# {comment}\n" for comment in comments)
+    csv.writer(fh, lineterminator="\n").writerow(header)
+
+
+def _start_helper(path, comments, header, first):
+    """A helper interpreter writing the rows of the table at path after its comments and
+    header, which this process writes; it reads the values from its stdin."""
+    import subprocess  # here only: a command that starts no helper does not load it
+
+    with open(path, "w", newline="") as fh:
+        _head(fh, comments, header)
+        fh.flush()  # the helper writes on from the end of the header
+        command = [sys.executable, "-I", "-S", "-c", _HELPER, str(first)]
+        return subprocess.Popen(command, stdin=subprocess.PIPE, stdout=fh)

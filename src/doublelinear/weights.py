@@ -22,7 +22,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .policy import check_count, validate_prices, validate_weights
-from .tables import read_columns, write_table
+from .tables import read_columns, write_series
 
 __all__ = [
     "WeightSpec",
@@ -194,8 +194,7 @@ def clamp_admissible(values: Sequence[float], w_max: float) -> np.ndarray:
 
 def dump_weight_table(path, values: Sequence[float], comment: Optional[str] = None) -> None:
     """Write a stage,weight CSV (stages numbered 1..n)."""
-    lines = (f"{stage},{float(value)!r}" for stage, value in enumerate(values, start=1))
-    write_table(path, [comment] if comment else [], ("stage", "weight"), lines)
+    write_series([(path, [comment] if comment else [], ("stage", "weight"), values)], first=1)
 
 
 def load_weight_table(path) -> np.ndarray:

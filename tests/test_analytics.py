@@ -1,6 +1,7 @@
 """Closed-form gain-loss moments against hand values, the enumeration
 oracle and exact rational arithmetic."""
 
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -144,6 +145,25 @@ class TestVariance:
     def test_sigma2_must_be_positive(self):
         with pytest.raises(ValueError):
             ReturnMoments(0.1, 0.0)
+
+
+@pytest.mark.parametrize(
+    "moment, buffers",
+    [(expected_gain_loss, 2.5), (variance_gain_loss, 3.5), (second_moment_gain_loss, 3.5)],
+)
+def test_closed_forms_hold_few_drift_by_stage_buffers(moment, buffers):
+    # each series is summed in a buffer of its own, one at a time, and read only at the
+    # horizons; stacking the five variance series peaked at about 15 buffers
+    mu, k_max = np.linspace(-0.05, 0.05, 80), 5000
+    w = np.log1p(np.arange(1, k_max + 1) / k_max * (np.e - 1.0))
+    drifts = mu if moment is expected_gain_loss else ReturnMoments(mu, 0.0004)
+    tracemalloc.start()
+    try:
+        moment(make_config(), w, drifts, np.arange(50, k_max + 1, 50))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < buffers * mu.size * k_max * 8
 
 
 class TestBruteForce:

@@ -1,20 +1,25 @@
 """CSV tables: one format for every CSV the CLI writes, one reader for every CSV it reads."""
 
 import csv
+import io
 import json
 import math
 import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import doublelinear.cli as cli
 from doublelinear import ingest_csv, load_weight_table
 from doublelinear.cli import main
-from doublelinear.tables import read_columns, write_table
+from doublelinear import tables
+from doublelinear.tables import read_columns, write_series, write_table
 
 PROVENANCE = "# config: "
 
@@ -403,3 +408,110 @@ def test_readers_raise_only_value_error_on_any_text(tmp_path, text):
             read(path)
         except ValueError:
             pass
+
+
+def test_a_header_the_csv_module_refuses_is_a_value_error():
+    # a handle that splits lines at "\n" only leaves bare "\r" inside the header row
+    text = io.StringIO('a,b\r\r\r""', newline="\n")
+    with pytest.raises(ValueError, match="^row 1: could not parse: new-line character"):
+        read_columns(text, ("a", "b"), no_fault)
+
+
+# write_series hands a table to a helper interpreter from _HELPER_ROWS rows on; the
+# tests lower that constant to reach the helpers with small tables.
+SERIES_EDGES = [-0.0, 5e-324, 1e-05, 1e16, 1.7976931348623157e308, math.nan, -math.inf]
+
+
+@pytest.fixture
+def started(monkeypatch):
+    """Every helper write_series starts, on a process allowed two CPUs."""
+    helpers = []
+
+    class Recorded(subprocess.Popen):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            helpers.append(self)
+
+    monkeypatch.setattr(subprocess, "Popen", Recorded)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    return helpers
+
+
+def series(tmp_path, values, count=2):
+    return [(tmp_path / f"s{i}.csv", ["made here"], ("stage", "v"), values) for i in range(count)]
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    values=hnp.arrays(
+        np.float64, st.integers(0, 300),
+        elements=st.floats(width=64) | st.sampled_from(SERIES_EDGES),
+    ),
+    first=st.integers(0, 10**12),
+)
+def test_helpers_write_the_bytes_this_process_writes(tmp_path, monkeypatch, started, values, first):
+    monkeypatch.setattr(tables, "_HELPER_ROWS", 0)
+    started.clear()
+    (here, *_), (helped, *_) = tables_ = series(tmp_path, values)
+    write_series(tables_, first)
+    assert len(started) == 1  # the first table is always written here
+    expected = "# made here\nstage,v\n" + "".join(
+        f"{first + i},{v!r}\n" for i, v in enumerate(values.tolist())
+    )
+    assert here.read_bytes() == helped.read_bytes() == expected.encode()
+
+
+def test_helpers_are_bounded_by_the_cpus(tmp_path, monkeypatch, started):
+    monkeypatch.setattr(tables, "_HELPER_ROWS", 3)
+    values = np.arange(4) / 3
+    write_series(series(tmp_path, values, count=6), first=1)
+    assert len(started) == 2 and all(helper.returncode == 0 for helper in started)
+    texts = {path.read_text() for path in tmp_path.iterdir()}
+    assert texts == {"# made here\nstage,v\n1,0.0\n2,0.3333333333333333\n3,0.6666666666666666\n4,1.0\n"}
+
+
+@pytest.mark.parametrize("setting", ["one cpu", "no interpreter", "short tables"])
+def test_everything_runs_here_without_room_for_a_helper(tmp_path, monkeypatch, started, setting):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a helper was started")
+
+    monkeypatch.setattr(subprocess, "Popen", refuse)
+    if setting == "one cpu":
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    elif setting == "no interpreter":
+        monkeypatch.setattr(sys, "executable", "")
+    if setting != "short tables":
+        monkeypatch.setattr(tables, "_HELPER_ROWS", 0)
+    write_series(series(tmp_path, [0.5, -2.0], count=3), first=0)
+    for path in tmp_path.iterdir():
+        assert path.read_text() == "# made here\nstage,v\n0,0.5\n1,-2.0\n"
+
+
+@pytest.mark.parametrize("rows", [1, 100_000])  # the larger table outgrows the pipe
+def test_a_failing_helper_names_its_table_and_is_waited_for(tmp_path, monkeypatch, started, rows):
+    monkeypatch.setattr(tables, "_HELPER_ROWS", 0)
+    monkeypatch.setattr(tables, "_HELPER", "raise SystemExit(3)")
+    tables_ = series(tmp_path, np.ones(rows), count=3)
+    with pytest.raises(OSError, match=f"^{tables_[1][0]}: its helper interpreter exited with status 3$"):
+        write_series(tables_, first=0)
+    assert len(started) == 2 and [helper.returncode for helper in started] == [3, 3]
+
+
+def test_helpers_leave_no_resource_warning(tmp_path):
+    script = f"""
+import gc
+import numpy as np
+from doublelinear import tables
+tables._HELPER_ROWS = 0
+path = {str(tmp_path)!r}
+tables.write_series([(f"{{path}}/{{i}}.csv", [], ("stage", "v"), np.ones(5)) for i in range(3)], 0)
+gc.collect()
+"""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    done = subprocess.run(
+        [sys.executable, "-X", "dev", "-W", "error", "-c", script],
+        env=env, capture_output=True, timeout=60,
+    )
+    assert (done.returncode, done.stderr) == (0, b"")
+    assert len(list(tmp_path.iterdir())) == 3
