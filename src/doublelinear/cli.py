@@ -36,7 +36,7 @@ from .simulate import (
     monte_carlo_gain_loss,
     sweep_mu_star,
 )
-from .tables import write_series, write_table
+from .tables import write_matrix, write_series, write_table
 from .weights import WeightSpec, dump_weight_table, eval_schedule, parse_weight_spec
 
 __all__ = ["main", "build_parser"]
@@ -257,7 +257,7 @@ def _leaf(obj) -> str:
     return json.dumps(obj)
 
 
-def _encode(obj, indent: str, out: list[str]) -> None:
+def _encode(obj, indent: str, out: list) -> None:
     """Append the pieces of ``json.dumps(obj, indent=2, sort_keys=True,
     allow_nan=False)`` to out; their concatenation is that text exactly.
 
@@ -265,14 +265,33 @@ def _encode(obj, indent: str, out: list[str]) -> None:
     one generator step per token.  Here a list of plain floats, the bulk
     of every large output, is one piece: one finiteness check, then its
     float.__repr__ values joined (a list holding nan or inf takes the
-    item-by-item path, which raises the json module's error).  Pieces are
-    appended, never nested into larger strings, so a caller can write
-    them without holding the text twice.  Dict keys must be str.
+    item-by-item path, which raises the json module's error).  So is a
+    list of records, dicts with the same keys whose values under each key
+    are all finite plain floats or all plain ints: one %-template per
+    record.  Pieces are appended, never nested into larger strings, so a
+    caller can write them without holding the text twice.  Dict keys must
+    be str.
+
+    A numpy array is encoded as its tolist(), but a nonempty 2-d float64
+    one is appended as the piece (array, indent), for the writer to
+    format (tables.write_matrix); its values are checked finite here.
     """
-    if isinstance(obj, (list, tuple)) and obj:
+    if isinstance(obj, np.ndarray):
+        if obj.ndim == 2 and obj.dtype == np.float64 and obj.size:
+            bad = ~np.isfinite(obj)
+            if bad.any():
+                _leaf(float(obj.flat[np.argmax(bad)]))  # raises the json module's error
+            out.append((obj, indent))
+        else:
+            _encode(obj.tolist(), indent, out)
+    elif isinstance(obj, (list, tuple)) and obj:
         inner = indent + "  "
         if set(map(type, obj)) == {float} and all(map(math.isfinite, obj)):
             out.append("[" + inner + ("," + inner).join(map(float.__repr__, obj)) + indent + "]")
+            return
+        records = _records(obj, inner)
+        if records is not None:
+            out.append("[" + inner + ("," + inner).join(records) + indent + "]")
             return
         sep = "[" + inner
         for value in obj:
@@ -292,21 +311,60 @@ def _encode(obj, indent: str, out: list[str]) -> None:
         out.append(_leaf(obj))
 
 
-def _write_json(path: Path, payload: dict) -> list[str]:
+def _records(obj, indent: str):
+    """The JSON texts of the records in obj, each at indent, when obj is a list of
+    dicts with the same nonempty str keys whose values under each key are all finite
+    plain floats or all plain ints (bools excluded); None for any other list."""
+    first = obj[0]
+    if type(first) is not dict or not first or not all(type(key) is str for key in first):
+        return None
+    if not all(type(record) is dict and record.keys() == first.keys() for record in obj):
+        return None
+    keys = sorted(first)
+    columns = [[record[key] for record in obj] for key in keys]
+    formats = []
+    for column in columns:
+        kinds = set(map(type, column))
+        if kinds == {float} and all(map(math.isfinite, column)):
+            formats.append("%r")
+        elif kinds == {int}:
+            formats.append("%d")
+        else:
+            return None
+    inner = indent + "  "
+    template = "{" + inner + ("," + inner).join(
+        encode_basestring_ascii(key).replace("%", "%%") + ": " + form
+        for key, form in zip(keys, formats)
+    ) + indent + "}"
+    return [template % values for values in zip(*columns)]
+
+
+def _write_json(path: Path, payload: dict) -> list:
     """Write payload as strict, indented, key-sorted JSON and return its pieces.
 
     It is serialized before the file or its directory is made, so a result
-    strict JSON cannot hold (nan, inf) leaves neither.
+    strict JSON cannot hold (nan, inf) leaves neither; a 2-d float64 array
+    stays an (array, indent) piece, formatted into the file alone.  A file
+    whose writing fails is removed: each JSON output is whole or absent.
     """
-    pieces: list[str] = []
+    pieces: list = []
     try:
         _encode(payload, "\n", pieces)
     except ValueError as exc:
         raise ValueError(f"{path.name} not written, a result is inf or nan: {exc}") from None
     pieces.append("\n")
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w") as fh:
-        fh.writelines(pieces)
+    fh = open(path, "w")
+    try:
+        with fh:
+            for piece in pieces:
+                if isinstance(piece, str):
+                    fh.write(piece)
+                else:
+                    write_matrix(fh, path, *piece)
+    except BaseException:
+        path.unlink(missing_ok=True)
+        raise
     return pieces
 
 
@@ -510,10 +568,7 @@ def cmd_verify_rpe(args, effective: dict) -> int:
     report = rpe_scan(config, schedule, DEFAULT_RPE_MU_GRID if grid is None else grid, k_max)
     ks = range(2, k_max + 1)
     _require_finite("rpe.json", ("expected gain",), report.mu_grid, ks, report.entries[..., None])
-    payload = {
-        "command": "verify-rpe", "config": effective, **vars(report),
-        "entries": report.entries.tolist(),
-    }
+    payload = {"command": "verify-rpe", "config": effective, **vars(report)}
     _write_json(_outdir(args) / "rpe.json", payload)
     if not report.certifiable:
         print(f"not certifiable: {report.reason}")

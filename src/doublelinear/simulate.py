@@ -242,10 +242,28 @@ def _prices(params: GbmJumpParams, g: np.ndarray) -> np.ndarray:
         raise _float_range_error(params) from None
 
 
-def _two_point_block(model: TwoPointModel, k: int, seed: int, block: int) -> np.ndarray:
+def _two_point_block(model: TwoPointModel, seed: int, block: int, k: int) -> np.ndarray:
     """Returns of the BLOCK paths of one block: a (BLOCK, k) matrix."""
     u = path_rng(seed, block).random((BLOCK, k))
     return np.where(u < model.p_up, model.x_up, model.x_down)
+
+
+# The last block a per-path accessor drew, as (key, block): a loop over consecutive
+# paths draws each block once.  The block is never handed out or written to.
+_last_block = (None, None)
+
+
+def _cached_block(draw, model, seed: int, block: int, *more) -> np.ndarray:
+    """draw(model, seed, block, *more), or the block the last call drew with equal
+    arguments.  The key holds repr(model), not model: two models can be == and differ in
+    the sign of a zero, which the block keeps.  seed is checked before it is compared."""
+    global _last_block
+    key = (draw, repr(model), check_count("seed", seed, 0), block, *more)
+    cached_key, values = _last_block
+    if cached_key != key:
+        values = draw(model, seed, block, *more)
+        _last_block = key, values
+    return values
 
 
 def simulate_path(params: GbmJumpParams, seed: int, path_index: int = 0) -> np.ndarray:
@@ -255,7 +273,7 @@ def simulate_path(params: GbmJumpParams, seed: int, path_index: int = 0) -> np.n
     or inf is a ValueError naming the model.
     """
     block, row = _locate(path_index)
-    return _prices(params, _log_growth_block(params, seed, block)[row : row + 1])[0]
+    return _prices(params, _cached_block(_log_growth_block, params, seed, block)[row : row + 1])[0]
 
 
 def simulate_returns(params: GbmJumpParams, seed: int, path_index: int = 0) -> np.ndarray:
@@ -266,7 +284,7 @@ def simulate_returns(params: GbmJumpParams, seed: int, path_index: int = 0) -> n
     of -1 or inf is a ValueError naming the model.
     """
     block, row = _locate(path_index)
-    return _returns(params, _log_growth_block(params, seed, block)[row].copy())
+    return _returns(params, _cached_block(_log_growth_block, params, seed, block)[row].copy())
 
 
 def prices_to_returns(prices: Sequence[float]) -> np.ndarray:
@@ -297,7 +315,7 @@ def simulate_two_point(
     BLOCK of block path_index // BLOCK."""
     check_count("k", k)
     block, row = _locate(path_index)
-    return _two_point_block(model, k, seed, block)[row].copy()
+    return _cached_block(_two_point_block, model, seed, block, k)[row].copy()
 
 
 def monte_carlo_gain_loss(
@@ -403,7 +421,7 @@ def monte_carlo_gain_loss(
             )
             x = _returns(generator, g)
         else:
-            x = _two_point_block(generator, horizon, seed, block)[:rows]
+            x = _two_point_block(generator, seed, block, horizon)[:rows]
             w = static_w
         if clip_returns:
             x = np.clip(x, config.bounds.x_min, config.bounds.x_max)

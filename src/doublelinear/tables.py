@@ -1,4 +1,5 @@
-"""CSV tables: the one reader and the writers of every CSV the package handles.
+"""CSV tables: the one reader and the writers of every CSV the package handles, and
+the writer of the float matrices in its JSON outputs.
 
 A table is '# ' comment lines, a header row and data rows, each line ending in "\\n".
 The reader skips every line that is blank or whose first non-space character is
@@ -10,7 +11,9 @@ from __future__ import annotations
 
 import csv
 import os
+import shutil
 import sys
+import tempfile
 import warnings
 from contextlib import ExitStack, nullcontext
 from itertools import islice
@@ -32,6 +35,18 @@ first, values, out = int(sys.argv[1]), array("d", sys.stdin.buffer.read()), sys.
 for start in range(0, len(values), 4096):
     rows = enumerate(values[start:start + 4096], first + start)
     out.write("".join([f"{i},{v!r}\\n" for i, v in rows]).encode("ascii"))
+"""
+# A helper's program for write_matrix: rows of int(argv[1]) float64 values on stdin, laid
+# out at an inner indent of "\n" and int(argv[2]) spaces, the first row led by argv[3].
+_MATRIX_HELPER = """
+import sys
+from array import array
+columns, inner, lead = int(sys.argv[1]), "\\n" + " " * int(sys.argv[2]), sys.argv[3]
+values, out, cells = array("d", sys.stdin.buffer.read()), sys.stdout.buffer, "," + inner + "  "
+for start in range(0, len(values), columns):
+    row = cells.join(map(repr, values[start:start + columns]))
+    out.write(f"{lead}{inner}[{inner}  {row}{inner}]".encode("ascii"))
+    lead = ","
 """
 
 
@@ -160,29 +175,61 @@ def write_series(tables, first) -> None:
     interpreter, this same Python without numpy, which formats it while this process
     formats the rest; float repr is the same in both, so are the bytes.  OSError names
     a table whose helper failed; no helper outlives the call."""
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    spare = cpus if cpus > 1 and sys.executable else 0
+    spare = _spare_cpus()
     local, helped = [], []
     with ExitStack() as stack:
         for position, (path, comments, header, values) in enumerate(tables):
             values = np.asarray(values, dtype=np.float64)
             if position and values.size >= _HELPER_ROWS and len(helped) < spare:
-                helper = stack.enter_context(_start_helper(path, comments, header, first))
-                helped.append((path, values, helper))
+                with open(path, "w", newline="") as fh:
+                    _head(fh, comments, header)
+                    helped.append((path, _start(stack, _HELPER, [first], values, fh)))
             else:
                 local.append((path, comments, header, values))
-        for _, values, helper in helped:  # fed once all have started: their starts overlap
-            try:
-                with helper.stdin:
-                    helper.stdin.write(np.ascontiguousarray(values))
-            except BrokenPipeError:
-                pass  # a helper that died says so by its exit status
         for path, comments, header, values in local:
             rows = (f"{i},{v!r}" for i, v in enumerate(values.tolist(), first))
             write_table(path, comments, header, rows)
-        for path, _, helper in helped:
-            if helper.wait():
-                raise OSError(f"{path}: its helper interpreter exited with status {helper.returncode}")
+        for path, helper in helped:
+            _wait(helper, path)
+
+
+def write_matrix(fh, path, matrix, indent) -> None:
+    """Write a 2-d float64 matrix of finite values into fh, the open file at path, as
+    json.dumps(matrix.tolist(), indent=2) lays it out where the indent before its
+    closing bracket is indent, "\\n" and spaces.
+
+    Split by rows into at most one part per CPU this process may run on, each part of
+    at least _HELPER_ROWS values: helper interpreters format the leading parts, the
+    first straight into fh and each other into a file of its own, while this process
+    formats the last; the parts are then written in order.  OSError names the file when
+    a helper fails; no helper outlives the call."""
+    rows, columns = matrix.shape
+    inner = indent + "  "
+    least = max(1, -(-_HELPER_ROWS // columns))  # rows in the smallest part
+    parts = max(1, min(_spare_cpus(), rows // least))
+    bounds = [rows * part // parts for part in range(parts + 1)]
+    with ExitStack() as stack:
+        outs = [fh, *(stack.enter_context(tempfile.TemporaryFile()) for _ in range(parts - 2))]
+        helpers = [
+            _start(stack, _MATRIX_HELPER, [columns, len(inner) - 1, "," if part else "["],
+                   matrix[bounds[part] : bounds[part + 1]], out)
+            for part, out in enumerate(outs[: parts - 1])
+        ]
+        text = _json_rows(matrix[bounds[-2] :], inner, "," if helpers else "[")
+        for helper, out in zip(helpers, outs):
+            _wait(helper, path)
+            if out is not fh:
+                out.seek(0)
+                shutil.copyfileobj(out, fh.buffer)
+        fh.write(text + indent + "]")
+
+
+def _json_rows(rows, inner, lead) -> str:
+    """The matrix rows as write_matrix lays them out, each led by "," and inner, the first by lead."""
+    cells = "," + inner + "  "
+    return lead + inner + ("," + inner).join(
+        f"[{inner}  {cells.join(map(float.__repr__, row))}{inner}]" for row in rows.tolist()
+    )
 
 
 def _head(fh, comments, header) -> None:
@@ -190,13 +237,27 @@ def _head(fh, comments, header) -> None:
     csv.writer(fh, lineterminator="\n").writerow(header)
 
 
-def _start_helper(path, comments, header, first):
-    """A helper interpreter writing the rows of the table at path after its comments and
-    header, which this process writes; it reads the values from its stdin."""
+def _spare_cpus() -> int:
+    """Helpers this process may start: one per CPU it may run on, none when it may run
+    on one or has no interpreter to start."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    return cpus if cpus > 1 and sys.executable else 0
+
+
+def _start(stack, program, args, values, out):
+    """A helper interpreter, entered into stack, running program with args: it reads
+    values as raw float64 from its stdin and writes to out, an open file, from out's
+    position on.  Nothing is buffered in out by the time it returns."""
     import subprocess  # here only: a command that starts no helper does not load it
 
-    with open(path, "w", newline="") as fh:
-        _head(fh, comments, header)
-        fh.flush()  # the helper writes on from the end of the header
-        command = [sys.executable, "-I", "-S", "-c", _HELPER, str(first)]
-        return subprocess.Popen(command, stdin=subprocess.PIPE, stdout=fh)
+    out.flush()
+    with tempfile.TemporaryFile() as data:  # a file, not a pipe: this process never waits to feed it
+        data.write(np.ascontiguousarray(values, dtype=np.float64))
+        data.seek(0)
+        command = [sys.executable, "-I", "-S", "-c", program, *map(str, args)]
+        return stack.enter_context(subprocess.Popen(command, stdin=data, stdout=out))
+
+
+def _wait(helper, path) -> None:
+    if helper.wait():
+        raise OSError(f"{path}: its helper interpreter exited with status {helper.returncode}")

@@ -8,16 +8,20 @@ import bisect
 import dataclasses
 import json
 import math
+import os
+import subprocess
 import sys
 import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import doublelinear.cli as cli
+from doublelinear import tables
 from doublelinear import MarketBounds, PolicyConfig, batch_backtest, ingest_csv, parse_weight_spec
 from doublelinear.cli import main
 
@@ -46,8 +50,43 @@ leaves = st.one_of(
     text,
 )
 float_lists = st.lists(st.one_of(finite_floats, edge_floats), min_size=1)
+# The kinds of value one key of a list of same-key records holds; only all finite plain
+# floats and all plain ints take the writer's one-template path.
+COLUMN_KINDS = [
+    st.one_of(finite_floats, edge_floats),
+    st.integers(),
+    st.integers(min_value=-(2**200), max_value=2**200),
+    st.booleans(),
+    st.none(),
+    finite_floats.map(np.float64),
+    st.one_of(finite_floats, st.integers(), st.booleans()),
+]
+NON_FINITE_KINDS = [st.one_of(finite_floats, st.sampled_from([math.nan, math.inf, -math.inf]))]
+
+
+@st.composite
+def record_lists(draw, kinds=COLUMN_KINDS):
+    """A list of dicts with the same keys, one kind of value per key; now and then one
+    item is spoiled: a value of another kind, a key more, or not a dict at all."""
+    keys = draw(st.lists(text, max_size=4, unique=True))
+    columns = [draw(st.sampled_from(kinds)) for _ in keys]
+    records = [
+        {key: draw(column) for key, column in zip(keys, columns)}
+        for _ in range(draw(st.integers(1, 5)))
+    ]
+    spoiled = draw(st.integers(0, len(records) - 1))
+    spoil = draw(st.sampled_from(["none", "value", "key", "item"]))
+    if spoil == "value" and keys:
+        records[spoiled][draw(st.sampled_from(keys))] = draw(leaves)
+    elif spoil == "key":
+        records[spoiled][draw(text)] = 0.5
+    elif spoil == "item":
+        records[spoiled] = draw(leaves)
+    return records
+
+
 trees = st.recursive(
-    st.one_of(leaves, float_lists),
+    st.one_of(leaves, float_lists, record_lists()),
     lambda children: st.one_of(
         st.lists(children),
         st.lists(children).map(tuple),
@@ -94,6 +133,32 @@ class TestJsonOracle:
         with pytest.raises(ValueError) as got:
             dumps(tree)
         assert str(got.value) == str(expected.value)
+
+    @settings(max_examples=200, deadline=None)
+    @given(record_lists(COLUMN_KINDS + NON_FINITE_KINDS))
+    def test_records_match_json_dumps_or_its_error(self, records):
+        try:
+            expected = oracle(records)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got:
+                dumps(records)
+            assert str(got.value) == str(exc)
+        else:
+            assert dumps(records) == expected
+
+    @pytest.mark.parametrize(
+        "records",
+        [
+            [{"%r": 0.5, "a%%d": 1}, {"%r": -0.0, "a%%d": -(2**70)}],
+            [{"mu": 1e16, "k": 2, "x": 5e-324}],
+            [{"": None}, None],
+            [{"a": 1}, {"a": True}],
+            [{"a": 1.5}, {"a": np.float64(2.5)}],
+            [{}, {}],
+        ],
+    )
+    def test_record_edges(self, records):
+        assert dumps(records) == oracle(records)
 
     def test_unserializable_type_raises(self):
         with pytest.raises(TypeError):
@@ -263,3 +328,154 @@ class TestOverflowingClosedForms:
         (cell,) = json.loads(capsys.readouterr().out)["results"]
         assert cell["mean"] == -1.0
         assert cell["variance"] == (0.0 if sigma2 else None)
+
+
+# _write_json hands the leading rows of a 2-d float64 matrix to helper interpreters from
+# tables._HELPER_ROWS values on; the tests lower that constant to reach the helpers.
+MATRIX_EDGES = [-0.0, 5e-324, 1e-05, 1e16, 1.7976931348623157e308]
+
+
+@pytest.fixture
+def matrix_helpers(monkeypatch):
+    """Every helper started, on a process allowed cpus(n) CPUs (two until told)."""
+    started = []
+
+    class Recorded(subprocess.Popen):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            started.append(self)
+
+    def cpus(n):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+    monkeypatch.setattr(subprocess, "Popen", Recorded)
+    monkeypatch.setattr(tables, "_HELPER_ROWS", 0)
+    cpus(2)
+    return started, cpus
+
+
+def with_matrix(matrix, depth):
+    payload = {"a": [1, 2.5], "entries": matrix, "z": "x"}
+    for _ in range(depth):
+        payload = {"inner": payload, "n": None}
+    return payload
+
+
+class TestJsonMatrix:
+    @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        matrix=hnp.arrays(
+            np.float64,
+            hnp.array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=9),
+            elements=st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(MATRIX_EDGES),
+        ),
+        depth=st.integers(0, 2),
+        cpus=st.sampled_from([2, 3, 4]),
+    )
+    def test_helpers_write_the_json_module_bytes(self, tmp_path, matrix_helpers, matrix, depth, cpus):
+        started, set_cpus = matrix_helpers
+        started.clear()
+        set_cpus(cpus)
+        path = tmp_path / "m.json"
+        cli._write_json(path, with_matrix(matrix, depth))
+        assert path.read_text() == oracle(with_matrix(matrix.tolist(), depth)) + "\n"
+        assert len(started) == min(cpus, len(matrix)) - 1
+        assert all(helper.returncode == 0 for helper in started)
+
+    @pytest.mark.parametrize("cpus, least, helpers", [(2, 3, 1), (4, 3, 3), (4, 11, 0), (4, 0, 3)])
+    def test_helpers_are_bounded_by_the_cpus_and_the_values(
+        self, tmp_path, monkeypatch, matrix_helpers, cpus, least, helpers
+    ):
+        started, set_cpus = matrix_helpers
+        set_cpus(cpus)
+        monkeypatch.setattr(tables, "_HELPER_ROWS", least)
+        matrix = np.arange(20.0).reshape(10, 2) / 3
+        cli._write_json(tmp_path / "m.json", {"m": matrix})
+        assert len(started) == helpers and all(helper.returncode == 0 for helper in started)
+        assert (tmp_path / "m.json").read_text() == oracle({"m": matrix.tolist()}) + "\n"
+
+    @pytest.mark.parametrize("setting", ["one cpu", "no interpreter"])
+    def test_everything_runs_here_without_room_for_a_helper(self, tmp_path, monkeypatch, setting):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a helper was started")
+
+        monkeypatch.setattr(subprocess, "Popen", refuse)
+        monkeypatch.setattr(tables, "_HELPER_ROWS", 0)
+        if setting == "one cpu":
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+            monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        else:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+            monkeypatch.setattr(sys, "executable", "")
+        matrix = np.array([[0.5, -0.0], [1e16, 5e-324], [0.1, 2.0]])
+        cli._write_json(tmp_path / "m.json", {"m": matrix})
+        assert (tmp_path / "m.json").read_text() == oracle({"m": matrix.tolist()}) + "\n"
+
+    @pytest.mark.parametrize("cpus", [2, 4])
+    def test_a_failing_helper_leaves_no_file_and_is_waited_for(
+        self, tmp_path, monkeypatch, capsys, matrix_helpers, cpus
+    ):
+        started, set_cpus = matrix_helpers
+        set_cpus(cpus)
+        monkeypatch.setattr(tables, "_MATRIX_HELPER", "raise SystemExit(3)")
+        code = main([
+            "verify-rpe", "--w", "log_ramp", "--k-max", "6", "--mu-grid", "0.01,-0.02,0.03,-0.04",
+            "--outdir", str(tmp_path),
+        ])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        path = tmp_path / "rpe.json"
+        assert captured.err == f"error: {path}: its helper interpreter exited with status 3\n"
+        assert not path.exists() and list(tmp_path.iterdir()) == []
+        assert [helper.returncode for helper in started] == [3] * (cpus - 1)
+
+    def test_a_failed_write_leaves_no_file(self, tmp_path, monkeypatch, capsys):
+        def full(fh, path, matrix, indent):
+            fh.write("[")
+            raise OSError(f"{path}: no space left")
+
+        monkeypatch.setattr(cli, "write_matrix", full)
+        code = main(["verify-rpe", "--w", "log_ramp", "--k-max", "6", "--outdir", str(tmp_path)])
+        assert code == 1 and "no space left" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_a_file_that_cannot_be_opened_is_left_alone(self, tmp_path, capsys):
+        (tmp_path / "rpe.json").mkdir()
+        (tmp_path / "rpe.json" / "kept").write_text("x")
+        code = main(["verify-rpe", "--w", "log_ramp", "--k-max", "6", "--outdir", str(tmp_path)])
+        assert code == 1 and "Is a directory" in capsys.readouterr().err
+        assert (tmp_path / "rpe.json" / "kept").read_text() == "x"
+
+    def test_non_finite_cells_raise_like_json(self):
+        matrix = np.array([[0.5, 1.0], [-np.inf, np.nan]])
+        with pytest.raises(ValueError) as expected:
+            oracle(matrix.tolist())
+        with pytest.raises(ValueError) as got:
+            dumps(matrix)
+        assert str(got.value) == str(expected.value)
+
+    def test_other_arrays_are_their_lists(self):
+        for array in (np.arange(3), np.zeros((0, 2)), np.zeros((2, 0)), np.ones((2, 2, 2)),
+                      np.ones((2, 2), dtype=np.float32)):
+            assert dumps(array) == oracle(array.tolist())
+
+    def test_helpers_leave_no_resource_warning(self, tmp_path):
+        script = f"""
+import gc, os
+import numpy as np
+import doublelinear.cli as cli
+from doublelinear import tables
+from pathlib import Path
+tables._HELPER_ROWS = 0
+os.sched_getaffinity = lambda pid: {{0, 1, 2, 3}}
+cli._write_json(Path({str(tmp_path)!r}) / "m.json", {{"m": np.ones((8, 3)) / 7}})
+gc.collect()
+"""
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        done = subprocess.run(
+            [sys.executable, "-X", "dev", "-W", "error", "-c", script],
+            env=env, capture_output=True, timeout=60,
+        )
+        assert (done.returncode, done.stderr) == (0, b"")
+        expected = oracle({"m": (np.ones((8, 3)) / 7).tolist()}) + "\n"
+        assert (tmp_path / "m.json").read_text() == expected

@@ -23,6 +23,7 @@ from doublelinear import (
     simulate_two_point,
     sweep_mu_star,
 )
+from doublelinear import simulate
 from doublelinear.simulate import BLOCK, DEFAULT_MU_STAR_GRID, dump_paths_csv
 
 BOUNDS = MarketBounds(-0.5, 1.0)
@@ -242,6 +243,64 @@ class TestReturnsAndTwoPoint:
         a = simulate_two_point(model, 20, seed=9, path_index=4)
         b = simulate_two_point(model, 20, seed=9, path_index=4)
         np.testing.assert_array_equal(a, b)
+
+
+class TestPerPathBlocks:
+    """The per-path accessors keep the last block they drew: a loop over consecutive
+    paths draws each block once and returns what a fresh draw returns."""
+
+    @pytest.fixture
+    def draws(self, monkeypatch):
+        calls = []
+
+        def counted(seed, block):
+            calls.append((seed, block))
+            return path_rng(seed, block)
+
+        monkeypatch.setattr(simulate, "_last_block", (None, None))
+        monkeypatch.setattr(simulate, "path_rng", counted)
+        return calls
+
+    @staticmethod
+    def fresh(accessor, *args):
+        simulate._last_block = (None, None)
+        return accessor(*args)
+
+    @pytest.mark.parametrize(
+        "accessor, model, more",
+        [
+            (simulate_returns, GbmJumpParams(0.3, lam=30.0, n_periods=20), ()),
+            (simulate_path, GbmJumpParams(0.3, lam=30.0, n_periods=20), ()),
+            (simulate_two_point, TwoPointModel(0.2, -0.1, 0.6), (20,)),
+        ],
+    )
+    def test_a_loop_over_paths_draws_each_block_once(self, draws, accessor, model, more):
+        rows = [accessor(model, *more, 5, i) for i in range(2 * BLOCK)]
+        assert draws == [(5, 0), (5, 1)]
+        for i, row in enumerate(rows):
+            row[:] = -7.0  # a caller's writes reach neither the cache nor the next call
+            fresh = self.fresh(accessor, model, *more, 5, i)
+            assert fresh.tobytes() != row.tobytes()
+            assert accessor(model, *more, 5, i).tobytes() == fresh.tobytes()
+
+    def test_models_equal_but_for_a_signed_zero_draw_their_own_blocks(self, draws):
+        positive, negative = (GbmJumpParams(m, sigma_star=0.0, lam=0.0) for m in (0.0, -0.0))
+        assert positive == negative
+        assert not np.signbit(simulate_returns(positive, 1, 0)).any()
+        assert np.signbit(simulate_returns(negative, 1, 0)).any()  # -0.0 + -0.0 keeps its sign
+
+    def test_a_bad_seed_is_refused_after_an_equal_good_one(self, draws):
+        model = GbmJumpParams(0.3, n_periods=5)
+        simulate_returns(model, 1, 0)
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            simulate_returns(model, True, 0)
+
+    def test_other_drawers_draw_fresh_blocks(self, draws, tmp_path):
+        model = GbmJumpParams(0.3, n_periods=5)
+        simulate_returns(model, 1, 0)
+        monte_carlo_gain_loss(make_config(), WeightSpec("constant", w=0.5), model, BLOCK, 1)
+        dump_paths_csv(tmp_path / "paths.csv", model, 1, 1)
+        assert draws == [(1, 0)] * 3
 
 
 class TestMonteCarlo:
