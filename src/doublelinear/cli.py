@@ -36,7 +36,9 @@ from .simulate import (
     monte_carlo_gain_loss,
     sweep_mu_star,
 )
-from .tables import write_matrix, write_series, write_table
+from .tables import (
+    CSV_ROWS, format_rows, output, write_matrix, write_series, write_table, write_text,
+)
 from .weights import WeightSpec, dump_weight_table, eval_schedule, parse_weight_spec
 
 __all__ = ["main", "build_parser"]
@@ -281,7 +283,7 @@ def _encode(obj, indent: str, out: list) -> None:
             bad = ~np.isfinite(obj)
             if bad.any():
                 _leaf(float(obj.flat[np.argmax(bad)]))  # raises the json module's error
-            out.append((obj, indent))
+            out.append((np.ascontiguousarray(obj), indent))
         else:
             _encode(obj.tolist(), indent, out)
     elif isinstance(obj, (list, tuple)) and obj:
@@ -322,19 +324,13 @@ def _records(obj, indent: str):
         return None
     keys = sorted(first)
     columns = [[record[key] for record in obj] for key in keys]
-    formats = []
-    for column in columns:
+    for column in columns:  # the json module writes a plain int or a finite float as its repr
         kinds = set(map(type, column))
-        if kinds == {float} and all(map(math.isfinite, column)):
-            formats.append("%r")
-        elif kinds == {int}:
-            formats.append("%d")
-        else:
+        if kinds != {int} and (kinds != {float} or not all(map(math.isfinite, column))):
             return None
     inner = indent + "  "
     template = "{" + inner + ("," + inner).join(
-        encode_basestring_ascii(key).replace("%", "%%") + ": " + form
-        for key, form in zip(keys, formats)
+        encode_basestring_ascii(key).replace("%", "%%") + ": %r" for key in keys
     ) + indent + "}"
     return [template % values for values in zip(*columns)]
 
@@ -354,17 +350,12 @@ def _write_json(path: Path, payload: dict) -> list:
         raise ValueError(f"{path.name} not written, a result is inf or nan: {exc}") from None
     pieces.append("\n")
     path.parent.mkdir(parents=True, exist_ok=True)
-    fh = open(path, "w")
-    try:
-        with fh:
-            for piece in pieces:
-                if isinstance(piece, str):
-                    fh.write(piece)
-                else:
-                    write_matrix(fh, path, *piece)
-    except BaseException:
-        path.unlink(missing_ok=True)
-        raise
+    with output(path) as fh:
+        for piece in pieces:
+            if isinstance(piece, str):
+                fh.write(piece)
+            else:
+                write_matrix(fh, path, *piece)
     return pieces
 
 
@@ -506,8 +497,9 @@ def cmd_simulate(args, effective: dict) -> int:
     comments = [_provenance_comment("simulate", effective)]
 
     if not single:
-        lines = (f"{r['mu_star']},{r['mean_gain']},{r['std_error']}" for r in rows)
-        write_table(outdir / "sweep.csv", comments, ("mu_star", "mean_gain", "std_error"), lines)
+        header = ("mu_star", "mean_gain", "std_error")
+        values = np.array([[r[name] for name in header] for r in rows])
+        write_text(outdir / "sweep.csv", comments, header, format_rows(values, 3, *CSV_ROWS))
 
     if dump:
         dump_paths_csv(outdir / "paths.csv", params, seed, dump, comment=comments[0])

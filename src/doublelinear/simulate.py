@@ -49,7 +49,7 @@ from .policy import (
     validate_prices,
     validate_weights,
 )
-from .tables import write_table
+from .tables import CSV_ROWS, format_rows, write_text
 from .weights import WeightSpec, eval_schedule
 
 __all__ = [
@@ -535,12 +535,10 @@ def dump_paths_csv(
     """Write path_id,stage,price rows for paths 0..n_paths-1, one block draw per BLOCK paths."""
     check_count("n_paths", n_paths)
 
-    def lines():
+    def text():
         for block in range(-(-n_paths // BLOCK)):
             g = _log_growth_block(params, seed, block)[: n_paths - block * BLOCK]
-            prices = _prices(params, g).tolist()
-            for i, row in enumerate(prices, start=block * BLOCK):
-                for stage, price in enumerate(row):
-                    yield f"{i},{stage},{price!r}"
+            prices = _prices(params, g)  # a row per path, a column per stage
+            yield from format_rows(prices, 1, *CSV_ROWS, block * BLOCK, prices.shape[1])
 
-    write_table(path, [comment] if comment else [], ("path_id", "stage", "price"), lines())
+    write_text(path, [comment] if comment else [], ("path_id", "stage", "price"), text())

@@ -1,22 +1,24 @@
 """CSV tables: the one reader and the writers of every CSV the package handles, and
-the writer of the float matrices in its JSON outputs.
+the one row formatter of every bulk float output.
 
 A table is '# ' comment lines, a header row and data rows, each line ending in "\\n".
 The reader skips every line that is blank or whose first non-space character is
 '#', accepts any line end, and matches the header regardless of case and
 surrounding spaces.  A quoted cell ends with its line.
+
+format_rows writes every bulk float output, here and in helper interpreters alike, so a
+row's bytes do not depend on where it was formatted; output() makes each file whole or absent.
 """
 
 from __future__ import annotations
 
 import csv
 import os
-import shutil
 import sys
 import tempfile
 import warnings
-from contextlib import ExitStack, nullcontext
-from itertools import islice
+from contextlib import ExitStack, contextmanager, nullcontext
+from pathlib import Path
 
 import numpy as np
 
@@ -27,27 +29,44 @@ _CHUNK = 1 << 18  # characters per read of the check before the bulk parse
 # Rows from which a table goes to a helper interpreter: at about 1 us a row, formatting
 # them here takes longer than the helper's start, about 14 ms.
 _HELPER_ROWS = 20_000
-# A helper's program: the float64 values on stdin, as rows "stage,repr" on stdout.
-_HELPER = """
-import sys
-from array import array
-first, values, out = int(sys.argv[1]), array("d", sys.stdin.buffer.read()), sys.stdout.buffer
-for start in range(0, len(values), 4096):
-    rows = enumerate(values[start:start + 4096], first + start)
-    out.write("".join([f"{i},{v!r}\\n" for i, v in rows]).encode("ascii"))
-"""
-# A helper's program for write_matrix: rows of int(argv[1]) float64 values on stdin, laid
-# out at an inner indent of "\n" and int(argv[2]) spaces, the first row led by argv[3].
-_MATRIX_HELPER = """
-import sys
-from array import array
-columns, inner, lead = int(sys.argv[1]), "\\n" + " " * int(sys.argv[2]), sys.argv[3]
-values, out, cells = array("d", sys.stdin.buffer.read()), sys.stdout.buffer, "," + inner + "  "
-for start in range(0, len(values), columns):
-    row = cells.join(map(repr, values[start:start + columns]))
-    out.write(f"{lead}{inner}[{inner}  {row}{inner}]".encode("ascii"))
-    lead = ","
-"""
+# The row formatter, stdlib only: this module runs it once, at import; a helper runs it
+# as __main__, with format_rows's arguments in argv and values as raw float64 on stdin.
+_FORMATTER = '''
+def format_rows(values, width, cell, sep, lead, end, *index):
+    """Pieces of text, each of about 4096 values and one %: lead, rows of width float reprs
+    joined by cell, the rows joined by sep, then end.  values: raw float64, C-contiguous.
+    index leads rows of one value with (first,) their number from first, or (first, stages)
+    that of their group of stages rows and their place in it, each followed by cell."""
+    values = memoryview(values).cast("B").cast("d")
+    row = cell.join(["%r"] * width)
+    places = [cell + str(place) for place in range(index[1])] if len(index) > 1 else [""]
+    group = ["%d" + place + cell + row for place in places] if index else [row]
+    size = len(group) * width  # values per group
+    count, step = len(values) // size, max(1, 4096 // size)  # groups, groups per piece
+    for start in range(0, count, step):
+        stop = min(start + step, count)
+        text = (sep if start else lead) + sep.join(group * (stop - start))
+        cells = values[start * size : stop * size]
+        if index:  # rows of one value, each after its group's number
+            numbers = list(range(index[0] + start, index[0] + stop))
+            args = [None] * (2 * len(cells))
+            args[1::2] = cells
+            for place in range(len(group)):
+                args[2 * place :: 2 * len(group)] = numbers
+            cells = args
+        yield (text + (end if stop == count else "")) % tuple(cells)
+
+
+if __name__ == "__main__":
+    import sys
+
+    width, cell, sep, lead, end, *index = sys.argv[1:]
+    texts = format_rows(sys.stdin.buffer.read(), int(width), cell, sep, lead, end, *map(int, index))
+    sys.stdout.buffer.writelines(text.encode("ascii") for text in texts)
+'''
+exec(_FORMATTER, _formatter := {"__name__": __name__})
+format_rows = _formatter["format_rows"]
+CSV_ROWS = (",", "\n", "", "\n")  # format_rows's cell, sep, lead and end for a CSV's rows
 
 
 def read_columns(source, header, fault):
@@ -157,84 +176,70 @@ def _scan(fh, header, fault):
 
 
 def write_table(path, comments, header, lines) -> None:
-    """Write '# ' comments, the header (csv-quoted where needed) and the data lines, each
-    ending in "\\n".  Lines are joined 4096 at a time; a generator never sits in memory whole."""
-    lines = iter(lines)
-    with open(path, "w", newline="") as fh:
-        _head(fh, comments, header)
-        while block := list(islice(lines, 4096)):
-            fh.write("\n".join(block) + "\n")
+    """Write '# ' comments, the header and the lines, each ending in "\\n", as write_text does."""
+    write_text(path, comments, header, (line + "\n" for line in lines))
+
+
+def write_text(path, comments, header, text) -> None:
+    """Write '# ' comments, the header (csv-quoted where needed), then text's str pieces."""
+    with output(path) as fh:
+        fh.writelines(f"# {comment}\n" for comment in comments)
+        csv.writer(fh, lineterminator="\n").writerow(header)
+        fh.writelines(text)
+
+
+@contextmanager
+def output(path):
+    """path opened for writing, and removed if the block raises: whole or absent."""
+    fh = open(path, "w", newline="")
+    try:
+        with fh:
+            yield fh
+    except BaseException:
+        Path(path).unlink(missing_ok=True)
+        raise
 
 
 def write_series(tables, first) -> None:
-    """Write each (path, comments, header, values) table as write_table does, with the
-    row "{first + i},{values[i]!r}" per value.
-
-    The first table, tables under _HELPER_ROWS rows and those past one per CPU this
-    process may run on are formatted here.  Each other table goes to a helper
-    interpreter, this same Python without numpy, which formats it while this process
-    formats the rest; float repr is the same in both, so are the bytes.  OSError names
-    a table whose helper failed; no helper outlives the call."""
+    """Write each (path, comments, header, values) table as write_text does, with the row
+    "{first + i},{values[i]!r}" per value.  The first table, tables under _HELPER_ROWS rows
+    and those past one per CPU this process may run on are written here first; a helper
+    interpreter, this Python without numpy, formats each other one within the call."""
     spare = _spare_cpus()
     local, helped = [], []
     with ExitStack() as stack:
         for position, (path, comments, header, values) in enumerate(tables):
-            values = np.asarray(values, dtype=np.float64)
-            if position and values.size >= _HELPER_ROWS and len(helped) < spare:
-                with open(path, "w", newline="") as fh:
-                    _head(fh, comments, header)
-                    helped.append((path, _start(stack, _HELPER, [first], values, fh)))
+            rows = (np.ascontiguousarray(values, dtype=np.float64), 1, *CSV_ROWS, first)
+            if position and rows[0].size >= _HELPER_ROWS and len(helped) < spare:
+                helped.append((path, comments, header, _start(stack, path, *rows)))
             else:
-                local.append((path, comments, header, values))
-        for path, comments, header, values in local:
-            rows = (f"{i},{v!r}" for i, v in enumerate(values.tolist(), first))
-            write_table(path, comments, header, rows)
-        for path, helper in helped:
-            _wait(helper, path)
+                local.append((path, comments, header, format_rows(*rows)))
+        for table in local + helped:
+            write_text(*table)
 
 
 def write_matrix(fh, path, matrix, indent) -> None:
-    """Write a 2-d float64 matrix of finite values into fh, the open file at path, as
-    json.dumps(matrix.tolist(), indent=2) lays it out where the indent before its
-    closing bracket is indent, "\\n" and spaces.
-
-    Split by rows into at most one part per CPU this process may run on, each part of
-    at least _HELPER_ROWS values: helper interpreters format the leading parts, the
-    first straight into fh and each other into a file of its own, while this process
-    formats the last; the parts are then written in order.  OSError names the file when
-    a helper fails; no helper outlives the call."""
+    """Write a C-contiguous 2-d float64 matrix of finite values into fh, the open file at
+    path, as json.dumps(matrix.tolist(), indent=2) lays it out where the indent before its
+    closing bracket is indent, "\\n" and spaces.  Helper interpreters format the leading
+    parts of at least _HELPER_ROWS values, one per CPU, while this process formats the last."""
     rows, columns = matrix.shape
     inner = indent + "  "
+    opening, closing = inner + "[" + inner + "  ", inner + "]"
+    layout = (columns, "," + inner + "  ", closing + "," + opening)  # width, cell, sep
     least = max(1, -(-_HELPER_ROWS // columns))  # rows in the smallest part
-    parts = max(1, min(_spare_cpus(), rows // least))
-    bounds = [rows * part // parts for part in range(parts + 1)]
+    n_parts = max(1, min(_spare_cpus(), rows // least))
+    bounds = [rows * part // n_parts for part in range(n_parts + 1)]
+    parts = [
+        (matrix[start:stop], *layout, ("," if start else "[") + opening, closing)
+        for start, stop in zip(bounds, bounds[1:])
+    ]
     with ExitStack() as stack:
-        outs = [fh, *(stack.enter_context(tempfile.TemporaryFile()) for _ in range(parts - 2))]
-        helpers = [
-            _start(stack, _MATRIX_HELPER, [columns, len(inner) - 1, "," if part else "["],
-                   matrix[bounds[part] : bounds[part + 1]], out)
-            for part, out in enumerate(outs[: parts - 1])
-        ]
-        text = _json_rows(matrix[bounds[-2] :], inner, "," if helpers else "[")
-        for helper, out in zip(helpers, outs):
-            _wait(helper, path)
-            if out is not fh:
-                out.seek(0)
-                shutil.copyfileobj(out, fh.buffer)
+        helped = [_start(stack, path, *part) for part in parts[:-1]]
+        text = "".join(format_rows(*parts[-1]))
+        for pieces in helped:
+            fh.writelines(pieces)
         fh.write(text + indent + "]")
-
-
-def _json_rows(rows, inner, lead) -> str:
-    """The matrix rows as write_matrix lays them out, each led by "," and inner, the first by lead."""
-    cells = "," + inner + "  "
-    return lead + inner + ("," + inner).join(
-        f"[{inner}  {cells.join(map(float.__repr__, row))}{inner}]" for row in rows.tolist()
-    )
-
-
-def _head(fh, comments, header) -> None:
-    fh.writelines(f"# {comment}\n" for comment in comments)
-    csv.writer(fh, lineterminator="\n").writerow(header)
 
 
 def _spare_cpus() -> int:
@@ -244,20 +249,22 @@ def _spare_cpus() -> int:
     return cpus if cpus > 1 and sys.executable else 0
 
 
-def _start(stack, program, args, values, out):
-    """A helper interpreter, entered into stack, running program with args: it reads
-    values as raw float64 from its stdin and writes to out, an open file, from out's
-    position on.  Nothing is buffered in out by the time it returns."""
+def _start(stack, path, values, *args):
+    """Start a helper interpreter, entered into stack, on format_rows(values, *args), values
+    a C-contiguous float64 array; its text in pieces once it exits, or OSError naming path."""
     import subprocess  # here only: a command that starts no helper does not load it
 
-    out.flush()
+    out = stack.enter_context(tempfile.TemporaryFile())
     with tempfile.TemporaryFile() as data:  # a file, not a pipe: this process never waits to feed it
-        data.write(np.ascontiguousarray(values, dtype=np.float64))
+        data.write(values)
         data.seek(0)
-        command = [sys.executable, "-I", "-S", "-c", program, *map(str, args)]
-        return stack.enter_context(subprocess.Popen(command, stdin=data, stdout=out))
+        command = [sys.executable, "-I", "-S", "-c", _FORMATTER, *map(str, args)]
+        helper = stack.enter_context(subprocess.Popen(command, stdin=data, stdout=out))
+    return _pieces(helper, out, path)
 
 
-def _wait(helper, path) -> None:
+def _pieces(helper, out, path):
     if helper.wait():
         raise OSError(f"{path}: its helper interpreter exited with status {helper.returncode}")
+    out.seek(0)
+    yield from iter(lambda: out.read(1 << 20).decode("ascii"), "")

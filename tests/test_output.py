@@ -198,6 +198,27 @@ class TestCurveCsv:
             expected = [f"{int(s)},{float(g)!r}" for s, g in report.curve]
             assert curve_body(tmp_path / f"curve_{position}.csv") == expected
 
+    def test_a_failing_helper_leaves_no_partial_curve(self, tmp_path, capsys, monkeypatch):
+        csv_path = write_prices(tmp_path, [100, 110, 99, 104])
+        argv = ["backtest", "--csv", str(csv_path), "--w", "constant:0.5", "--w", "ma:2",
+                "--with-buy-hold", "--curves", "--outdir"]
+        assert main([*argv, str(tmp_path / "whole")]) == 0
+        monkeypatch.setattr(tables, "_HELPER_ROWS", 0)
+        monkeypatch.setattr(tables, "_FORMATTER", "raise SystemExit(3)")
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        capsys.readouterr()
+        outdir = tmp_path / "failed"
+        assert main([*argv, str(outdir)]) == 1
+        captured = capsys.readouterr()
+        path = outdir / "curve_2.csv"
+        assert captured.err == f"error: {path}: its helper interpreter exited with status 3\n"
+        left = sorted(path.name for path in outdir.iterdir())
+        assert left == ["backtest.csv", "backtest.json", "curve_1.csv"]
+        for name in left:  # a curve written here is whole
+            assert (outdir / name).read_text() == (tmp_path / "whole" / name).read_text().replace(
+                "whole", "failed"
+            )
+
     def test_negative_zero_and_exponent_gains(self, tmp_path, capsys, monkeypatch):
         gains = [0.0, -0.0, 1e-7, -2.5e-05, 1.5e16, 0.1, 5e-324]
         real = cli.batch_backtest
@@ -417,7 +438,7 @@ class TestJsonMatrix:
     ):
         started, set_cpus = matrix_helpers
         set_cpus(cpus)
-        monkeypatch.setattr(tables, "_MATRIX_HELPER", "raise SystemExit(3)")
+        monkeypatch.setattr(tables, "_FORMATTER", "raise SystemExit(3)")
         code = main([
             "verify-rpe", "--w", "log_ramp", "--k-max", "6", "--mu-grid", "0.01,-0.02,0.03,-0.04",
             "--outdir", str(tmp_path),

@@ -1,6 +1,7 @@
 """Path generation, substream reproducibility, Monte Carlo harness."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -434,3 +435,24 @@ class TestPathDump:
             for stage, price in enumerate(simulate_path(params, 4, i).tolist())
         ]
         assert body == expected
+
+    def test_dump_streams_one_block_at_a_time(self, tmp_path):
+        # the peak is one block's draws and text, whatever the path count
+        params = GbmJumpParams(mu_star=0.05)
+        dump_paths_csv(tmp_path / "paths.csv", params, seed=1, n_paths=1)  # one-time setup
+        peaks = []
+        for n_paths in (2 * BLOCK, 20 * BLOCK):
+            tracemalloc.start()
+            try:
+                dump_paths_csv(tmp_path / "paths.csv", params, seed=1, n_paths=n_paths)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.1 * peaks[0], peaks
+
+    def test_a_failed_dump_leaves_no_file(self, tmp_path):
+        # the prices pass the float range once the header is written
+        params = GbmJumpParams(mu_star=0.5, sigma_star=0.0, lam=0.0, dt=1.0, n_periods=3, s0=1e308)
+        with pytest.raises(ValueError, match=FLOAT_RANGE):
+            dump_paths_csv(tmp_path / "paths.csv", params, 0, 2)
+        assert list(tmp_path.iterdir()) == []

@@ -1,5 +1,6 @@
 """CSV tables: one format for every CSV the CLI writes, one reader for every CSV it reads."""
 
+import contextlib
 import csv
 import io
 import json
@@ -98,6 +99,15 @@ class TestTableModule:
         lines = [f"{i},{i * 0.1!r}" for i in range(10_000)]
         write_table(path, [], ["a", "b"], lines)
         assert path.read_text() == "a,b\n" + "".join(line + "\n" for line in lines)
+
+    def test_a_table_whose_lines_fail_is_removed(self, tmp_path):
+        def lines():
+            yield from (f"{i},0.5" for i in range(5000))
+            raise OSError("no space left")
+
+        with pytest.raises(OSError, match="^no space left$"):
+            write_table(tmp_path / "t.csv", ["one"], ("a", "b"), lines())
+        assert list(tmp_path.iterdir()) == []
 
     def test_reads_an_open_file(self, tmp_path):
         path = tmp_path / "t.csv"
@@ -491,11 +501,63 @@ def test_everything_runs_here_without_room_for_a_helper(tmp_path, monkeypatch, s
 @pytest.mark.parametrize("rows", [1, 100_000])  # the larger table outgrows the pipe
 def test_a_failing_helper_names_its_table_and_is_waited_for(tmp_path, monkeypatch, started, rows):
     monkeypatch.setattr(tables, "_HELPER_ROWS", 0)
-    monkeypatch.setattr(tables, "_HELPER", "raise SystemExit(3)")
+    monkeypatch.setattr(tables, "_FORMATTER", "raise SystemExit(3)")
     tables_ = series(tmp_path, np.ones(rows), count=3)
     with pytest.raises(OSError, match=f"^{tables_[1][0]}: its helper interpreter exited with status 3$"):
         write_series(tables_, first=0)
     assert len(started) == 2 and [helper.returncode for helper in started] == [3, 3]
+
+
+def test_a_failing_helper_leaves_no_helped_table(tmp_path, monkeypatch, started):
+    monkeypatch.setattr(tables, "_HELPER_ROWS", 0)
+    monkeypatch.setattr(tables, "_FORMATTER", "raise SystemExit(3)")
+    tables_ = series(tmp_path, [0.5, -2.0], count=3)
+    with pytest.raises(OSError, match="its helper interpreter exited with status 3"):
+        write_series(tables_, first=0)
+    assert [path.name for path in tmp_path.iterdir()] == ["s0.csv"]  # the one written here
+    assert tables_[0][0].read_text() == "# made here\nstage,v\n0,0.5\n1,-2.0\n"
+
+
+def helped_text(values, *args):
+    """What a helper interpreter writes for tables.format_rows(values, *args)."""
+    with contextlib.ExitStack() as stack:
+        return "".join(tables._start(stack, "helped", np.ascontiguousarray(values), *args))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    values=hnp.arrays(
+        np.float64, st.integers(7, 40), elements=st.floats(width=64) | st.sampled_from(SERIES_EDGES)
+    ),  # one row at least: a dump has a path, a sweep a drift
+    first=st.integers(0, 10**12),
+    stages=st.integers(1, 7),
+)
+def test_path_and_sweep_rows_are_their_f_strings_here_and_in_a_helper(values, first, stages):
+    paths = values[: values.size // stages * stages].reshape(-1, stages)
+    sweep = values[: values.size // 3 * 3].reshape(-1, 3)
+    layouts = [
+        (paths, (1, *tables.CSV_ROWS, first, stages), "".join(
+            f"{first + i},{j},{p!r}\n" for i, row in enumerate(paths.tolist()) for j, p in enumerate(row)
+        )),
+        (sweep, (3, *tables.CSV_ROWS), "".join(f"{a},{b},{c}\n" for a, b, c in sweep.tolist())),
+    ]
+    for matrix, args, expected in layouts:
+        assert "".join(tables.format_rows(matrix, *args)) == expected
+        assert helped_text(matrix, *args) == expected
+
+
+def test_rows_that_span_pieces_are_whole():
+    values = np.arange(10_120) / 7  # pieces of about 4096 values: three of each layout
+    paths = values.reshape(-1, 253)
+    assert "".join(tables.format_rows(values, 1, *tables.CSV_ROWS, 5)) == "".join(
+        f"{5 + i},{v!r}\n" for i, v in enumerate(values.tolist())
+    )
+    assert "".join(tables.format_rows(paths, 1, *tables.CSV_ROWS, 3, 253)) == "".join(
+        f"{3 + i},{j},{p!r}\n" for i, row in enumerate(paths.tolist()) for j, p in enumerate(row)
+    )
+    matrix, out = values[:9000].reshape(3, 3000), io.StringIO()
+    tables.write_matrix(out, "m.json", matrix, "\n")
+    assert out.getvalue() == json.dumps(matrix.tolist(), indent=2)
 
 
 def test_helpers_leave_no_resource_warning(tmp_path):
