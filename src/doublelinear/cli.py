@@ -248,75 +248,48 @@ def _outdir(args) -> Path:
     return Path(args.outdir or os.environ.get(OUTDIR_ENV) or ".")
 
 
-def _leaf(obj) -> str:
-    """JSON text of a scalar or an empty container, as the json module writes it.
-    Floats, most leaves, are written here: json.dumps without an indent runs
-    the C encoder, whose error for nan or inf does not name the value."""
-    if isinstance(obj, float):
-        if not math.isfinite(obj):
-            raise ValueError(f"Out of range float values are not JSON compliant: {obj!r}")
-        return float.__repr__(obj)
-    return json.dumps(obj)
-
-
 def _encode(obj, indent: str, out: list) -> None:
     """Append the pieces of ``json.dumps(obj, indent=2, sort_keys=True,
     allow_nan=False)`` to out; their concatenation is that text exactly.
 
-    With an indent the json module always runs its pure-Python encoder,
-    one generator step per token.  Here a list of plain floats, the bulk
-    of every large output, is one piece: one finiteness check, then its
-    float.__repr__ values joined (a list holding nan or inf takes the
-    item-by-item path, which raises the json module's error).  So is a
-    list of records, dicts with the same keys whose values under each key
-    are all finite plain floats or all plain ints: one %-template per
-    record.  Pieces are appended, never nested into larger strings, so a
-    caller can write them without holding the text twice.  Dict keys must
-    be str.
-
-    A numpy array is encoded as its tolist(), but a nonempty 2-d float64
-    one is appended as the piece (array, indent), for the writer to
-    format (tables.write_matrix); its values are checked finite here.
+    Dicts, which hold the bulk values, are walked.  A list of records (see
+    _records) is one %-template per record, and a nonempty 2-d float64 array,
+    its values checked finite here, is the piece (array, indent) for the
+    writer to format (tables.write_matrix): the json module's pure-Python
+    encoder, which an indent selects, is slower on both.  Any other value is
+    the json module's text (an array's tolist()), its newlines turned into
+    indent; json escapes every newline inside a string.  Pieces are
+    appended, never nested into larger strings, so a caller can write them
+    without holding the text twice.  Dict keys must be str.
     """
-    if isinstance(obj, np.ndarray):
-        if obj.ndim == 2 and obj.dtype == np.float64 and obj.size:
-            bad = ~np.isfinite(obj)
-            if bad.any():
-                _leaf(float(obj.flat[np.argmax(bad)]))  # raises the json module's error
-            out.append((np.ascontiguousarray(obj), indent))
-        else:
-            _encode(obj.tolist(), indent, out)
-    elif isinstance(obj, (list, tuple)) and obj:
-        inner = indent + "  "
-        if set(map(type, obj)) == {float} and all(map(math.isfinite, obj)):
-            out.append("[" + inner + ("," + inner).join(map(float.__repr__, obj)) + indent + "]")
-            return
-        records = _records(obj, inner)
-        if records is not None:
-            out.append("[" + inner + ("," + inner).join(records) + indent + "]")
-            return
-        sep = "[" + inner
-        for value in obj:
-            out.append(sep)
-            _encode(value, inner, out)
-            sep = "," + inner
-        out.append(indent + "]")
-    elif isinstance(obj, dict) and obj:
-        inner = indent + "  "
+    inner = indent + "  "
+    if isinstance(obj, dict) and obj:
         sep = "{" + inner
         for key, value in sorted(obj.items()):
             out.append(sep + encode_basestring_ascii(key) + ": ")
             _encode(value, inner, out)
             sep = "," + inner
         out.append(indent + "}")
+    elif (records := _records(obj, inner)) is not None:
+        out.append("[" + inner + ("," + inner).join(records) + indent + "]")
+    elif isinstance(obj, np.ndarray) and obj.ndim == 2 and obj.dtype == np.float64 and obj.size:
+        bad = ~np.isfinite(obj)
+        if bad.any():  # raises the json module's error
+            json.dumps(float(obj.flat[np.argmax(bad)]), indent=2, allow_nan=False)
+        out.append((np.ascontiguousarray(obj), indent))
     else:
-        out.append(_leaf(obj))
+        value = obj.tolist() if isinstance(obj, np.ndarray) else obj
+        text = json.dumps(value, indent=2, sort_keys=True, allow_nan=False)
+        out.append(text.replace("\n", indent))
 
 
 def _records(obj, indent: str):
-    """The JSON texts of the records in obj, each at indent, when obj is a list of
-    dicts with the same nonempty str keys whose values under each key are all finite
-    plain floats or all plain ints (bools excluded); None for any other list."""
+    """The JSON texts of the records in obj, each at indent, when obj is a nonempty
+    list or tuple of dicts with the same nonempty str keys whose values under each key
+    are all finite plain floats or all plain ints (bools excluded); None for any other
+    value."""
+    if not isinstance(obj, (list, tuple)) or not obj:
+        return None
     first = obj[0]
     if type(first) is not dict or not first or not all(type(key) is str for key in first):
         return None
@@ -495,15 +468,16 @@ def cmd_simulate(args, effective: dict) -> int:
     outdir = _outdir(args)
     pieces = _write_json(outdir / "simulate.json", payload)
     comments = [_provenance_comment("simulate", effective)]
-
-    if not single:
-        header = ("mu_star", "mean_gain", "std_error")
-        values = np.array([[r[name] for name in header] for r in rows])
-        write_text(outdir / "sweep.csv", comments, header, format_rows(values, 3, *CSV_ROWS))
-
-    if dump:
-        dump_paths_csv(outdir / "paths.csv", params, seed, dump, comment=comments[0])
-
+    try:  # each CSV is whole or absent, and simulate.json goes with a failed one
+        if not single:
+            header = ("mu_star", "mean_gain", "std_error")
+            values = np.array([[r[name] for name in header] for r in rows])
+            write_text(outdir / "sweep.csv", comments, header, format_rows(values, 3, *CSV_ROWS))
+        if dump:
+            dump_paths_csv(outdir / "paths.csv", params, seed, dump, comment=comments[0])
+    except BaseException:
+        (outdir / "simulate.json").unlink()
+        raise
     sys.stdout.writelines(pieces)
     return 0
 

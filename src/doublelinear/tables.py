@@ -37,7 +37,8 @@ def format_rows(values, width, cell, sep, lead, end, *index):
     joined by cell, the rows joined by sep, then end.  values: raw float64, C-contiguous.
     index leads rows of one value with (first,) their number from first, or (first, stages)
     that of their group of stages rows and their place in it, each followed by cell."""
-    values = memoryview(values).cast("B").cast("d")
+    values = memoryview(values)
+    values = values.cast("B").cast("d") if values.nbytes else ()  # no cast of a (0, n) view
     row = cell.join(["%r"] * width)
     places = [cell + str(place) for place in range(index[1])] if len(index) > 1 else [""]
     group = ["%d" + place + cell + row for place in places] if index else [row]

@@ -567,6 +567,31 @@ class TestSimulateChecksFirst:
         assert err.startswith("error:") and out == ""
         assert not outdir.exists()
 
+    def test_a_failed_path_dump_leaves_no_file(self, tmp_path, capsys):
+        # a constant schedule trades without prices, so only the dump meets the float range
+        code, out, err = run(
+            capsys, "simulate", "--mu-star", "0.5", "--sigma-star", "0", "--lambda", "0",
+            "--dt", "1", "--n", "3", "--s0", "1e308", "--paths", "4", "--dump-paths", "2",
+            "--outdir", str(tmp_path),
+        )
+        assert code == 1
+        assert err.startswith("error:") and err.count("\n") == 1 and "float range" in err
+        assert out == ""
+        assert list(tmp_path.iterdir()) == []
+
+    def test_a_failed_sweep_table_leaves_no_file(self, tmp_path, capsys, monkeypatch):
+        def full(path, *args):
+            raise OSError(f"{path}: no space left")
+
+        monkeypatch.setattr(cli, "write_text", full)
+        code, out, err = run(
+            capsys, "simulate", "--grid", "-0.1,0.1", "--paths", "4", "--n", "5",
+            "--outdir", str(tmp_path),
+        )
+        assert (code, out) == (1, "")
+        assert err == f"error: {tmp_path / 'sweep.csv'}: no space left\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_engine_underflow_names_the_model(self, tmp_path, capsys):
         outdir = tmp_path / "out"
         code, out, err = run(

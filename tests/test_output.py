@@ -11,6 +11,7 @@ import math
 import os
 import subprocess
 import sys
+import types
 import warnings
 from fractions import Fraction
 
@@ -500,3 +501,49 @@ gc.collect()
         assert (done.returncode, done.stderr) == (0, b"")
         expected = oracle({"m": (np.ones((8, 3)) / 7).tolist()}) + "\n"
         assert (tmp_path / "m.json").read_text() == expected
+
+
+class TestBulkRouting:
+    """The two bulk values bypass the json module, whose indented encoder runs in pure
+    Python: records as one templated piece, a float matrix as one (array, indent) piece."""
+
+    @pytest.fixture
+    def dumped(self, monkeypatch):
+        """Every value _encode hands to json.dumps."""
+        seen = []
+
+        def spy(value, **kwargs):
+            seen.append(value)
+            return json.dumps(value, **kwargs)
+
+        monkeypatch.setattr(cli, "json", types.SimpleNamespace(dumps=spy))
+        return seen
+
+    def test_analyze_results_are_one_piece(self, dumped):
+        rng = np.random.default_rng(0)
+        mus, ks = rng.uniform(-0.05, 0.05, 80).tolist(), list(range(50, 5001, 50))
+        cells = rng.normal(size=(80, 100, 2)).tolist()  # [mu, k, (mean, variance)]
+        results = [
+            {"mu": mu, "k": k, "mean": mean, "variance": abs(variance)}
+            for mu, row in zip(mus, cells) for k, (mean, variance) in zip(ks, row)
+        ]
+        payload = {"command": "analyze", "config": {"alpha": 0.5, "mu": "0.1"}, "results": results}
+        pieces = []
+        cli._encode(payload, "\n", pieces)
+        at = pieces.index(',\n  "results": ') + 1
+        assert pieces[at] == oracle(results).replace("\n", "\n  ")
+        assert pieces[at + 1:] == ["\n}"]
+        assert all(value is not results for value in dumped)
+        assert "".join(pieces) == oracle(payload)
+
+    def test_rpe_entries_are_one_matrix_piece(self, dumped):
+        config = PolicyConfig(0.5, MarketBounds(-0.5, 1.0))
+        schedule = cli.eval_schedule(parse_weight_spec("log_ramp"), 60)
+        report = cli.rpe_scan(config, schedule, cli.DEFAULT_RPE_MU_GRID, 60)
+        payload = {"command": "verify-rpe", "config": {"k_max": 60}, **vars(report)}
+        pieces = []
+        cli._encode(payload, "\n", pieces)
+        (matrix,) = [piece for piece in pieces if not isinstance(piece, str)]
+        assert matrix[0].tolist() == report.entries.tolist() and matrix[1] == "\n  "
+        assert pieces[pieces.index(matrix) - 1] == ',\n  "entries": '
+        assert all(np.ndim(value) < 2 for value in dumped)  # entries never went to json

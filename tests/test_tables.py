@@ -577,3 +577,14 @@ gc.collect()
     )
     assert (done.returncode, done.stderr) == (0, b"")
     assert len(list(tmp_path.iterdir())) == 3
+
+
+@pytest.mark.parametrize(
+    "shape, args",
+    [((0, 3), (3, *tables.CSV_ROWS)), ((0, 4), (1, *tables.CSV_ROWS, 0, 4)), ((0,), (1, *tables.CSV_ROWS, 0))],
+    ids=["sweep", "paths", "series"],
+)
+def test_no_rows_are_no_text_here_and_in_a_helper(shape, args):
+    values = np.zeros(shape)
+    assert list(tables.format_rows(values, *args)) == []
+    assert helped_text(values, *args) == ""
