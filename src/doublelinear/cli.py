@@ -8,13 +8,15 @@ is flags over config-file values over built-in defaults, and every
 output file embeds the effective configuration (plus the seed where one
 exists).  Outputs are byte-deterministic for a fixed configuration:
 JSON is written with sorted keys, CSVs carry a leading provenance
-comment, nothing is timestamped, and the engine runs on one thread
-whatever --threads says.
+comment, nothing is timestamped, and the Monte Carlo engine runs one
+thread per CPU in the process's affinity set, whatever --threads says;
+no result depends on either.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -37,7 +39,7 @@ from .simulate import (
     sweep_mu_star,
 )
 from .tables import (
-    CSV_ROWS, format_rows, output, write_matrix, write_series, write_table, write_text,
+    CSV_ROWS, format_rows, output, outputs, write_matrix, write_series, write_table, write_text,
 )
 from .weights import WeightSpec, dump_weight_table, eval_schedule, parse_weight_spec
 
@@ -76,6 +78,9 @@ MARKET = {
     "x_max": (float, 1.0, "per-period return upper bound, > 0"),
 }
 
+# The model defaults, which the simulate options take.
+_MODEL = {field.name: field.default for field in dataclasses.fields(GbmJumpParams)}
+
 # Every option of every command, once: command -> (summary, {name: (type,
 # default, help)}).  The flag is --name with - for _ (lam is --lambda), a
 # config-file key is the name, and its value must have the type: a float
@@ -97,16 +102,16 @@ COMMANDS = {
         "rf": (float, 0.0, "riskless per-period rate (default 0)"),
         "mu_star": (float, None, "annualized drift; omit to sweep a grid"),
         "grid": (list[float], None, "comma list of mu_star values for the sweep"),
-        "sigma_star": (float, 0.3563, "annualized volatility"),
-        "lam": (float, 0.2, "jump intensity per year"),
-        "delta": (float, 0.1, "downward jump fraction in [0, 1)"),
-        "dt": (float, 1.0 / 252.0, "period length in years"),
-        "n": (int, 252, "periods per path"),
-        "s0": (float, 1.0, "initial price"),
+        "sigma_star": (float, _MODEL["sigma_star"], "annualized volatility"),
+        "lam": (float, _MODEL["lam"], "jump intensity per year"),
+        "delta": (float, _MODEL["delta"], "downward jump fraction in [0, 1)"),
+        "dt": (float, _MODEL["dt"], "period length in years"),
+        "n": (int, _MODEL["n_periods"], "periods per path"),
+        "s0": (float, _MODEL["s0"], "initial price"),
         "paths": (int, 10_000, "Monte Carlo paths"),
         "seed": (int, 0, "base seed"),
-        "threads": (int, 1, "no effect: the engine runs on one thread, so results never "
-                            "depend on it"),
+        "threads": (int, 1, "no effect: the engine runs one thread per CPU it may run on, "
+                            "and results never depend on it"),
         "clip": (bool, False, "clip simulated returns into the market bounds before trading"),
         "dump_paths": (int, 0, "also write the first N price paths (single-run mode only)"),
     }),
@@ -466,18 +471,16 @@ def cmd_simulate(args, effective: dict) -> int:
     ]
     payload = {"command": "simulate", "config": effective, "results": rows}
     outdir = _outdir(args)
-    pieces = _write_json(outdir / "simulate.json", payload)
     comments = [_provenance_comment("simulate", effective)]
-    try:  # each CSV is whole or absent, and simulate.json goes with a failed one
+    with outputs() as written:  # each CSV is whole or absent, and simulate.json goes with it
+        pieces = _write_json(outdir / "simulate.json", payload)
+        written.append(outdir / "simulate.json")
         if not single:
             header = ("mu_star", "mean_gain", "std_error")
             values = np.array([[r[name] for name in header] for r in rows])
             write_text(outdir / "sweep.csv", comments, header, format_rows(values, 3, *CSV_ROWS))
         if dump:
             dump_paths_csv(outdir / "paths.csv", params, seed, dump, comment=comments[0])
-    except BaseException:
-        (outdir / "simulate.json").unlink()
-        raise
     sys.stdout.writelines(pieces)
     return 0
 
@@ -505,21 +508,22 @@ def cmd_backtest(args, effective: dict) -> int:
         "reports": {name: report.to_dict() for name, report in reports.items()},
     }
     outdir = _outdir(args)
-    pieces = _write_json(outdir / "backtest.json", payload)
-
     comment = _provenance_comment("backtest", effective)
     summaries = list(payload["reports"].values())
     # one row per report field; json.dumps writes a finite float as its repr, a bool as true/false
     lines = (",".join([m, *(json.dumps(s[m]) for s in summaries)]) for m in summaries[0])
-    write_table(outdir / "backtest.csv", [comment], ["metric", *reports], lines)
-
-    if effective["curves"]:
-        curves = (
-            (outdir / f"curve_{position}.csv", [comment, f"spec: {name}"], ("stage", "gain"),
-             report.curve[:, 1])
-            for position, (name, report) in enumerate(reports.items(), start=1)
-        )
-        write_series(curves, first=0)  # curve rows are stages 0..n in order
+    with outputs() as written:  # a failed write removes the files written before it
+        pieces = _write_json(outdir / "backtest.json", payload)
+        written.append(outdir / "backtest.json")
+        write_table(outdir / "backtest.csv", [comment], ["metric", *reports], lines)
+        written.append(outdir / "backtest.csv")
+        if effective["curves"]:
+            curves = (
+                (outdir / f"curve_{position}.csv", [comment, f"spec: {name}"], ("stage", "gain"),
+                 report.curve[:, 1])
+                for position, (name, report) in enumerate(reports.items(), start=1)
+            )
+            write_series(curves, first=0)  # curve rows are stages 0..n in order
 
     sys.stdout.writelines(pieces)
     return 0

@@ -24,7 +24,9 @@ Financial Engineering, 3.5).  The two-point generator draws one (B, n)
 matrix of uniforms instead.  Path i is row i mod B of block i // B.  A
 run of n_paths draws its last block at full size and keeps the rows it
 needs, so a path's draws depend on (s, i) alone, not on n_paths.  B and
-the draw order are part of the contract.
+the draw order are part of the contract.  monte_carlo_gain_loss trades
+its blocks on one thread per CPU in the process's affinity set, each
+into its own slice, so no result depends on the number of CPUs.
 
 The engine trades the simple returns expm1(g) (simulate_returns) and
 builds prices s0*exp(cumsum(g)) (simulate_path) only for price-driven
@@ -35,6 +37,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import threading
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
@@ -49,7 +52,7 @@ from .policy import (
     validate_prices,
     validate_weights,
 )
-from .tables import CSV_ROWS, format_rows, write_text
+from .tables import CSV_ROWS, available_cpus, format_rows, write_text
 from .weights import WeightSpec, eval_schedule
 
 __all__ = [
@@ -338,9 +341,14 @@ def monte_carlo_gain_loss(
 
     Paths are simulated and traded a block of BLOCK at a time, each
     block from its own substream into its own slice of a preallocated
-    gain array; the mean is then a single deterministic reduction of
-    that array, so the result is bit-identical for a given
-    (seed, n_paths).
+    gain array.  The blocks are split into contiguous ranges, one per
+    CPU in the process's affinity set and at most one per block; the
+    calling thread trades the first and a thread each other one.  The
+    mean is a single deterministic reduction of that array once every
+    thread has joined, so the result is bit-identical for a given
+    (seed, n_paths) on any number of CPUs.  An error is that of the
+    lowest failing block, as a loop over the blocks raises it, and no
+    thread is left running when the call returns or raises.
 
     Beside the gain G, each path yields a compensator with G's mean and
     less variance (Glasserman, Monte Carlo Methods in Financial
@@ -409,7 +417,7 @@ def monte_carlo_gain_loss(
         with _unwarned():
             coefficients = _compensator_coefficients(config, static_w, generator.mu)
 
-    for block in range(-(-n_paths // BLOCK)):
+    def trade(block: int) -> None:
         lo = block * BLOCK
         rows = min(BLOCK, n_paths - lo)
         if price_generator:
@@ -428,15 +436,17 @@ def monte_carlo_gain_loss(
         v_long, v_short = account_legs(config, w, x)  # the fold evolve makes, one path per row
         gains[lo : lo + rows] = v_long[:, -1] + v_short[:, -1] - config.v0
         if compensators is not None:
-            with _unwarned():
-                if static_w is None:
-                    coefficients = _compensator_coefficients(config, w, generator.mu)
-                c0, a_long, a_short = coefficients
+            with _unwarned():  # per block: a thread starts with NumPy's default error state
+                c0, a_long, a_short = (
+                    coefficients if static_w is not None
+                    else _compensator_coefficients(config, w, generator.mu)
+                )
                 # the legs entering each stage: V(k-1) for k = 1..horizon
                 compensators[lo : lo + rows] = (
                     c0 + _row_dot(v_long[:, :-1], a_long) + _row_dot(v_short[:, :-1], a_short)
                 )
 
+    _run_blocks(trade, -(-n_paths // BLOCK))
     mean, std_error, variance = _sample_stats(gains)
     cv_mean, cv_std_error, _ = _sample_stats(gains if compensators is None else compensators)
     return MonteCarloResult(
@@ -448,6 +458,48 @@ def monte_carlo_gain_loss(
         cv_mean_gain=cv_mean,
         cv_std_error=cv_std_error,
     )
+
+
+def _run_blocks(trade, n_blocks: int) -> None:
+    """trade(block) for blocks 0..n_blocks-1, split into contiguous ranges, one per CPU
+    this process may run on and at most one per block.  The calling thread trades the
+    first range and a threading.Thread each other one; the call returns once every
+    thread has joined.  The error raised is that of the lowest failing block, as a
+    loop over the blocks in order would raise it: a range stops at its first failure or
+    once a lower range has failed, and its exception is kept, never raised in its
+    thread.  An interrupt of the calling thread stops the others between blocks."""
+    parts = min(available_cpus(), n_blocks)
+    bounds = [n_blocks * part // parts for part in range(parts + 1)]
+    ranges = [range(start, stop) for start, stop in zip(bounds, bounds[1:])]
+    failures = [None] * parts  # per range, the exception of its first failing block
+
+    def run(part: int) -> None:
+        for block in ranges[part]:
+            if any(failures[:part]):
+                return
+            try:
+                trade(block)
+            except BaseException as exc:  # raised by the calling thread once all have joined
+                failures[part] = exc
+                return
+
+    started = []
+    try:
+        for part in range(1, parts):
+            thread = threading.Thread(target=run, args=(part,), name=f"block range {part}")
+            thread.start()
+            started.append(thread)
+        for block in ranges[0]:
+            trade(block)
+    except BaseException as exc:  # the lowest blocks failed, or the call was interrupted
+        failures[0] = exc
+        raise
+    finally:
+        for thread in started:
+            thread.join()
+    for failure in failures:
+        if failure is not None:
+            raise failure
 
 
 def _compensator_coefficients(config: PolicyConfig, w, mu):

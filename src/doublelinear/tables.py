@@ -7,7 +7,8 @@ The reader skips every line that is blank or whose first non-space character is
 surrounding spaces.  A quoted cell ends with its line.
 
 format_rows writes every bulk float output, here and in helper interpreters alike, so a
-row's bytes do not depend on where it was formatted; output() makes each file whole or absent.
+row's bytes do not depend on where it was formatted; output() makes each file whole or absent,
+and outputs() a command's files together.
 """
 
 from __future__ import annotations
@@ -201,11 +202,25 @@ def output(path):
         raise
 
 
+@contextmanager
+def outputs():
+    """A list for the block to add each path it has written to; if the block raises,
+    every path in it is removed, so the block's outputs are whole or absent together."""
+    written = []
+    try:
+        yield written
+    except BaseException:
+        for path in written:
+            Path(path).unlink(missing_ok=True)
+        raise
+
+
 def write_series(tables, first) -> None:
     """Write each (path, comments, header, values) table as write_text does, with the row
     "{first + i},{values[i]!r}" per value.  The first table, tables under _HELPER_ROWS rows
     and those past one per CPU this process may run on are written here first; a helper
-    interpreter, this Python without numpy, formats each other one within the call."""
+    interpreter, this Python without numpy, formats each other one within the call.  If
+    one table fails, none is left."""
     spare = _spare_cpus()
     local, helped = [], []
     with ExitStack() as stack:
@@ -215,8 +230,10 @@ def write_series(tables, first) -> None:
                 helped.append((path, comments, header, _start(stack, path, *rows)))
             else:
                 local.append((path, comments, header, format_rows(*rows)))
-        for table in local + helped:
-            write_text(*table)
+        with outputs() as written:
+            for table in local + helped:
+                write_text(*table)
+                written.append(table[0])
 
 
 def write_matrix(fh, path, matrix, indent) -> None:
@@ -243,10 +260,15 @@ def write_matrix(fh, path, matrix, indent) -> None:
         fh.write(text + indent + "]")
 
 
+def available_cpus() -> int:
+    """The CPUs this process may run on: its affinity set, where the OS keeps one."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
 def _spare_cpus() -> int:
     """Helpers this process may start: one per CPU it may run on, none when it may run
     on one or has no interpreter to start."""
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    cpus = available_cpus()
     return cpus if cpus > 1 and sys.executable else 0
 
 

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from doublelinear import cli
+from doublelinear import cli, tables
 from doublelinear.cli import main
 
 
@@ -294,24 +294,35 @@ class TestSimulate:
             b = (tmp_path / "b" / name).read_bytes()
             assert a == b
 
-    def test_threads_change_nothing_and_start_no_thread(self, tmp_path, capsys, monkeypatch):
-        def refuse(thread):
-            raise AssertionError(f"thread {thread.name} started")
+    def test_threads_change_nothing_and_one_cpu_starts_no_thread(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # 150 paths are 3 blocks: one thread per CPU past the first, at most one per block
+        starts = []
+        real_start = threading.Thread.start
 
-        monkeypatch.setattr(threading.Thread, "start", refuse)
-        results = []
-        for threads in ("1", "3"):
-            outdir = tmp_path / threads
-            code, out, _ = run(
-                capsys,
-                "simulate", "--grid", "-0.1,0.1", "--w", "ma:5", "--paths", "150", "--n", "12",
-                "--seed", "2", "--threads", threads, "--outdir", str(outdir),
-            )
-            assert code == 0
-            payload = read_json(outdir / "simulate.json")
-            assert payload["config"]["threads"] == int(threads)
-            results.append(payload["results"])
-        assert results[0] == results[1]
+        def counted(thread):
+            starts.append(thread.name)
+            real_start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", counted)
+        results = {}
+        for cpus in (1, 2):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+            for threads in ("1", "3"):
+                starts.clear()
+                outdir = tmp_path / f"{cpus}-{threads}"
+                code, out, _ = run(
+                    capsys,
+                    "simulate", "--grid", "-0.1,0.1", "--w", "ma:5", "--paths", "150", "--n", "12",
+                    "--seed", "2", "--threads", threads, "--outdir", str(outdir),
+                )
+                assert code == 0
+                assert len(starts) == 2 * (cpus - 1)  # per grid cell
+                payload = read_json(outdir / "simulate.json")
+                assert payload["config"]["threads"] == int(threads)
+                results[cpus, threads] = payload["results"]
+        assert len({json.dumps(r) for r in results.values()}) == 1
 
     def test_import_loads_no_thread_pool(self):
         env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
@@ -433,6 +444,23 @@ class TestBacktestCommand:
         )
         assert code == 1
         assert "error:" in err
+
+    def test_a_failed_curve_removes_every_backtest_file(self, tmp_path, capsys, monkeypatch):
+        # curves 2 and 3 of 30k rows go to helper interpreters, which exit 3 at once
+        monkeypatch.setattr(tables, "_FORMATTER", "raise SystemExit(3)")
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        prices = tmp_path / "prices.csv"
+        prices.write_text(
+            "timestamp,price\n" + "".join(f"{k},{100 + k % 7}\n" for k in range(1, 30_001))
+        )
+        outdir = tmp_path / "out"
+        code, out, err = run(
+            capsys, "backtest", "--csv", str(prices), "--w", "constant:0.5", "--w", "ma:20",
+            "--with-buy-hold", "--curves", "--outdir", str(outdir),
+        )
+        assert (code, out) == (1, "")
+        assert err == f"error: {outdir / 'curve_2.csv'}: its helper interpreter exited with status 3\n"
+        assert list(outdir.iterdir()) == []
 
 
 class TestParserBehavior:

@@ -213,12 +213,7 @@ class TestCurveCsv:
         captured = capsys.readouterr()
         path = outdir / "curve_2.csv"
         assert captured.err == f"error: {path}: its helper interpreter exited with status 3\n"
-        left = sorted(path.name for path in outdir.iterdir())
-        assert left == ["backtest.csv", "backtest.json", "curve_1.csv"]
-        for name in left:  # a curve written here is whole
-            assert (outdir / name).read_text() == (tmp_path / "whole" / name).read_text().replace(
-                "whole", "failed"
-            )
+        assert list(outdir.iterdir()) == []  # the files written before the curve go with it
 
     def test_negative_zero_and_exponent_gains(self, tmp_path, capsys, monkeypatch):
         gains = [0.0, -0.0, 1e-7, -2.5e-05, 1.5e16, 0.1, 5e-324]

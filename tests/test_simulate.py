@@ -1,10 +1,14 @@
 """Path generation, substream reproducibility, Monte Carlo harness."""
 
 import math
+import os
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from doublelinear import (
     AdmissibilityError,
@@ -17,6 +21,7 @@ from doublelinear import (
     evolve,
     expected_gain_loss_constant,
     monte_carlo_gain_loss,
+    parse_weight_spec,
     path_rng,
     prices_to_returns,
     simulate_path,
@@ -456,3 +461,118 @@ class TestPathDump:
         with pytest.raises(ValueError, match=FLOAT_RANGE):
             dump_paths_csv(tmp_path / "paths.csv", params, 0, 2)
         assert list(tmp_path.iterdir()) == []
+
+
+class TestBlockThreads:
+    """The engine splits its blocks into one contiguous range per CPU of the affinity
+    set; results and errors must be those of the one-CPU run, bit for bit."""
+
+    @staticmethod
+    def on_cpus(monkeypatch, cpus):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+
+    CASES = {
+        "constant": (parse_weight_spec("constant:0.8"), {}),
+        "log_ramp": (parse_weight_spec("log_ramp"), {}),
+        "ma:5": (parse_weight_spec("ma:5"), {}),
+        "clip_returns": (parse_weight_spec("constant:0.8"), {"clip_returns": True}),
+        "two-point": (parse_weight_spec("log_ramp"), {"n_periods": 9}),
+    }
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n_paths=st.integers(1, 700),
+        seed=st.integers(0, 2**32),
+        cpus=st.integers(1, 4),
+        case=st.sampled_from(sorted(CASES)),
+    )
+    def test_every_split_gives_the_one_cpu_result(self, n_paths, seed, cpus, case):
+        spec, kwargs = self.CASES[case]
+        generator = (
+            TwoPointModel(x_up=0.05, x_down=-0.04, p_up=0.55) if case == "two-point"
+            else GbmJumpParams(mu_star=0.3, sigma_star=0.8, n_periods=9)
+        )
+        config = make_config(rf=1e-4)
+        results = []
+        # the split runs first: a slice it failed to fill cannot hold the one-CPU values
+        for count in (cpus, 1):
+            with pytest.MonkeyPatch.context() as monkeypatch:
+                self.on_cpus(monkeypatch, count)
+                results.append(monte_carlo_gain_loss(config, spec, generator, n_paths, seed, **kwargs))
+        split, one = results
+        assert repr(split) == repr(one)  # bit for bit, and nan-safe
+
+    def test_an_error_in_the_second_range_is_the_one_cpu_error(self, monkeypatch):
+        # at seed 3 only block 2 of 0..3 has a return of -1: two CPUs trade it on their thread
+        model = GbmJumpParams(mu_star=0.0, sigma_star=5.5, lam=0.0, dt=1.0, n_periods=40)
+        spec, errors = parse_weight_spec("constant:0.8"), []
+        for cpus in (1, 2):
+            self.on_cpus(monkeypatch, cpus)
+            before = threading.active_count()
+            with pytest.raises(ValueError, match="float range") as caught:
+                monte_carlo_gain_loss(make_config(), spec, model, 4 * BLOCK, 3)
+            assert threading.active_count() == before
+            errors.append(str(caught.value))
+        assert errors[0] == errors[1]
+        self.on_cpus(monkeypatch, 2)  # the first range alone succeeds
+        monte_carlo_gain_loss(make_config(), spec, model, 2 * BLOCK, 3)
+
+    @pytest.mark.parametrize("failing", [{1, 3}, {0, 5}, {4}, {2, 7}, {7}])
+    def test_the_lowest_failing_block_is_raised_and_no_thread_outlives_the_call(
+        self, monkeypatch, failing
+    ):
+        real = simulate._log_growth_block
+        traded = []
+        unhandled = []
+
+        def draw(params, seed, block):
+            traded.append(block)
+            if block in failing:
+                raise ValueError(f"block {block}")
+            return real(params, seed, block)
+
+        monkeypatch.setattr(simulate, "_log_growth_block", draw)
+        monkeypatch.setattr(threading, "excepthook", unhandled.append)
+        self.on_cpus(monkeypatch, 4)  # ranges 0-1, 2-3, 4-5, 6-7
+        before = threading.active_count()
+        with pytest.raises(ValueError, match=f"^block {min(failing)}$"):
+            monte_carlo_gain_loss(
+                make_config(), parse_weight_spec("constant:0.8"), GbmJumpParams(mu_star=0.1, n_periods=5),
+                8 * BLOCK, 1,
+            )
+        assert threading.active_count() == before and unhandled == []
+        # every block below the lowest failure was traded, as the loop in order trades them
+        assert set(range(min(failing) + 1)) <= set(traded)
+
+    def test_an_interrupt_of_the_calling_thread_stops_and_joins_the_others(self, monkeypatch):
+        real = simulate._log_growth_block
+        traded = []
+
+        def draw(params, seed, block):
+            traded.append(block)
+            if block == 1:  # the calling thread's second block
+                raise KeyboardInterrupt
+            return real(params, seed, block)
+
+        monkeypatch.setattr(simulate, "_log_growth_block", draw)
+        self.on_cpus(monkeypatch, 2)
+        before = threading.active_count()
+        with pytest.raises(KeyboardInterrupt):
+            monte_carlo_gain_loss(
+                make_config(), parse_weight_spec("constant:0.8"), GbmJumpParams(mu_star=0.1),
+                400 * BLOCK, 1,
+            )
+        assert threading.active_count() == before
+        assert len(traded) < 100  # the other range, blocks 200..399, stopped between blocks
+
+    @pytest.mark.parametrize("n_paths", [1, BLOCK])
+    def test_one_block_starts_no_thread(self, monkeypatch, n_paths):
+        def refuse(thread):
+            raise AssertionError(f"thread {thread.name} started")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        self.on_cpus(monkeypatch, 4)
+        monte_carlo_gain_loss(
+            make_config(), parse_weight_spec("constant:0.8"), GbmJumpParams(mu_star=0.1, n_periods=5),
+            n_paths, 1,
+        )
