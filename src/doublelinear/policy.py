@@ -222,26 +222,34 @@ def step_account(
 def account_legs(config: PolicyConfig, w, x) -> tuple[np.ndarray, np.ndarray]:
     """Per-leg account values (long, short) at stages 0..n, validating nothing.
 
-    w and x broadcast to (..., n), one path per row.  Each leg, (..., n+1), is
-    the stage-0 split, then its leg_factors multiplied out in stage order.
-    A final total past the float range (inf or nan) is a ValueError."""
+    w and x broadcast to (..., n), one path per row.  Both legs, (..., n+1)
+    each, are views of one (2, ..., n+1) buffer: the stage-0 split, then the
+    leg's leg_factors, folded by fold_legs.  A final total past the float
+    range (inf or nan) is a ValueError."""
     shape = np.broadcast_shapes(np.shape(w), np.shape(x))
-    v_long = np.empty(shape[:-1] + (shape[-1] + 1,))
-    v_short = np.empty_like(v_long)
+    legs = np.empty((2,) + shape[:-1] + (shape[-1] + 1,))
     start = initial_state(config)
-    v_long[..., 0], v_short[..., 0] = start.v_long, start.v_short
+    legs[0, ..., 0], legs[1, ..., 0] = start.v_long, start.v_short
+    with np.errstate(over="ignore", invalid="ignore"):  # a total out of range is named by fold_legs
+        leg_factors(w, x, config.rf, out=(legs[0, ..., 1:], legs[1, ..., 1:]))
+    return fold_legs(legs)
+
+
+def fold_legs(legs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Multiply out, in place, each row of legs, (2, ..., n+1): long then short,
+    each a stage-0 value followed by its n stage factors.  Returns the two folded
+    legs; a final total past the float range (inf or nan) is a ValueError naming
+    the first such total.  One accumulate folds both legs of every row."""
     with np.errstate(over="ignore", invalid="ignore"):  # a total out of range is named below
-        leg_factors(w, x, config.rf, out=(v_long[..., 1:], v_short[..., 1:]))
-        np.multiply.accumulate(v_long, axis=-1, out=v_long)
-        np.multiply.accumulate(v_short, axis=-1, out=v_short)
-        total = v_long[..., -1] + v_short[..., -1]
+        np.multiply.accumulate(legs, axis=-1, out=legs)
+        total = legs[0, ..., -1] + legs[1, ..., -1]
     finite = np.isfinite(total)
     if not finite.all():
         raise ValueError(
             f"the account value leaves the float range: a final value is "
             f"{np.ravel(total)[np.argmin(finite)]}"
         )
-    return v_long, v_short
+    return legs[0], legs[1]
 
 
 def evolve(

@@ -26,7 +26,10 @@ run of n_paths draws its last block at full size and keeps the rows it
 needs, so a path's draws depend on (s, i) alone, not on n_paths.  B and
 the draw order are part of the contract.  monte_carlo_gain_loss trades
 its blocks on one thread per CPU in the process's affinity set, each
-into its own slice, so no result depends on the number of CPUs.
+into its own slice, and each thread folds the account legs of a group
+of 4 blocks in one call, into one buffer it keeps, or one block at a
+time past 1023 stages.  A row folds alike in any group, so no result
+depends on the number of CPUs or on the group.
 
 The engine trades the simple returns expm1(g) (simulate_returns) and
 builds prices s0*exp(cumsum(g)) (simulate_path) only for price-driven
@@ -46,9 +49,10 @@ import numpy as np
 from .analytics import TwoPointModel
 from .policy import (
     PolicyConfig,
-    account_legs,
     check_count,
+    fold_legs,
     initial_state,
+    leg_factors,
     validate_prices,
     validate_weights,
 )
@@ -72,6 +76,15 @@ DEFAULT_MU_STAR_GRID = tuple(np.linspace(-0.95, 0.95, 41).tolist())
 
 # Paths per substream block; part of the reproducibility contract.
 BLOCK = 64
+
+# Blocks whose legs one fold multiplies out together.  NumPy releases the GIL for an
+# accumulate over more than 500 rows and holds it for 500 or fewer; the two legs of 4
+# blocks are 512 rows, so the threads of _run_blocks fold at once.  Part of no result:
+# a group folds each row as a fold of its block alone would.
+_GROUP = 4
+# Largest legs buffer of a group: past it (n_periods > 1023) a range folds one block at
+# a time, so a long horizon takes no more memory than a fold per block.
+_GROUP_BYTES = 4 << 20
 
 # Largest lam*dt*n_periods accepted: a path's jump total is one Poisson
 # draw, which numpy can only take below the int64 range.
@@ -343,12 +356,18 @@ def monte_carlo_gain_loss(
     block from its own substream into its own slice of a preallocated
     gain array.  The blocks are split into contiguous ranges, one per
     CPU in the process's affinity set and at most one per block; the
-    calling thread trades the first and a thread each other one.  The
-    mean is a single deterministic reduction of that array once every
-    thread has joined, so the result is bit-identical for a given
-    (seed, n_paths) on any number of CPUs.  An error is that of the
-    lowest failing block, as a loop over the blocks raises it, and no
-    thread is left running when the call returns or raises.
+    calling thread trades the first and a thread each other one.  A
+    range writes the leg factors of a group of 4 blocks into one legs
+    buffer, which it keeps, and folds them in one call: NumPy runs an
+    accumulate over that many rows without the GIL, so the threads fold
+    at once.  Past 1023 stages a group's legs would pass 4 MiB, and a
+    range folds one block at a time.  The mean is a single deterministic
+    reduction of the gain array once every thread has joined, so the
+    result is bit-identical for a given (seed, n_paths) on any number of
+    CPUs.  An error is that of the lowest failing block, as a loop over
+    the blocks raises it: a block whose draw fails is raised only once
+    the blocks before it in its group are folded.  No thread is left
+    running when the call returns or raises.
 
     Beside the gain G, each path yields a compensator with G's mean and
     less variance (Glasserman, Monte Carlo Methods in Financial
@@ -376,9 +395,10 @@ def monte_carlo_gain_loss(
         a_S = mu^2*w*S,  a_L = a_S + mu*r*S + (mu*w + r)*R,
         c0 = mu*D(0)*sum(w) + V_L(0)*sum(r),
 
-    two row dots a block, with coefficients computed once a run.  An ma:
+    two row dots a group, with coefficients computed once a run.  An ma:
     schedule's later weights depend on later prices, so it keeps A, in
-    the same form: c0 = 0, a_L = mu*w + r, a_S = -mu*w, per block.
+    the same form: c0 = 0, a_L = mu*w + r, a_S = -mu*w, per block, each
+    block dotted once its group is folded.
 
     clip_returns clamps simulated returns into the configured market
     bounds before trading.  It is off by default: the jump-diffusion
@@ -417,9 +437,11 @@ def monte_carlo_gain_loss(
         with _unwarned():
             coefficients = _compensator_coefficients(config, static_w, generator.mu)
 
-    def trade(block: int) -> None:
-        lo = block * BLOCK
-        rows = min(BLOCK, n_paths - lo)
+    start = initial_state(config)
+    group = _GROUP if 2 * _GROUP * BLOCK * (horizon + 1) * 8 <= _GROUP_BYTES else 1
+
+    def draw(block: int, rows: int) -> tuple[np.ndarray, np.ndarray]:
+        """(weights, returns) of the first rows paths of block."""
         if price_generator:
             g = _log_growth_block(generator, seed, block)[:rows]
             # only a price-driven schedule needs prices; they come before
@@ -433,20 +455,67 @@ def monte_carlo_gain_loss(
             w = static_w
         if clip_returns:
             x = np.clip(x, config.bounds.x_min, config.bounds.x_max)
-        v_long, v_short = account_legs(config, w, x)  # the fold evolve makes, one path per row
-        gains[lo : lo + rows] = v_long[:, -1] + v_short[:, -1] - config.v0
-        if compensators is not None:
-            with _unwarned():  # per block: a thread starts with NumPy's default error state
-                c0, a_long, a_short = (
-                    coefficients if static_w is not None
-                    else _compensator_coefficients(config, w, generator.mu)
-                )
-                # the legs entering each stage: V(k-1) for k = 1..horizon
-                compensators[lo : lo + rows] = (
-                    c0 + _row_dot(v_long[:, :-1], a_long) + _row_dot(v_short[:, :-1], a_short)
-                )
+        return w, x
 
-    _run_blocks(trade, -(-n_paths // BLOCK))
+    def open_range(part: range):
+        """The trade of one range of blocks: trade(blocks) writes the leg factors of a
+        group into the range's legs buffer, a row per path, and folds them.  The buffer
+        is made once the range's first block is drawn, its stage-0 split written once.
+        Past the group bound it holds one block and goes with that block's trade, as a
+        fold per block frees its legs, so no draw meets the legs of the block before."""
+        height = min(len(part) * BLOCK, group * BLOCK, n_paths - part.start * BLOCK)
+        legs = None
+
+        def fill(block: int, row: int) -> np.ndarray:
+            """Draw block and write its leg factors into the buffer from row on; return
+            the weights it is traded at."""
+            nonlocal legs
+            w, x = draw(block, min(BLOCK, n_paths - block * BLOCK))
+            if legs is None:
+                legs = np.empty((2, height, horizon + 1))
+                legs[0, :, 0], legs[1, :, 0] = start.v_long, start.v_short
+            with _unwarned():  # per block: a thread starts with NumPy's default error state
+                leg_factors(w, x, config.rf, out=legs[:, row : row + len(x), 1:])
+            return w
+
+        def trade(blocks: range) -> None:
+            nonlocal legs
+            lo, weights, failure = blocks.start * BLOCK, [], None
+            for block in blocks:
+                try:
+                    weights.append(fill(block, len(weights) * BLOCK))
+                except Exception as exc:  # raised once the blocks before it are folded
+                    failure = exc
+                    break
+            filled = min(len(weights) * BLOCK, n_paths - lo)
+            if filled:  # each row folds as account_legs folds it, a lower block's error first
+                v_long, v_short = fold_legs(legs[:, :filled])
+            if failure is not None:
+                raise failure
+            if group == 1:
+                legs = None
+            gains[lo : lo + filled] = v_long[:, -1] + v_short[:, -1] - config.v0
+            if compensators is None:
+                return
+            if static_w is not None:
+                spans = [(0, filled, coefficients)]
+            else:  # an ma: schedule: each block with the coefficients of its own weights
+                spans = (
+                    (first, first + len(w), _compensator_coefficients(config, w, generator.mu))
+                    for first, w in zip(range(0, filled, BLOCK), weights)
+                )
+            with _unwarned():  # per group: a thread starts with NumPy's default error state
+                for first, stop, (c0, a_long, a_short) in spans:
+                    # the legs entering each stage: V(k-1) for k = 1..horizon
+                    compensators[lo + first : lo + stop] = (
+                        c0
+                        + _row_dot(v_long[first:stop, :-1], a_long)
+                        + _row_dot(v_short[first:stop, :-1], a_short)
+                    )
+
+        return trade
+
+    _run_blocks(open_range, -(-n_paths // BLOCK), group)
     mean, std_error, variance = _sample_stats(gains)
     cv_mean, cv_std_error, _ = _sample_stats(gains if compensators is None else compensators)
     return MonteCarloResult(
@@ -460,28 +529,34 @@ def monte_carlo_gain_loss(
     )
 
 
-def _run_blocks(trade, n_blocks: int) -> None:
-    """trade(block) for blocks 0..n_blocks-1, split into contiguous ranges, one per CPU
-    this process may run on and at most one per block.  The calling thread trades the
-    first range and a threading.Thread each other one; the call returns once every
-    thread has joined.  The error raised is that of the lowest failing block, as a
-    loop over the blocks in order would raise it: a range stops at its first failure or
-    once a lower range has failed, and its exception is kept, never raised in its
-    thread.  An interrupt of the calling thread stops the others between blocks."""
+def _run_blocks(open_range, n_blocks: int, group: int) -> None:
+    """Trade blocks 0..n_blocks-1, split into contiguous ranges, one per CPU this
+    process may run on and at most one per block.  The calling thread trades the first
+    range and a threading.Thread each other one; the call returns once every thread has
+    joined.  A range calls open_range(range) once for its trade function, then trade on
+    its blocks in order, group at a time (the last call may take fewer); trade raises
+    the error of the lowest failing block it was given.  The error raised is that of
+    the lowest failing block of all, as a loop over the blocks in order would raise it:
+    a range stops at its first failure or, between groups, once a lower range has
+    failed, and its exception is kept, never raised in its thread.  An interrupt of the
+    calling thread stops the others between groups."""
     parts = min(available_cpus(), n_blocks)
     bounds = [n_blocks * part // parts for part in range(parts + 1)]
     ranges = [range(start, stop) for start, stop in zip(bounds, bounds[1:])]
-    failures = [None] * parts  # per range, the exception of its first failing block
+    failures = [None] * parts  # per range, the exception of its first failing group
+
+    def groups(blocks: range) -> list[range]:
+        return [blocks[first : first + group] for first in range(0, len(blocks), group)]
 
     def run(part: int) -> None:
-        for block in ranges[part]:
-            if any(failures[:part]):
-                return
-            try:
-                trade(block)
-            except BaseException as exc:  # raised by the calling thread once all have joined
-                failures[part] = exc
-                return
+        try:
+            trade = open_range(ranges[part])
+            for blocks in groups(ranges[part]):
+                if any(failures[:part]):
+                    return
+                trade(blocks)
+        except BaseException as exc:  # raised by the calling thread once all have joined
+            failures[part] = exc
 
     started = []
     try:
@@ -489,8 +564,9 @@ def _run_blocks(trade, n_blocks: int) -> None:
             thread = threading.Thread(target=run, args=(part,), name=f"block range {part}")
             thread.start()
             started.append(thread)
-        for block in ranges[0]:
-            trade(block)
+        trade = open_range(ranges[0])
+        for blocks in groups(ranges[0]):
+            trade(blocks)
     except BaseException as exc:  # the lowest blocks failed, or the call was interrupted
         failures[0] = exc
         raise

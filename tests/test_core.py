@@ -718,6 +718,31 @@ class TestOneFactorForm:
         assert mc.mean_gain == float(np.mean(gains))
         assert mc.sample_variance == float(np.var(gains, ddof=1))
 
+    @given(
+        path=paths(),
+        n_paths=st.integers(2, 9 * BLOCK + 3),
+        cpus=st.integers(1, 2),
+        alpha=st.floats(0.0, 1.0),
+        rf=st.one_of(st.just(0.0), st.floats(1e-6, 0.01)),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_grouped_folds_give_the_mean_of_evolve_over_rows(self, path, n_paths, cpus, alpha, rf):
+        # the engine folds several blocks' rows in one call; past one group, on one
+        # or two ranges, every row must still be exactly its evolve gain
+        model, w, seed = path
+        cfg = PolicyConfig(alpha=alpha, bounds=BOUNDS, rf=rf)
+        gains = np.array([
+            evolve(cfg, w, simulate_two_point(model, len(w), seed, i)).final_gain
+            for i in range(n_paths)
+        ])
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+            mc = monte_carlo_gain_loss(
+                cfg, WeightSpec("table", values=tuple(w)), model, n_paths, seed, n_periods=len(w)
+            )
+        assert mc.mean_gain == float(np.mean(gains))
+        assert mc.sample_variance == float(np.var(gains, ddof=1))
+
     def test_trajectory_views_derive_from_the_leg_arrays(self):
         traj = evolve(CONFIG, [0.2, 0.8, 0.5], [0.05, -0.1, 0.3])
         np.testing.assert_array_equal(traj.values, traj.v_long + traj.v_short)

@@ -576,3 +576,88 @@ class TestBlockThreads:
             make_config(), parse_weight_spec("constant:0.8"), GbmJumpParams(mu_star=0.1, n_periods=5),
             n_paths, 1,
         )
+
+
+class TestGroupedFold:
+    """The engine folds the legs of a group of blocks in one call.  Errors must stay
+    those of the lowest failing block, and memory that of a fold per block past the
+    group bound."""
+
+    SPEC = parse_weight_spec("constant:0.8")
+
+    @staticmethod
+    def on_cpus(monkeypatch, cpus):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+
+    @staticmethod
+    def draws_failing_in_block_1(monkeypatch, error):
+        # block 0 draws a row whose legs overflow (a nan total), block 1 raises error
+        real = simulate._log_growth_block
+
+        def draw(params, seed, block):
+            if block == 1:
+                raise error
+            g = real(params, seed, block)
+            if block == 0:
+                g[5] = 400.0
+            return g
+
+        monkeypatch.setattr(simulate, "_log_growth_block", draw)
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_a_lower_blocks_fold_error_comes_before_a_later_draw_error(self, monkeypatch, cpus):
+        self.draws_failing_in_block_1(monkeypatch, ValueError("block 1"))
+        self.on_cpus(monkeypatch, cpus)
+        before = threading.active_count()
+        with pytest.raises(ValueError, match="^the account value leaves the float range"):
+            monte_carlo_gain_loss(
+                make_config(), self.SPEC, GbmJumpParams(mu_star=0.1, n_periods=5), 8 * BLOCK, 1
+            )
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_an_interrupt_propagates_without_folding_the_blocks_before_it(self, monkeypatch, cpus):
+        self.draws_failing_in_block_1(monkeypatch, KeyboardInterrupt())
+        self.on_cpus(monkeypatch, cpus)
+        before = threading.active_count()
+        with pytest.raises(KeyboardInterrupt):
+            monte_carlo_gain_loss(
+                make_config(), self.SPEC, GbmJumpParams(mu_star=0.1, n_periods=5), 8 * BLOCK, 1
+            )
+        assert threading.active_count() == before
+
+    def peak(self, monkeypatch, cpus, params, n_paths):
+        self.on_cpus(monkeypatch, cpus)
+        monte_carlo_gain_loss(make_config(), self.SPEC, params, 1, 1)  # one-time setup
+        tracemalloc.start()
+        try:
+            monte_carlo_gain_loss(make_config(), self.SPEC, params, n_paths, 1)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_a_long_horizon_folds_one_block_at_a_time(self, monkeypatch):
+        n = 20_000
+        matrix = BLOCK * (n + 1) * 8  # one block's leg
+        # a fold per block holds a block's draws and its two legs; a group of four
+        # blocks would hold eight legs
+        no_jumps = GbmJumpParams(mu_star=0.1, lam=0.0, n_periods=n)
+        assert self.peak(monkeypatch, 1, no_jumps, 4 * BLOCK) < 4 * matrix
+        # a draw with jumps takes about four matrices of its own: the legs of the block
+        # before are freed by then, as a fold per block frees them
+        params = GbmJumpParams(mu_star=0.1, n_periods=n)
+        tracemalloc.start()
+        try:
+            simulate._log_growth_block(params, 1, 0)
+            draw = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert self.peak(monkeypatch, 1, params, 4 * BLOCK) < draw + (1 << 20)
+
+    def test_the_mc_static_shape_holds_one_group_per_cpu(self, monkeypatch):
+        n_paths, n = 20_000, 252
+        group_legs = 2 * simulate._GROUP * BLOCK * (n + 1) * 8
+        block_draws = BLOCK * n * 8
+        peak = self.peak(monkeypatch, 2, GbmJumpParams(mu_star=0.3), n_paths)
+        # the gain and compensator arrays, then per CPU one group's legs and one block's draws
+        assert peak < 2 * 8 * n_paths + 2 * (group_legs + block_draws) + (1 << 20)
