@@ -356,18 +356,20 @@ def monte_carlo_gain_loss(
     block from its own substream into its own slice of a preallocated
     gain array.  The blocks are split into contiguous ranges, one per
     CPU in the process's affinity set and at most one per block; the
-    calling thread trades the first and a thread each other one.  A
-    range writes the leg factors of a group of 4 blocks into one legs
-    buffer, which it keeps, and folds them in one call: NumPy runs an
-    accumulate over that many rows without the GIL, so the threads fold
-    at once.  Past 1023 stages a group's legs would pass 4 MiB, and a
-    range folds one block at a time.  The mean is a single deterministic
-    reduction of the gain array once every thread has joined, so the
-    result is bit-identical for a given (seed, n_paths) on any number of
-    CPUs.  An error is that of the lowest failing block, as a loop over
-    the blocks raises it: a block whose draw fails is raised only once
-    the blocks before it in its group are folded.  No thread is left
-    running when the call returns or raises.
+    calling thread trades the first and a thread each other one.  Every
+    range runs one trade per group of 4 blocks: it draws the blocks,
+    writes their leg factors into the range's legs buffer, which it
+    keeps from group to group, and folds them in one call, as NumPy runs
+    an accumulate over that many rows without the GIL, so the threads
+    fold at once.  Past 1023 stages a group's legs would pass 4 MiB, and
+    a group is one block.  The mean is a single deterministic reduction
+    of the gain array once every thread has joined, so the result is
+    bit-identical for a given (seed, n_paths) on any number of CPUs.  An
+    error is that of the lowest failing block, as a loop over the blocks
+    raises it: a block whose draw fails is raised only once the blocks
+    before it in its group are folded.  No thread is left running when
+    the call returns or raises, even when it is interrupted while it
+    waits for the others.
 
     Beside the gain G, each path yields a compensator with G's mean and
     less variance (Glasserman, Monte Carlo Methods in Financial
@@ -440,63 +442,46 @@ def monte_carlo_gain_loss(
     start = initial_state(config)
     group = _GROUP if 2 * _GROUP * BLOCK * (horizon + 1) * 8 <= _GROUP_BYTES else 1
 
-    def draw(block: int, rows: int) -> tuple[np.ndarray, np.ndarray]:
-        """(weights, returns) of the first rows paths of block."""
-        if price_generator:
-            g = _log_growth_block(generator, seed, block)[:rows]
-            # only a price-driven schedule needs prices; they come before
-            # the returns take over g's buffer
-            w = static_w if static_w is not None else eval_schedule(
-                spec, horizon, _prices(generator, g)
-            )
-            x = _returns(generator, g)
-        else:
-            x = _two_point_block(generator, seed, block, horizon)[:rows]
-            w = static_w
-        if clip_returns:
-            x = np.clip(x, config.bounds.x_min, config.bounds.x_max)
-        return w, x
-
-    def open_range(part: range):
-        """The trade of one range of blocks: trade(blocks) writes the leg factors of a
-        group into the range's legs buffer, a row per path, and folds them.  The buffer
-        is made once the range's first block is drawn, its stage-0 split written once.
-        Past the group bound it holds one block and goes with that block's trade, as a
-        fold per block frees its legs, so no draw meets the legs of the block before."""
-        height = min(len(part) * BLOCK, group * BLOCK, n_paths - part.start * BLOCK)
-        legs = None
-
-        def fill(block: int, row: int) -> np.ndarray:
-            """Draw block and write its leg factors into the buffer from row on; return
-            the weights it is traded at."""
-            nonlocal legs
-            w, x = draw(block, min(BLOCK, n_paths - block * BLOCK))
-            if legs is None:
-                legs = np.empty((2, height, horizon + 1))
-                legs[0, :, 0], legs[1, :, 0] = start.v_long, start.v_short
-            with _unwarned():  # per block: a thread starts with NumPy's default error state
-                leg_factors(w, x, config.rf, out=legs[:, row : row + len(x), 1:])
-            return w
-
-        def trade(blocks: range) -> None:
-            nonlocal legs
-            lo, weights, failure = blocks.start * BLOCK, [], None
-            for block in blocks:
-                try:
-                    weights.append(fill(block, len(weights) * BLOCK))
-                except Exception as exc:  # raised once the blocks before it are folded
-                    failure = exc
-                    break
-            filled = min(len(weights) * BLOCK, n_paths - lo)
-            if filled:  # each row folds as account_legs folds it, a lower block's error first
-                v_long, v_short = fold_legs(legs[:, :filled])
-            if failure is not None:
-                raise failure
-            if group == 1:
-                legs = None
-            gains[lo : lo + filled] = v_long[:, -1] + v_short[:, -1] - config.v0
-            if compensators is None:
-                return
+    def trade(blocks: range, legs: Optional[np.ndarray]) -> Optional[np.ndarray]:
+        """Draw each block of a group and write its leg factors into legs, the range's
+        buffer, a row per path; fold them in one call; write their gains and
+        compensators.  legs is made once the range's first block is drawn, its stage-0
+        split written once, and is returned for the next group.  Past the group bound
+        it holds one block and is not returned, as a fold per block frees its legs, so
+        no draw meets the legs of the block before."""
+        lo, weights, failure = blocks.start * BLOCK, [], None
+        for block in blocks:
+            try:
+                if price_generator:
+                    g = _log_growth_block(generator, seed, block)[: n_paths - block * BLOCK]
+                    # only a price-driven schedule needs prices; they come before
+                    # the returns take over g's buffer
+                    w = static_w if static_w is not None else eval_schedule(
+                        spec, horizon, _prices(generator, g)
+                    )
+                    x = _returns(generator, g)
+                else:
+                    x = _two_point_block(generator, seed, block, horizon)[: n_paths - block * BLOCK]
+                    w = static_w
+                if clip_returns:
+                    x = np.clip(x, config.bounds.x_min, config.bounds.x_max)
+                if legs is None:
+                    legs = np.empty((2, min(len(blocks) * BLOCK, n_paths - lo), horizon + 1))
+                    legs[0, :, 0], legs[1, :, 0] = start.v_long, start.v_short
+                row = len(weights) * BLOCK
+                with _unwarned():  # per block: a thread starts with NumPy's default error state
+                    leg_factors(w, x, config.rf, out=legs[:, row : row + len(x), 1:])
+            except Exception as exc:  # raised once the blocks before it are folded
+                failure = exc
+                break
+            weights.append(w)
+        filled = min(len(weights) * BLOCK, n_paths - lo)
+        if filled:  # each row folds as account_legs folds it, a lower block's error first
+            v_long, v_short = fold_legs(legs[:, :filled])
+        if failure is not None:
+            raise failure
+        gains[lo : lo + filled] = v_long[:, -1] + v_short[:, -1] - config.v0
+        if compensators is not None:
             if static_w is not None:
                 spans = [(0, filled, coefficients)]
             else:  # an ma: schedule: each block with the coefficients of its own weights
@@ -512,10 +497,9 @@ def monte_carlo_gain_loss(
                         + _row_dot(v_long[first:stop, :-1], a_long)
                         + _row_dot(v_short[first:stop, :-1], a_short)
                     )
+        return legs if group > 1 else None
 
-        return trade
-
-    _run_blocks(open_range, -(-n_paths // BLOCK), group)
+    _run_blocks(trade, -(-n_paths // BLOCK), group)
     mean, std_error, variance = _sample_stats(gains)
     cv_mean, cv_std_error, _ = _sample_stats(gains if compensators is None else compensators)
     return MonteCarloResult(
@@ -529,32 +513,30 @@ def monte_carlo_gain_loss(
     )
 
 
-def _run_blocks(open_range, n_blocks: int, group: int) -> None:
+def _run_blocks(trade, n_blocks: int, group: int) -> None:
     """Trade blocks 0..n_blocks-1, split into contiguous ranges, one per CPU this
     process may run on and at most one per block.  The calling thread trades the first
-    range and a threading.Thread each other one; the call returns once every thread has
-    joined.  A range calls open_range(range) once for its trade function, then trade on
-    its blocks in order, group at a time (the last call may take fewer); trade raises
-    the error of the lowest failing block it was given.  The error raised is that of
-    the lowest failing block of all, as a loop over the blocks in order would raise it:
-    a range stops at its first failure or, between groups, once a lower range has
-    failed, and its exception is kept, never raised in its thread.  An interrupt of the
-    calling thread stops the others between groups."""
+    range and a threading.Thread each other one, all in the same loop: a range calls
+    legs = trade(blocks, legs) on its blocks in order, group at a time (the last call
+    may take fewer), legs starting as None; trade raises the error of the lowest
+    failing block it was given.  The call returns once every thread has joined.  The
+    error raised is that of the lowest failing block of all, as a loop over the blocks
+    in order would raise it: a range stops at its first failure or, between groups,
+    once a lower range has failed, and its exception is kept, never raised in its
+    thread.  An interrupt of the calling thread, while it trades or while it joins,
+    stops the others between groups and is raised once they have joined, so no thread
+    is left running."""
     parts = min(available_cpus(), n_blocks)
     bounds = [n_blocks * part // parts for part in range(parts + 1)]
-    ranges = [range(start, stop) for start, stop in zip(bounds, bounds[1:])]
     failures = [None] * parts  # per range, the exception of its first failing group
 
-    def groups(blocks: range) -> list[range]:
-        return [blocks[first : first + group] for first in range(0, len(blocks), group)]
-
     def run(part: int) -> None:
+        legs, stop = None, bounds[part + 1]
         try:
-            trade = open_range(ranges[part])
-            for blocks in groups(ranges[part]):
+            for first in range(bounds[part], stop, group):
                 if any(failures[:part]):
                     return
-                trade(blocks)
+                legs = trade(range(first, min(first + group, stop)), legs)
         except BaseException as exc:  # raised by the calling thread once all have joined
             failures[part] = exc
 
@@ -564,15 +546,14 @@ def _run_blocks(open_range, n_blocks: int, group: int) -> None:
             thread = threading.Thread(target=run, args=(part,), name=f"block range {part}")
             thread.start()
             started.append(thread)
-        trade = open_range(ranges[0])
-        for blocks in groups(ranges[0]):
-            trade(blocks)
-    except BaseException as exc:  # the lowest blocks failed, or the call was interrupted
-        failures[0] = exc
-        raise
-    finally:
+        run(0)
         for thread in started:
             thread.join()
+    except BaseException as exc:  # an interrupt, or a thread that would not start
+        failures[0] = exc  # stops the other ranges between groups
+        for thread in started:
+            thread.join()
+        raise
     for failure in failures:
         if failure is not None:
             raise failure

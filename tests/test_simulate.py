@@ -471,12 +471,21 @@ class TestBlockThreads:
     def on_cpus(monkeypatch, cpus):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
 
+    SHORT = GbmJumpParams(mu_star=0.3, sigma_star=0.8, n_periods=9)
     CASES = {
-        "constant": (parse_weight_spec("constant:0.8"), {}),
-        "log_ramp": (parse_weight_spec("log_ramp"), {}),
-        "ma:5": (parse_weight_spec("ma:5"), {}),
-        "clip_returns": (parse_weight_spec("constant:0.8"), {"clip_returns": True}),
-        "two-point": (parse_weight_spec("log_ramp"), {"n_periods": 9}),
+        "constant": (parse_weight_spec("constant:0.8"), SHORT, {}),
+        "log_ramp": (parse_weight_spec("log_ramp"), SHORT, {}),
+        "ma:5": (parse_weight_spec("ma:5"), SHORT, {}),
+        "clip_returns": (parse_weight_spec("constant:0.8"), SHORT, {"clip_returns": True}),
+        "two-point": (
+            parse_weight_spec("log_ramp"), TwoPointModel(x_up=0.05, x_down=-0.04, p_up=0.55),
+            {"n_periods": 9},
+        ),
+        # past the group bound: a group is one block
+        "long": (
+            parse_weight_spec("constant:0.8"), GbmJumpParams(mu_star=0.3, sigma_star=0.8, n_periods=1100),
+            {},
+        ),
     }
 
     @settings(max_examples=40, deadline=None)
@@ -487,11 +496,7 @@ class TestBlockThreads:
         case=st.sampled_from(sorted(CASES)),
     )
     def test_every_split_gives_the_one_cpu_result(self, n_paths, seed, cpus, case):
-        spec, kwargs = self.CASES[case]
-        generator = (
-            TwoPointModel(x_up=0.05, x_down=-0.04, p_up=0.55) if case == "two-point"
-            else GbmJumpParams(mu_star=0.3, sigma_star=0.8, n_periods=9)
-        )
+        spec, generator, kwargs = self.CASES[case]
         config = make_config(rf=1e-4)
         results = []
         # the split runs first: a slice it failed to fill cannot hold the one-CPU values
@@ -564,6 +569,37 @@ class TestBlockThreads:
             )
         assert threading.active_count() == before
         assert len(traded) < 100  # the other range, blocks 200..399, stopped between blocks
+
+    def test_an_interrupt_while_the_calling_thread_joins_stops_and_joins_the_others(
+        self, monkeypatch
+    ):
+        real_draw, real_join = simulate._log_growth_block, threading.Thread.join
+        joining = threading.Event()
+        traded = []
+
+        def draw(params, seed, block):
+            if block >= 200:  # the other range waits until the calling thread joins it
+                assert joining.wait(30)
+            traded.append(block)
+            return real_draw(params, seed, block)
+
+        def join(thread, timeout=None):
+            if not joining.is_set():
+                joining.set()
+                raise KeyboardInterrupt
+            return real_join(thread, timeout)
+
+        monkeypatch.setattr(simulate, "_log_growth_block", draw)
+        monkeypatch.setattr(threading.Thread, "join", join)
+        self.on_cpus(monkeypatch, 2)  # ranges 0..199 and 200..399
+        before = threading.active_count()
+        with pytest.raises(KeyboardInterrupt):
+            monte_carlo_gain_loss(
+                make_config(), parse_weight_spec("constant:0.8"), GbmJumpParams(mu_star=0.1, n_periods=5),
+                400 * BLOCK, 1,
+            )
+        assert threading.active_count() == before
+        assert len(traded) < 300  # the other range stopped between groups
 
     @pytest.mark.parametrize("n_paths", [1, BLOCK])
     def test_one_block_starts_no_thread(self, monkeypatch, n_paths):
