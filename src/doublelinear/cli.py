@@ -38,9 +38,7 @@ from .simulate import (
     monte_carlo_gain_loss,
     sweep_mu_star,
 )
-from .tables import (
-    CSV_ROWS, format_rows, output, outputs, write_matrix, write_series, write_table, write_text,
-)
+from .tables import CSV_ROWS, format_rows, output, outputs, write_rows, write_series, write_text
 from .weights import WeightSpec, dump_weight_table, eval_schedule, parse_weight_spec
 
 __all__ = ["main", "build_parser"]
@@ -259,9 +257,10 @@ def _encode(obj, indent: str, out: list) -> None:
 
     Dicts, which hold the bulk values, are walked.  A list of records (see
     _records) is one %-template per record, and a nonempty 2-d float64 array,
-    its values checked finite here, is the piece (array, indent) for the
-    writer to format (tables.write_matrix): the json module's pure-Python
-    encoder, which an indent selects, is slower on both.  Any other value is
+    its values checked finite here, is the piece (array, width, cell, sep,
+    lead, end): the arguments of tables.write_rows that lay its rows out as
+    the json module does.  The json module's pure-Python encoder, which an
+    indent selects, is slower on both.  Any other value is
     the json module's text (an array's tolist()), its newlines turned into
     indent; json escapes every newline inside a string.  Pieces are
     appended, never nested into larger strings, so a caller can write them
@@ -281,7 +280,9 @@ def _encode(obj, indent: str, out: list) -> None:
         bad = ~np.isfinite(obj)
         if bad.any():  # raises the json module's error
             json.dumps(float(obj.flat[np.argmax(bad)]), indent=2, allow_nan=False)
-        out.append((np.ascontiguousarray(obj), indent))
+        opening, closing = inner + "[" + inner + "  ", inner + "]"  # around each row
+        layout = (obj.shape[1], "," + inner + "  ", closing + "," + opening)  # width, cell, sep
+        out.append((np.ascontiguousarray(obj), *layout, "[" + opening, closing + indent + "]"))
     else:
         value = obj.tolist() if isinstance(obj, np.ndarray) else obj
         text = json.dumps(value, indent=2, sort_keys=True, allow_nan=False)
@@ -318,8 +319,9 @@ def _write_json(path: Path, payload: dict) -> list:
 
     It is serialized before the file or its directory is made, so a result
     strict JSON cannot hold (nan, inf) leaves neither; a 2-d float64 array
-    stays an (array, indent) piece, formatted into the file alone.  A file
-    whose writing fails is removed: each JSON output is whole or absent.
+    stays a tuple piece, tables.write_rows's arguments, formatted into the
+    file alone.  A file whose writing fails is removed: each JSON output
+    is whole or absent.
     """
     pieces: list = []
     try:
@@ -333,7 +335,7 @@ def _write_json(path: Path, payload: dict) -> list:
             if isinstance(piece, str):
                 fh.write(piece)
             else:
-                write_matrix(fh, path, *piece)
+                write_rows(fh, path, *piece)
     return pieces
 
 
@@ -511,11 +513,11 @@ def cmd_backtest(args, effective: dict) -> int:
     comment = _provenance_comment("backtest", effective)
     summaries = list(payload["reports"].values())
     # one row per report field; json.dumps writes a finite float as its repr, a bool as true/false
-    lines = (",".join([m, *(json.dumps(s[m]) for s in summaries)]) for m in summaries[0])
+    lines = (",".join([m, *(json.dumps(s[m]) for s in summaries)]) + "\n" for m in summaries[0])
     with outputs() as written:  # a failed write removes the files written before it
         pieces = _write_json(outdir / "backtest.json", payload)
         written.append(outdir / "backtest.json")
-        write_table(outdir / "backtest.csv", [comment], ["metric", *reports], lines)
+        write_text(outdir / "backtest.csv", [comment], ["metric", *reports], lines)
         written.append(outdir / "backtest.csv")
         if effective["curves"]:
             curves = (

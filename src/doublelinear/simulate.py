@@ -265,7 +265,8 @@ def _two_point_block(model: TwoPointModel, seed: int, block: int, k: int) -> np.
 
 
 # The last block a per-path accessor drew, as (key, block): a loop over consecutive
-# paths draws each block once.  The block is never handed out or written to.
+# paths draws each block once.  The block is never handed out or written to.  A block
+# over _GROUP_BYTES is not kept, so the cache never pins more than that for the process.
 _last_block = (None, None)
 
 
@@ -278,7 +279,7 @@ def _cached_block(draw, model, seed: int, block: int, *more) -> np.ndarray:
     cached_key, values = _last_block
     if cached_key != key:
         values = draw(model, seed, block, *more)
-        _last_block = key, values
+        _last_block = (key, values) if values.nbytes <= _GROUP_BYTES else (None, None)
     return values
 
 
@@ -409,8 +410,8 @@ def monte_carlo_gain_loss(
     longer have mean mu, so the cv fields then repeat the plain ones.
     Weights are always validated against the config's w_max.
     """
-    check_count("n_paths", n_paths)
-    check_count("seed", seed, 0)
+    n_paths = check_count("n_paths", n_paths)
+    seed = check_count("seed", seed, 0)
     if isinstance(generator, GbmJumpParams):
         if n_periods is not None and check_count("n_periods", n_periods) != generator.n_periods:
             raise ValueError(

@@ -27,7 +27,7 @@ _COLUMNS = np.dtype([("int", np.int64), ("float", np.float64)])
 # Characters NumPy's number parser skips as spaces and Python's int() and float() refuse.
 _NUMPY_ONLY_SPACES = "\x1c\x1d\x1e\x1f"
 _CHUNK = 1 << 18  # characters per read of the check before the bulk parse
-# Rows from which a table goes to a helper interpreter: at about 1 us a row, formatting
+# Values from which a job goes to a helper interpreter: at about 1 us a value, formatting
 # them here takes longer than the helper's start, about 14 ms.
 _HELPER_ROWS = 20_000
 # The row formatter, stdlib only: this module runs it once, at import; a helper runs it
@@ -177,11 +177,6 @@ def _scan(fh, header, fault):
     return np.array(ints, dtype=np.int64), np.array(floats, dtype=float)
 
 
-def write_table(path, comments, header, lines) -> None:
-    """Write '# ' comments, the header and the lines, each ending in "\\n", as write_text does."""
-    write_text(path, comments, header, (line + "\n" for line in lines))
-
-
 def write_text(path, comments, header, text) -> None:
     """Write '# ' comments, the header (csv-quoted where needed), then text's str pieces."""
     with output(path) as fh:
@@ -193,13 +188,9 @@ def write_text(path, comments, header, text) -> None:
 @contextmanager
 def output(path):
     """path opened for writing, and removed if the block raises: whole or absent."""
-    fh = open(path, "w", newline="")
-    try:
-        with fh:
-            yield fh
-    except BaseException:
-        Path(path).unlink(missing_ok=True)
-        raise
+    with outputs() as written, open(path, "w", newline="") as fh:
+        written.append(path)
+        yield fh
 
 
 @contextmanager
@@ -217,47 +208,46 @@ def outputs():
 
 def write_series(tables, first) -> None:
     """Write each (path, comments, header, values) table as write_text does, with the row
-    "{first + i},{values[i]!r}" per value.  The first table, tables under _HELPER_ROWS rows
-    and those past one per CPU this process may run on are written here first; a helper
-    interpreter, this Python without numpy, formats each other one within the call.  If
-    one table fails, none is left."""
-    spare = _spare_cpus()
-    local, helped = [], []
-    with ExitStack() as stack:
-        for position, (path, comments, header, values) in enumerate(tables):
-            rows = (np.ascontiguousarray(values, dtype=np.float64), 1, *CSV_ROWS, first)
-            if position and rows[0].size >= _HELPER_ROWS and len(helped) < spare:
-                helped.append((path, comments, header, _start(stack, path, *rows)))
-            else:
-                local.append((path, comments, header, format_rows(*rows)))
-        with outputs() as written:
-            for table in local + helped:
-                write_text(*table)
-                written.append(table[0])
+    "{first + i},{values[i]!r}" per value; each table is one _texts job.  If one table
+    fails, none is left."""
+    tables = list(tables)
+    jobs = [(path, np.ascontiguousarray(values, dtype=np.float64), 1, *CSV_ROWS, first)
+            for path, *_, values in tables]
+    with ExitStack() as stack, outputs() as written:
+        for (path, comments, header, _), text in zip(tables, _texts(stack, jobs)):
+            write_text(path, comments, header, text)
+            written.append(path)
 
 
-def write_matrix(fh, path, matrix, indent) -> None:
-    """Write a C-contiguous 2-d float64 matrix of finite values into fh, the open file at
-    path, as json.dumps(matrix.tolist(), indent=2) lays it out where the indent before its
-    closing bracket is indent, "\\n" and spaces.  Helper interpreters format the leading
-    parts of at least _HELPER_ROWS values, one per CPU, while this process formats the last."""
-    rows, columns = matrix.shape
-    inner = indent + "  "
-    opening, closing = inner + "[" + inner + "  ", inner + "]"
-    layout = (columns, "," + inner + "  ", closing + "," + opening)  # width, cell, sep
-    least = max(1, -(-_HELPER_ROWS // columns))  # rows in the smallest part
+def write_rows(fh, path, values, width, cell, sep, lead, end) -> None:
+    """Write format_rows(values, width, cell, sep, lead, end) into fh, the open file at path,
+    values a C-contiguous float64 array of one or more rows of width values.  The rows are
+    cut into _texts jobs of at least _HELPER_ROWS values, at most one per CPU."""
+    rows = len(values)
+    least = max(1, -(-_HELPER_ROWS // width))  # rows in the smallest part
     n_parts = max(1, min(_spare_cpus(), rows // least))
     bounds = [rows * part // n_parts for part in range(n_parts + 1)]
-    parts = [
-        (matrix[start:stop], *layout, ("," if start else "[") + opening, closing)
+    jobs = [  # the parts' texts join into the one text of all rows
+        (path, values[start:stop], width, cell, sep,
+         sep if start else lead, end if stop == rows else "")
         for start, stop in zip(bounds, bounds[1:])
     ]
     with ExitStack() as stack:
-        helped = [_start(stack, path, *part) for part in parts[:-1]]
-        text = "".join(format_rows(*parts[-1]))
-        for pieces in helped:
-            fh.writelines(pieces)
-        fh.write(text + indent + "]")
+        for text in _texts(stack, jobs):
+            fh.writelines(text)
+
+
+def _texts(stack, jobs) -> list:
+    """The text of each (path, *format_rows's arguments) job, in order.  Helper
+    interpreters, this Python without numpy, started here and entered into stack, format
+    the last jobs of at least _HELPER_ROWS values, one per CPU this process may run on,
+    never the first; this process formats each other job as its text is read."""
+    big = [at for at, job in enumerate(jobs) if at and job[1].size >= _HELPER_ROWS]
+    helped = big[::-1][: _spare_cpus()]
+    return [
+        _start(stack, *job) if at in helped else format_rows(*job[1:])
+        for at, job in enumerate(jobs)
+    ]
 
 
 def available_cpus() -> int:

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
@@ -239,8 +238,7 @@ def parse_weight_spec(text: str, w_max: float = 1.0) -> WeightSpec:
     if kind == "ma" and len(args) in (1, 2):
         w = number(args[1], float) if len(args) == 2 else DEFAULT_MA_W
         return WeightSpec("ma_indicator", w=w, d=number(args[0], int), w_max=w_max)
-    if kind == "table" and args:
-        path = Path(":".join(args))  # tolerate ':' inside paths
+    if kind == "table" and (path := ":".join(args)):  # tolerate ':' inside paths
         values = tuple(load_weight_table(path).tolist())
         return WeightSpec("table", values=values, w_max=w_max)
     raise ValueError(f"bad weight spec {text!r}: expected {grammar}")

@@ -4,9 +4,23 @@ The acceptance gate in test_acceptance.py names its tests
 test_criterion_NN_*.  The terminal-summary hook below condenses their
 outcomes into one line per criterion at the end of the run, so a plain
 `pytest -v` log ends with an explicit verdict list.
+
+Hypothesis imports its patch writer, and libcst with it, only once a property
+has failed; libcst's mypy_extensions.TypedDict import then warns, which under
+`python -X dev -W error` ends the run in INTERNALERROR before the falsifying
+example is printed.  Importing the writer here, with that one warning class
+ignored, lets a failing property report as any failing test does.
 """
 
 import re
+import warnings
+
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:
+        pass
 
 _CRITERION = re.compile(r"test_criterion_(\d+)")
 

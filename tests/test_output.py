@@ -447,11 +447,11 @@ class TestJsonMatrix:
         assert [helper.returncode for helper in started] == [3] * (cpus - 1)
 
     def test_a_failed_write_leaves_no_file(self, tmp_path, monkeypatch, capsys):
-        def full(fh, path, matrix, indent):
+        def full(fh, path, matrix, *layout):
             fh.write("[")
             raise OSError(f"{path}: no space left")
 
-        monkeypatch.setattr(cli, "write_matrix", full)
+        monkeypatch.setattr(cli, "write_rows", full)
         code = main(["verify-rpe", "--w", "log_ramp", "--k-max", "6", "--outdir", str(tmp_path)])
         assert code == 1 and "no space left" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
@@ -500,7 +500,7 @@ gc.collect()
 
 class TestBulkRouting:
     """The two bulk values bypass the json module, whose indented encoder runs in pure
-    Python: records as one templated piece, a float matrix as one (array, indent) piece."""
+    Python: records as one templated piece, a float matrix as one (array, *layout) piece."""
 
     @pytest.fixture
     def dumped(self, monkeypatch):
@@ -539,6 +539,7 @@ class TestBulkRouting:
         pieces = []
         cli._encode(payload, "\n", pieces)
         (matrix,) = [piece for piece in pieces if not isinstance(piece, str)]
-        assert matrix[0].tolist() == report.entries.tolist() and matrix[1] == "\n  "
+        assert matrix[0].tolist() == report.entries.tolist()
+        assert "".join(tables.format_rows(*matrix)) == oracle(matrix[0].tolist()).replace("\n", "\n  ")
         assert pieces[pieces.index(matrix) - 1] == ',\n  "entries": '
         assert all(np.ndim(value) < 2 for value in dumped)  # entries never went to json

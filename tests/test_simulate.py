@@ -1,5 +1,8 @@
 """Path generation, substream reproducibility, Monte Carlo harness."""
 
+import dataclasses
+import gc
+import json
 import math
 import os
 import threading
@@ -308,6 +311,17 @@ class TestPerPathBlocks:
         dump_paths_csv(tmp_path / "paths.csv", model, 1, 1)
         assert draws == [(1, 0)] * 3
 
+    def test_a_long_path_keeps_no_block(self, draws):
+        # a (64, 200_000) block is 102 MB; the accessor hands out one 1.6 MB row of it
+        tracemalloc.start()
+        try:
+            simulate_returns(GbmJumpParams(0.1, n_periods=200_000), 0, 0)
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held < 2 << 20, held
+
 
 class TestMonteCarlo:
     def test_single_degenerate_path_matches_closed_form(self):
@@ -378,6 +392,13 @@ class TestMonteCarlo:
         )
         truth = 0.000625
         assert abs(res.mean_gain - truth) <= 4.0 * res.std_error
+
+    def test_numpy_counts_are_echoed_as_ints(self):
+        params = GbmJumpParams(mu_star=0.1, n_periods=10)
+        spec = WeightSpec("constant", w=0.5)
+        res = monte_carlo_gain_loss(make_config(), spec, params, np.int64(70), np.int64(5))
+        assert (type(res.n_paths), type(res.seed)) == (int, int) and (res.n_paths, res.seed) == (70, 5)
+        json.dumps(dataclasses.asdict(res))
 
 
 class TestSweep:

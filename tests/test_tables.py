@@ -20,7 +20,7 @@ import doublelinear.cli as cli
 from doublelinear import ingest_csv, load_weight_table
 from doublelinear.cli import main
 from doublelinear import tables
-from doublelinear.tables import read_columns, write_series, write_table
+from doublelinear.tables import read_columns, write_series, write_text
 
 PROVENANCE = "# config: "
 
@@ -85,7 +85,7 @@ class TestWrittenTables:
 class TestTableModule:
     def test_round_trip_with_line_numbers(self, tmp_path):
         path = tmp_path / "t.csv"
-        write_table(path, ["one", "two"], ("a", "b"), (f"{i},{i / 4!r}" for i in range(3)))
+        write_text(path, ["one", "two"], ("a", "b"), (f"{i},{i / 4!r}\n" for i in range(3)))
         assert path.read_bytes() == b"# one\n# two\na,b\n0,0.0\n1,0.25\n2,0.5\n"
         ints, floats = read_columns(path, ("a", "b"), no_fault)
         assert (ints.dtype, floats.dtype) == (np.int64, np.float64)
@@ -96,17 +96,17 @@ class TestTableModule:
 
     def test_writes_a_list_longer_than_one_block(self, tmp_path):
         path = tmp_path / "t.csv"
-        lines = [f"{i},{i * 0.1!r}" for i in range(10_000)]
-        write_table(path, [], ["a", "b"], lines)
-        assert path.read_text() == "a,b\n" + "".join(line + "\n" for line in lines)
+        lines = [f"{i},{i * 0.1!r}\n" for i in range(10_000)]
+        write_text(path, [], ["a", "b"], lines)
+        assert path.read_text() == "a,b\n" + "".join(lines)
 
     def test_a_table_whose_lines_fail_is_removed(self, tmp_path):
         def lines():
-            yield from (f"{i},0.5" for i in range(5000))
+            yield from (f"{i},0.5\n" for i in range(5000))
             raise OSError("no space left")
 
         with pytest.raises(OSError, match="^no space left$"):
-            write_table(tmp_path / "t.csv", ["one"], ("a", "b"), lines())
+            write_text(tmp_path / "t.csv", ["one"], ("a", "b"), lines())
         assert list(tmp_path.iterdir()) == []
 
     def test_reads_an_open_file(self, tmp_path):
@@ -554,8 +554,9 @@ def test_rows_that_span_pieces_are_whole():
     assert "".join(tables.format_rows(paths, 1, *tables.CSV_ROWS, 3, 253)) == "".join(
         f"{3 + i},{j},{p!r}\n" for i, row in enumerate(paths.tolist()) for j, p in enumerate(row)
     )
-    matrix, out = values[:9000].reshape(3, 3000), io.StringIO()
-    tables.write_matrix(out, "m.json", matrix, "\n")
+    matrix, out, pieces = values[:9000].reshape(3, 3000), io.StringIO(), []
+    cli._encode(matrix, "\n", pieces)  # one piece: the matrix and its JSON layout
+    tables.write_rows(out, "m.json", *pieces[0])
     assert out.getvalue() == json.dumps(matrix.tolist(), indent=2)
 
 

@@ -269,7 +269,7 @@ class TestParseSpec:
             parse_weight_spec("constant:0.8", w_max=0.5)
 
     @pytest.mark.parametrize(
-        "text", ["", "constant", "constant:x", "ma", "ma:0", "mystery:3", "log_ramp:1"]
+        "text", ["", "constant", "constant:x", "ma", "ma:0", "mystery:3", "log_ramp:1", "table:"]
     )
     def test_rejects_bad_text(self, text):
         with pytest.raises(ValueError):
