@@ -71,6 +71,9 @@ class GainLossStats:
     variance: float
     horizon: int
 
+    def __post_init__(self):
+        object.__setattr__(self, "horizon", check_count("horizon", self.horizon))
+
 
 @dataclass(frozen=True)
 class TwoPointModel:
@@ -128,7 +131,11 @@ def _schedule_head(config: PolicyConfig, weights: Sequence[float], k):
     if w.ndim != 1:
         raise ValueError("weights must be one-dimensional")
     ks = np.asarray(k)
-    if ks.ndim > 1 or ks.size == 0 or ks.dtype.kind not in "iu":
+    # np.asarray reads the bool of [True, 2] as an int, so a sequence is looked through
+    held = () if isinstance(k, np.ndarray) else np.ravel(np.array(k, dtype=object))
+    if ks.ndim > 1 or ks.size == 0 or ks.dtype.kind not in "iu" or any(
+        isinstance(v, (bool, np.bool_)) for v in held
+    ):
         raise ValueError(f"horizon k must be an int or a 1-d sequence of ints, got {k!r}")
     check_count("horizon k", ks.min())
     k_max = int(ks.max())
@@ -388,7 +395,7 @@ def rpe_scan(
     evaluated and reported either way.  Grid entries are mutually independent, so evaluation order
     cannot change the result.
     """
-    check_count("k_max", k_max, 2)
+    k_max = check_count("k_max", k_max, 2)
     grid = tuple(float(m) for m in mu_grid)
     if not grid:
         raise ValueError("mu_grid must be nonempty")

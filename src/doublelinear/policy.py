@@ -190,9 +190,9 @@ def leg_factors(w, x, rf: float, out=None):
     """Per-stage growth factors (long, short): 1 + w*x + (1 - w)*rf and 1 - w*x.
 
     The long leg earns rf on its uninvested fraction; short proceeds earn
-    nothing.  step_account and account_legs both use this one form, so
-    they agree bit for bit.  out = (long, short), two arrays of the shape
-    of w*x, receives the same factors in place.
+    nothing.  step_account applies this one form and fold_legs multiplies it
+    out, so they agree bit for bit.  out = (long, short), two arrays of the
+    shape of w*x, receives the same factors in place.
     """
     if out is None:
         return 1.0 + w * x + (1.0 - w) * rf, 1.0 - w * x
@@ -219,27 +219,13 @@ def step_account(
     return AccountState(state.v_long * f_long, state.v_short * f_short, state.stage + 1)
 
 
-def account_legs(config: PolicyConfig, w, x) -> tuple[np.ndarray, np.ndarray]:
-    """Per-leg account values (long, short) at stages 0..n, validating nothing.
-
-    w and x broadcast to (..., n), one path per row.  Both legs, (..., n+1)
-    each, are views of one (2, ..., n+1) buffer: the stage-0 split, then the
-    leg's leg_factors, folded by fold_legs.  A final total past the float
-    range (inf or nan) is a ValueError."""
-    shape = np.broadcast_shapes(np.shape(w), np.shape(x))
-    legs = np.empty((2,) + shape[:-1] + (shape[-1] + 1,))
-    start = initial_state(config)
+def fold_legs(legs: np.ndarray, start: AccountState) -> tuple[np.ndarray, np.ndarray]:
+    """Write start's split, the one place it is written, into the stage-0 slot of
+    each row of legs, (2, ..., n+1), long then short, each slot followed by its n
+    leg_factors, and multiply the rows out in place in one accumulate.  Returns the
+    two folded legs; a final total past the float range (inf or nan) is a
+    ValueError naming the first such total."""
     legs[0, ..., 0], legs[1, ..., 0] = start.v_long, start.v_short
-    with np.errstate(over="ignore", invalid="ignore"):  # a total out of range is named by fold_legs
-        leg_factors(w, x, config.rf, out=(legs[0, ..., 1:], legs[1, ..., 1:]))
-    return fold_legs(legs)
-
-
-def fold_legs(legs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Multiply out, in place, each row of legs, (2, ..., n+1): long then short,
-    each a stage-0 value followed by its n stage factors.  Returns the two folded
-    legs; a final total past the float range (inf or nan) is a ValueError naming
-    the first such total.  One accumulate folds both legs of every row."""
     with np.errstate(over="ignore", invalid="ignore"):  # a total out of range is named below
         np.multiply.accumulate(legs, axis=-1, out=legs)
         total = legs[0, ..., -1] + legs[1, ..., -1]
@@ -261,9 +247,9 @@ def evolve(
 
     weights[k] is applied to returns[k]; both sequences must have equal
     length.  Every element is validated up front so rejection errors
-    cite the offending stage.  The legs come from account_legs, so with
-    rf = 0 the terminal value is v0*(alpha*prod(1 + w*x) +
-    (1-alpha)*prod(1 - w*x)) up to floating-point accumulation.
+    cite the offending stage.  The legs are leg_factors folded by
+    fold_legs, so with rf = 0 the terminal value is v0*(alpha*prod(1 +
+    w*x) + (1-alpha)*prod(1 - w*x)) up to floating-point accumulation.
     """
     w = np.asarray(weights, dtype=float)
     x = np.asarray(returns, dtype=float)
@@ -274,7 +260,10 @@ def evolve(
         )
     validate_weights(w, config.w_max)
     validate_returns(x, config.bounds)
-    return Trajectory(*account_legs(config, w, x), v0=config.v0)
+    legs = np.empty((2, w.size + 1))
+    with np.errstate(over="ignore", invalid="ignore"):  # a total out of range is named by fold_legs
+        leg_factors(w, x, config.rf, out=legs[:, 1:])
+    return Trajectory(*fold_legs(legs, initial_state(config)), v0=config.v0)
 
 
 def survivability_bound(config: PolicyConfig, k: int) -> tuple[float, float]:

@@ -123,7 +123,7 @@ class GbmJumpParams:
             raise ValueError(f"delta must lie in [0, 1), got {self.delta}")
         if not self.dt > 0.0:
             raise ValueError(f"dt must be positive, got {self.dt}")
-        check_count("n_periods", self.n_periods)
+        object.__setattr__(self, "n_periods", check_count("n_periods", self.n_periods))
         if not self.s0 > 0.0:
             raise ValueError(f"s0 must be positive, got {self.s0}")
         if not math.isfinite(self.horizon_years):
@@ -198,11 +198,6 @@ def path_rng(seed: int, block: int) -> np.random.Generator:
     return np.random.default_rng([check_count("seed", seed, 0), check_count("block", block, 0)])
 
 
-def _locate(path_index: int) -> tuple[int, int]:
-    """(block, row) of a path: row path_index mod BLOCK of block path_index // BLOCK."""
-    return divmod(check_count("path_index", path_index, 0), BLOCK)
-
-
 def _unwarned():
     """Float overflow and inf - inf pass without a warning: the range checks
     of _returns and _prices name what left the float range, and a statistic
@@ -270,17 +265,19 @@ def _two_point_block(model: TwoPointModel, seed: int, block: int, k: int) -> np.
 _last_block = (None, None)
 
 
-def _cached_block(draw, model, seed: int, block: int, *more) -> np.ndarray:
-    """draw(model, seed, block, *more), or the block the last call drew with equal
-    arguments.  The key holds repr(model), not model: two models can be == and differ in
-    the sign of a zero, which the block keeps.  seed is checked before it is compared."""
+def _cached_row(draw, model, seed: int, path_index: int, *more) -> np.ndarray:
+    """Row path_index mod BLOCK, as a one-row view, of block path_index // BLOCK as
+    draw(model, seed, block, *more) draws it, or as the last call drew it with equal
+    arguments; path_index, then seed, is checked.  The key holds repr(model), not model:
+    two models can be == and differ in the sign of a zero, which the block keeps."""
     global _last_block
+    block, row = divmod(check_count("path_index", path_index, 0), BLOCK)
     key = (draw, repr(model), check_count("seed", seed, 0), block, *more)
     cached_key, values = _last_block
     if cached_key != key:
         values = draw(model, seed, block, *more)
         _last_block = (key, values) if values.nbytes <= _GROUP_BYTES else (None, None)
-    return values
+    return values[row : row + 1]
 
 
 def simulate_path(params: GbmJumpParams, seed: int, path_index: int = 0) -> np.ndarray:
@@ -289,8 +286,7 @@ def simulate_path(params: GbmJumpParams, seed: int, path_index: int = 0) -> np.n
     Row path_index mod BLOCK of block path_index // BLOCK.  A price of 0
     or inf is a ValueError naming the model.
     """
-    block, row = _locate(path_index)
-    return _prices(params, _cached_block(_log_growth_block, params, seed, block)[row : row + 1])[0]
+    return _prices(params, _cached_row(_log_growth_block, params, seed, path_index))[0]
 
 
 def simulate_returns(params: GbmJumpParams, seed: int, path_index: int = 0) -> np.ndarray:
@@ -300,8 +296,7 @@ def simulate_returns(params: GbmJumpParams, seed: int, path_index: int = 0) -> n
     returns of simulate_path's prices agree only up to rounding.  A return
     of -1 or inf is a ValueError naming the model.
     """
-    block, row = _locate(path_index)
-    return _returns(params, _cached_block(_log_growth_block, params, seed, block)[row].copy())
+    return _returns(params, _cached_row(_log_growth_block, params, seed, path_index)[0].copy())
 
 
 def prices_to_returns(prices: Sequence[float]) -> np.ndarray:
@@ -330,9 +325,7 @@ def simulate_two_point(
 ) -> np.ndarray:
     """k i.i.d. draws from the two-point distribution: row path_index mod
     BLOCK of block path_index // BLOCK."""
-    check_count("k", k)
-    block, row = _locate(path_index)
-    return _cached_block(_two_point_block, model, seed, block, k)[row].copy()
+    return _cached_row(_two_point_block, model, seed, path_index, check_count("k", k))[0].copy()
 
 
 def monte_carlo_gain_loss(
@@ -398,10 +391,10 @@ def monte_carlo_gain_loss(
         a_S = mu^2*w*S,  a_L = a_S + mu*r*S + (mu*w + r)*R,
         c0 = mu*D(0)*sum(w) + V_L(0)*sum(r),
 
-    two row dots a group, with coefficients computed once a run.  An ma:
-    schedule's later weights depend on later prices, so it keeps A, in
-    the same form: c0 = 0, a_L = mu*w + r, a_S = -mu*w, per block, each
-    block dotted once its group is folded.
+    two row dots a block once its group is folded, with coefficients
+    computed once a run.  An ma: schedule's later weights depend on later
+    prices, so it keeps A, in the same form with each block's own weights:
+    c0 = 0, a_L = mu*w + r, a_S = -mu*w.
 
     clip_returns clamps simulated returns into the configured market
     bounds before trading.  It is off by default: the jump-diffusion
@@ -445,11 +438,10 @@ def monte_carlo_gain_loss(
 
     def trade(blocks: range, legs: Optional[np.ndarray]) -> Optional[np.ndarray]:
         """Draw each block of a group and write its leg factors into legs, the range's
-        buffer, a row per path; fold them in one call; write their gains and
-        compensators.  legs is made once the range's first block is drawn, its stage-0
-        split written once, and is returned for the next group.  Past the group bound
-        it holds one block and is not returned, as a fold per block frees its legs, so
-        no draw meets the legs of the block before."""
+        buffer, a row per path; fold them in one call; write their gains, then their
+        compensators block by block.  legs is made once the range's first block is drawn
+        and is returned for the next group.  Past the group bound it holds one block and
+        is not returned, so its legs are freed before the next block is drawn."""
         lo, weights, failure = blocks.start * BLOCK, [], None
         for block in blocks:
             try:
@@ -468,7 +460,6 @@ def monte_carlo_gain_loss(
                     x = np.clip(x, config.bounds.x_min, config.bounds.x_max)
                 if legs is None:
                     legs = np.empty((2, min(len(blocks) * BLOCK, n_paths - lo), horizon + 1))
-                    legs[0, :, 0], legs[1, :, 0] = start.v_long, start.v_short
                 row = len(weights) * BLOCK
                 with _unwarned():  # per block: a thread starts with NumPy's default error state
                     leg_factors(w, x, config.rf, out=legs[:, row : row + len(x), 1:])
@@ -477,26 +468,22 @@ def monte_carlo_gain_loss(
                 break
             weights.append(w)
         filled = min(len(weights) * BLOCK, n_paths - lo)
-        if filled:  # each row folds as account_legs folds it, a lower block's error first
-            v_long, v_short = fold_legs(legs[:, :filled])
+        if filled:  # each row folds as evolve folds it, a lower block's error first
+            v_long, v_short = fold_legs(legs[:, :filled], start)
         if failure is not None:
             raise failure
         gains[lo : lo + filled] = v_long[:, -1] + v_short[:, -1] - config.v0
         if compensators is not None:
-            if static_w is not None:
-                spans = [(0, filled, coefficients)]
-            else:  # an ma: schedule: each block with the coefficients of its own weights
-                spans = (
-                    (first, first + len(w), _compensator_coefficients(config, w, generator.mu))
-                    for first, w in zip(range(0, filled, BLOCK), weights)
-                )
             with _unwarned():  # per group: a thread starts with NumPy's default error state
-                for first, stop, (c0, a_long, a_short) in spans:
-                    # the legs entering each stage: V(k-1) for k = 1..horizon
-                    compensators[lo + first : lo + stop] = (
+                for first, w in zip(range(0, filled, BLOCK), weights):
+                    c0, a_long, a_short = coefficients if static_w is not None else (
+                        _compensator_coefficients(config, w, generator.mu)  # an ma: block's own
+                    )
+                    rows = slice(first, first + BLOCK)  # V(k-1), the legs entering stage k
+                    compensators[lo + first : lo + first + BLOCK] = (
                         c0
-                        + _row_dot(v_long[first:stop, :-1], a_long)
-                        + _row_dot(v_short[first:stop, :-1], a_short)
+                        + _row_dot(v_long[rows, :-1], a_long)
+                        + _row_dot(v_short[rows, :-1], a_short)
                     )
         return legs if group > 1 else None
 

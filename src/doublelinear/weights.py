@@ -68,7 +68,7 @@ class WeightSpec:
         if self.kind in ("constant", "ma_indicator") and self.w is None:
             raise ValueError(f"{self.kind} spec needs a weight value w")
         if self.kind == "ma_indicator":
-            check_count("window d", self.d)
+            object.__setattr__(self, "d", check_count("window d", self.d))
         if self.kind == "table" and not self.values:
             raise ValueError("table spec needs a nonempty value sequence")
 
@@ -134,15 +134,28 @@ def eval_schedule(
 
 
 def ma_value(prices: Sequence[float], k: int, d: int) -> float:
-    """Trailing d-period simple moving average at index k."""
+    """Trailing d-period simple moving average at index k of a 1-d price series."""
     check_count("k", k, 0)
     check_count("window d", d)
     p = validate_prices(prices)
+    if p.ndim != 1:
+        raise ValueError(f"prices must be a 1-d series, got {p.ndim} dimensions")
     if k < d - 1:
         raise ValueError(f"insufficient history: k={k} < d-1={d - 1}")
     if not 0 <= k < p.size:
         raise ValueError(f"k={k} outside the price history of length {p.size}")
-    return float(p[k - d + 1 : k + 1].mean())
+    return float(_window_means(p[None, k - d + 1 : k + 1])[0])
+
+
+def _window_means(windows: np.ndarray) -> np.ndarray:
+    """The mean of each d-window, the last axis of windows.  A window whose sum passes the
+    float range is averaged again from its prices divided by a power of two over d: exact
+    for prices that are not subnormal, and every other window keeps its bits."""
+    with np.errstate(over="ignore"):  # an overflowed sum is taken again below
+        means = np.mean(windows, axis=-1)
+    over, scale = np.isinf(means), 2.0 ** windows.shape[-1].bit_length()
+    means[over] = scale * np.mean(windows[over] / scale, axis=-1)
+    return means
 
 
 def ma_indicator_weight(prices: Sequence[float], k: int, d: int, w: float) -> float:
@@ -155,7 +168,7 @@ def ma_indicator_weight(prices: Sequence[float], k: int, d: int, w: float) -> fl
     check_count("k", k, 0)
     check_count("window d", d)
     p = validate_prices(prices)
-    if k < d - 1:
+    if k < d - 1 and p.ndim == 1:  # ma_value refuses prices that are not 1-d
         return 0.0
     return w if ma_value(p, k, d) < float(p[k]) else 0.0  # ma_value refuses k past the prices
 
@@ -175,7 +188,7 @@ def ma_indicator_weights(prices, n: int, d: int, w: float) -> np.ndarray:
         raise ValueError(f"need at least {n} prices, got {p.shape[-1]}")
     weights = np.zeros(p.shape[:-1] + (n,))
     if n >= d:
-        ma = sliding_window_view(p[..., :n], d, axis=-1).mean(axis=-1)
+        ma = _window_means(sliding_window_view(p[..., :n], d, axis=-1))
         weights[..., d - 1 :] = np.where(p[..., d - 1 : n] > ma, float(w), 0.0)
     return weights
 

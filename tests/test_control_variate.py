@@ -17,6 +17,7 @@ the cases where it must fall back or vanish.
 
 import json
 import math
+import os
 from fractions import Fraction
 
 import numpy as np
@@ -179,15 +180,18 @@ def loop_compensators(config, spec_text, params, n_paths, seed):
 class TestEngineCompensator:
     @pytest.mark.parametrize("spec_text", SPECS)
     @pytest.mark.parametrize("rf", [0.0, 2e-4])
-    def test_matches_a_loop_over_evolve(self, spec_text, rf):
+    def test_matches_a_loop_over_evolve(self, spec_text, rf, monkeypatch):
         config = PolicyConfig(alpha=0.4, bounds=MarketBounds(-0.9, 1.0), rf=rf)
         params = gbm(n_periods=40)
-        n_paths = 70  # two blocks, the second partial
-        reference = loop_compensators(config, spec_text, params, n_paths, seed=3)
-        res = monte_carlo_gain_loss(config, parse_weight_spec(spec_text), params, n_paths, 3)
-        assert res.cv_mean_gain == pytest.approx(float(np.mean(reference)), rel=1e-12)
-        se = math.sqrt(float(np.var(reference, ddof=1)) / n_paths)
-        assert res.cv_std_error == pytest.approx(se, rel=1e-9)
+        # on one CPU: a group of two blocks, the second partial; a full group of 4 blocks,
+        # then a group of one partial block
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        for n_paths in (70, 300):
+            reference = loop_compensators(config, spec_text, params, n_paths, seed=3)
+            res = monte_carlo_gain_loss(config, parse_weight_spec(spec_text), params, n_paths, 3)
+            assert res.cv_mean_gain == pytest.approx(float(np.mean(reference)), rel=1e-12)
+            se = math.sqrt(float(np.var(reference, ddof=1)) / n_paths)
+            assert res.cv_std_error == pytest.approx(se, rel=1e-9)
 
     def test_two_point_uses_the_model_mean(self):
         model = TwoPointModel(0.1, -0.05, 0.6)

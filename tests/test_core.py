@@ -379,6 +379,17 @@ def test_counts_raise_value_error_naming_them_or_stay_finite(call, name, minimum
     assert all_finite(result), (value, result)
 
 
+def test_counts_are_stored_as_python_ints():
+    n = np.int64(3)
+    stored = [
+        GbmJumpParams(mu_star=0.1, n_periods=n).n_periods,
+        WeightSpec("ma_indicator", w=0.5, d=n).d,
+        *rpe_scan(CONFIG, LONG_W, [0.1], n).k_range,
+        gain_loss_stats(CONFIG, LONG_W, MOMENTS, n).horizon,
+    ]
+    assert [type(value) for value in stored] == [int] * 5
+
+
 @pytest.mark.parametrize(
     "message, call",
     [
@@ -778,7 +789,7 @@ class TestHorizonVectors:
         for row, mu in zip(report.entries, report.mu_grid):
             assert row.tolist() == expected_gain_loss(CONFIG, w, mu, range(2, 13)).tolist()
 
-    @pytest.mark.parametrize("k", [[], [0, 2], [[1, 2]], [1.5], 2.0])
+    @pytest.mark.parametrize("k", [[], [0, 2], [[1, 2]], [1.5], 2.0, [True, 2]])
     def test_bad_horizons_rejected(self, k):
         with pytest.raises(ValueError, match="horizon"):
             expected_gain_loss(CONFIG, [0.5, 0.5], 0.1, k)

@@ -1,6 +1,7 @@
 """Weight schedule generators, the indicator weight, spec parsing, table IO."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -170,10 +171,44 @@ class TestMovingAverage:
         spec = parse_weight_spec("ma:3")
         assert spec.d == 3 and spec.w == 0.8
 
+    def test_price_matrix_refused(self):
+        matrix = [[1.0, 2.0, 3.0], [1.0, 1.5, 2.0]]
+        for call in (
+            lambda: ma_value(matrix, 2, 2),
+            lambda: ma_indicator_weight(matrix, 2, 2, 0.5),
+            lambda: ma_indicator_weight(matrix, 0, 2, 0.5),  # a warm-up stage too
+        ):
+            with pytest.raises(ValueError, match="prices must be a 1-d series, got 2 dimensions"):
+                call()
+
 
 def _oracle(prices, n, d, w):
     """The scalar indicator, one stage at a time, reading prices[0..i] only."""
     return np.array([ma_indicator_weight(prices[: i + 1], i, d, w) for i in range(n)])
+
+
+class TestWindowSumsPastTheFloatRange:
+    """A window whose sum overflows still has its finite mean, and no warning escapes."""
+
+    PRICES = [1.5e308, 1.6e308, 1.7e308, 1.75e308]
+
+    @pytest.mark.parametrize(
+        "d, expected", [(2, [0.0, 0.5, 0.5, 0.5]), (3, [0.0, 0.0, 0.5, 0.5]), (4, [0.0] * 3 + [0.5])]
+    )
+    def test_weights(self, d, expected):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert ma_indicator_weights(self.PRICES, 4, d, 0.5).tolist() == expected
+            assert _oracle(self.PRICES, 4, d, 0.5).tolist() == expected
+            rows = ma_indicator_weights([self.PRICES, [1.0, 2.0, 3.0, 4.0]], 4, d, 0.5)
+            assert rows.tolist() == [expected, expected]
+
+    def test_means(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert ma_value(self.PRICES, 1, 2) == 2.0 * np.mean(np.array(self.PRICES[:2]) / 2.0)
+            assert ma_value(self.PRICES, 3, 4) == 8.0 * np.mean(np.array(self.PRICES) / 8.0)
+            assert ma_value(self.PRICES, 3, 4) == pytest.approx(1.6375e308, rel=1e-15)
 
 
 class TestVectorizedIndicator:
