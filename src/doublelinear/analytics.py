@@ -432,12 +432,15 @@ def rpe_scan(
 def sign_condition_gain(
     config: PolicyConfig, weights: Sequence[float], mu: float, k: int
 ) -> bool:
-    """Whether (2*alpha - 1)*mu > 0 strictly.
+    """Whether (2*alpha - 1)*mu > 0 strictly, for one drift mu.
 
-    The boolean depends only on alpha and mu; weights and k are accepted
-    so the guarantee can be exercised on the same inputs: whenever the
-    condition holds and some weight among the first k is strictly
-    positive, expected_gain_loss is positive for every horizon from 1 on
-    (both product terms sit on the profitable side).
+    The boolean depends only on alpha and mu; the inputs are refused as
+    expected_gain_loss refuses them, so the guarantee holds on the same
+    inputs: whenever the condition holds and some weight among the first
+    k is strictly positive, expected_gain_loss is positive for every
+    horizon from 1 on (both product terms sit on the profitable side).
     """
+    _exposures(config, weights, mu, k)
+    if np.ndim(mu):
+        raise ValueError(f"drift mu must be a float, got a {np.ndim(mu)}-d grid")
     return (2.0 * config.alpha - 1.0) * mu > 0.0

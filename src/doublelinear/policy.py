@@ -95,6 +95,9 @@ class AccountState:
     v_short: float
     stage: int = 0
 
+    def __post_init__(self):
+        object.__setattr__(self, "stage", check_count("stage", self.stage, 0))
+
     @property
     def total(self) -> float:
         return self.v_long + self.v_short

@@ -259,25 +259,11 @@ def _two_point_block(model: TwoPointModel, seed: int, block: int, k: int) -> np.
     return np.where(u < model.p_up, model.x_up, model.x_down)
 
 
-# The last block a per-path accessor drew, as (key, block): a loop over consecutive
-# paths draws each block once.  The block is never handed out or written to.  A block
-# over _GROUP_BYTES is not kept, so the cache never pins more than that for the process.
-_last_block = (None, None)
-
-
-def _cached_row(draw, model, seed: int, path_index: int, *more) -> np.ndarray:
+def _row(draw, model, seed: int, path_index: int, *more) -> np.ndarray:
     """Row path_index mod BLOCK, as a one-row view, of block path_index // BLOCK as
-    draw(model, seed, block, *more) draws it, or as the last call drew it with equal
-    arguments; path_index, then seed, is checked.  The key holds repr(model), not model:
-    two models can be == and differ in the sign of a zero, which the block keeps."""
-    global _last_block
+    draw(model, seed, block, *more) draws it; path_index, then seed, is checked."""
     block, row = divmod(check_count("path_index", path_index, 0), BLOCK)
-    key = (draw, repr(model), check_count("seed", seed, 0), block, *more)
-    cached_key, values = _last_block
-    if cached_key != key:
-        values = draw(model, seed, block, *more)
-        _last_block = (key, values) if values.nbytes <= _GROUP_BYTES else (None, None)
-    return values[row : row + 1]
+    return draw(model, seed, block, *more)[row : row + 1]
 
 
 def simulate_path(params: GbmJumpParams, seed: int, path_index: int = 0) -> np.ndarray:
@@ -286,7 +272,7 @@ def simulate_path(params: GbmJumpParams, seed: int, path_index: int = 0) -> np.n
     Row path_index mod BLOCK of block path_index // BLOCK.  A price of 0
     or inf is a ValueError naming the model.
     """
-    return _prices(params, _cached_row(_log_growth_block, params, seed, path_index))[0]
+    return _prices(params, _row(_log_growth_block, params, seed, path_index))[0]
 
 
 def simulate_returns(params: GbmJumpParams, seed: int, path_index: int = 0) -> np.ndarray:
@@ -296,7 +282,7 @@ def simulate_returns(params: GbmJumpParams, seed: int, path_index: int = 0) -> n
     returns of simulate_path's prices agree only up to rounding.  A return
     of -1 or inf is a ValueError naming the model.
     """
-    return _returns(params, _cached_row(_log_growth_block, params, seed, path_index)[0].copy())
+    return _returns(params, _row(_log_growth_block, params, seed, path_index)[0].copy())
 
 
 def prices_to_returns(prices: Sequence[float]) -> np.ndarray:
@@ -325,7 +311,7 @@ def simulate_two_point(
 ) -> np.ndarray:
     """k i.i.d. draws from the two-point distribution: row path_index mod
     BLOCK of block path_index // BLOCK."""
-    return _cached_row(_two_point_block, model, seed, path_index, check_count("k", k))[0].copy()
+    return _row(_two_point_block, model, seed, path_index, check_count("k", k))[0].copy()
 
 
 def monte_carlo_gain_loss(

@@ -297,6 +297,10 @@ class TestSignCondition:
     def test_short_tilt_with_negative_drift(self):
         assert sign_condition_gain(make_config(alpha=0.3), [0.5], -0.2, 1)
 
+    def test_one_drift_only(self):
+        with pytest.raises(ValueError, match="drift mu must be a float, got a 1-d grid"):
+            sign_condition_gain(make_config(alpha=0.7), [0.5], np.array([0.1, 0.2]), 1)
+
     @given(
         alpha=st.floats(0.0, 1.0),
         mu=st.floats(-0.9, 0.9),

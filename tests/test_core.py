@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from doublelinear import (
+    AccountState,
     AdmissibilityError,
     GbmJumpParams,
     MarketBounds,
@@ -45,6 +46,7 @@ from doublelinear import (
     run_backtest,
     second_moment_gain_loss,
     sharpe_ratio,
+    sign_condition_gain,
     simulate_path,
     simulate_returns,
     simulate_two_point,
@@ -88,6 +90,10 @@ class TestNonFiniteInputsRejected:
     def test_expected_gain_loss_drift_grid(self, bad):
         with pytest.raises(ValueError, match=re.escape(f"|mu| must be < 1, got {bad}")):
             expected_gain_loss(CONFIG, [0.5, 0.5], [0.1, bad], 2)
+
+    def test_sign_condition_gain(self, bad):
+        with pytest.raises(ValueError, match=re.escape(f"|mu| must be < 1, got {bad}")):
+            sign_condition_gain(CONFIG, [0.5, 0.5], bad, 2)
 
     def test_variance_gain_loss(self, bad):
         with pytest.raises(AdmissibilityError, match="at stage 1"):
@@ -300,8 +306,10 @@ def mc(n_paths, seed, **options):
 
 
 COUNTS = {
+    "AccountState.stage": (lambda v: AccountState(0.5, 0.5, v), "stage", 0, 5000),
     "survivability_bound.k": (lambda v: survivability_bound(CONFIG, v), "k", 0, 5000),
     "expected_gain_loss.k": (lambda v: expected_gain_loss(CONFIG, LONG_W, 0.1, v), "k", 1, 5000),
+    "sign_condition_gain.k": (lambda v: sign_condition_gain(CONFIG, LONG_W, 0.1, v), "k", 1, 5000),
     "variance_gain_loss.k": (
         lambda v: variance_gain_loss(CONFIG, LONG_W, MOMENTS, v), "k", 1, 5000
     ),
@@ -386,8 +394,9 @@ def test_counts_are_stored_as_python_ints():
         WeightSpec("ma_indicator", w=0.5, d=n).d,
         *rpe_scan(CONFIG, LONG_W, [0.1], n).k_range,
         gain_loss_stats(CONFIG, LONG_W, MOMENTS, n).horizon,
+        AccountState(0.5, 0.5, n).stage,
     ]
-    assert [type(value) for value in stored] == [int] * 5
+    assert [type(value) for value in stored] == [int] * 6
 
 
 @pytest.mark.parametrize(

@@ -255,8 +255,8 @@ class TestReturnsAndTwoPoint:
 
 
 class TestPerPathBlocks:
-    """The per-path accessors keep the last block they drew: a loop over consecutive
-    paths draws each block once and returns what a fresh draw returns."""
+    """Each call of a per-path accessor draws its path's whole block and keeps nothing:
+    the package holds no state between calls."""
 
     @pytest.fixture
     def draws(self, monkeypatch):
@@ -266,14 +266,8 @@ class TestPerPathBlocks:
             calls.append((seed, block))
             return path_rng(seed, block)
 
-        monkeypatch.setattr(simulate, "_last_block", (None, None))
         monkeypatch.setattr(simulate, "path_rng", counted)
         return calls
-
-    @staticmethod
-    def fresh(accessor, *args):
-        simulate._last_block = (None, None)
-        return accessor(*args)
 
     @pytest.mark.parametrize(
         "accessor, model, more",
@@ -283,12 +277,12 @@ class TestPerPathBlocks:
             (simulate_two_point, TwoPointModel(0.2, -0.1, 0.6), (20,)),
         ],
     )
-    def test_a_loop_over_paths_draws_each_block_once(self, draws, accessor, model, more):
+    def test_each_call_draws_its_paths_block(self, draws, accessor, model, more):
         rows = [accessor(model, *more, 5, i) for i in range(2 * BLOCK)]
-        assert draws == [(5, 0), (5, 1)]
+        assert draws == [(5, i // BLOCK) for i in range(2 * BLOCK)]
         for i, row in enumerate(rows):
-            row[:] = -7.0  # a caller's writes reach neither the cache nor the next call
-            fresh = self.fresh(accessor, model, *more, 5, i)
+            row[:] = -7.0  # a caller's writes do not reach the next call
+            fresh = accessor(model, *more, 5, i)
             assert fresh.tobytes() != row.tobytes()
             assert accessor(model, *more, 5, i).tobytes() == fresh.tobytes()
 
