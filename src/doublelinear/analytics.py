@@ -31,14 +31,12 @@ from .policy import PolicyConfig, check_count, check_mu, validate_weights
 __all__ = [
     "BRUTE_FORCE_MAX_K",
     "ReturnMoments",
-    "GainLossStats",
     "TwoPointModel",
     "RpeScanReport",
     "expected_gain_loss",
     "expected_gain_loss_constant",
     "variance_gain_loss",
     "second_moment_gain_loss",
-    "gain_loss_stats",
     "brute_force_moments",
     "rpe_scan",
     "sign_condition_gain",
@@ -61,18 +59,6 @@ class ReturnMoments:
             raise ValueError(f"mu must be finite, got {np.ravel(self.mu)[np.argmin(finite)]}")
         if not 0.0 < self.sigma2 < np.inf:
             raise ValueError(f"sigma2 must be positive and finite, got {self.sigma2}")
-
-
-@dataclass(frozen=True)
-class GainLossStats:
-    """Mean and variance of the terminal gain-loss at a given horizon."""
-
-    mean: float
-    variance: float
-    horizon: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "horizon", check_count("horizon", self.horizon))
 
 
 @dataclass(frozen=True)
@@ -310,17 +296,6 @@ def second_moment_gain_loss(
         linear = config.v0 * (config.v0 + 2.0 * mean)
         # E[value^2] >= mean^2, so an infinite mean comes with infinite squares
         return _at_k(squares - np.where(np.isinf(squares), 0.0, linear))
-
-
-def gain_loss_stats(
-    config: PolicyConfig, weights: Sequence[float], moments: ReturnMoments, k: int
-) -> GainLossStats:
-    """Mean and variance bundled for reporting."""
-    return GainLossStats(
-        mean=expected_gain_loss(config, weights, moments.mu, k),
-        variance=variance_gain_loss(config, weights, moments, k),
-        horizon=k,
-    )
 
 
 def brute_force_moments(

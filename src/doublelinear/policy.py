@@ -89,7 +89,7 @@ class PolicyConfig:
 
 @dataclass(frozen=True)
 class AccountState:
-    """Long and short sub-account values after `stage` completed periods."""
+    """Long and short sub-account values, each finite and >= 0, after `stage` completed periods."""
 
     v_long: float
     v_short: float
@@ -97,6 +97,9 @@ class AccountState:
 
     def __post_init__(self):
         object.__setattr__(self, "stage", check_count("stage", self.stage, 0))
+        legs = np.asarray((self.v_long, self.v_short), dtype=float)  # a non-number is a ValueError
+        if not (legs.min() >= 0.0 and legs.max() < np.inf):  # NaN fails too
+            raise ValueError(f"legs must be finite and >= 0, got {self.v_long} and {self.v_short}")
 
     @property
     def total(self) -> float:
@@ -189,37 +192,39 @@ def check_count(name: str, value, minimum: int = 1) -> int:
     return int(value)
 
 
-def leg_factors(w, x, rf: float, out=None):
-    """Per-stage growth factors (long, short): 1 + w*x + (1 - w)*rf and 1 - w*x.
+def leg_factors(w, x, rf: float, out):
+    """Write the per-stage growth factors (long, short), 1 + w*x + (1 - w)*rf and
+    1 - w*x, into out = (long, short), two arrays of the shape of w*x; return them.
 
     The long leg earns rf on its uninvested fraction; short proceeds earn
-    nothing.  step_account applies this one form and fold_legs multiplies it
-    out, so they agree bit for bit.  out = (long, short), two arrays of the
-    shape of w*x, receives the same factors in place.
+    nothing.  step_account, evolve and every Monte Carlo group write their
+    factors here and fold_legs multiplies them out, so they agree bit for
+    bit; a factor past the float range passes without a warning.
     """
-    if out is None:
-        return 1.0 + w * x + (1.0 - w) * rf, 1.0 - w * x
     f_long, f_short = out
-    np.multiply(w, x, out=f_short)
-    np.add(f_short, 1.0, out=f_long)
-    if rf:  # adding the zero (1 - w)*0 would change no factor
-        f_long += (1.0 - w) * rf
-    np.subtract(1.0, f_short, out=f_short)
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.multiply(w, x, out=f_short)
+        np.add(f_short, 1.0, out=f_long)
+        if rf:  # adding the zero (1 - w)*0 would change no factor
+            f_long += (1.0 - w) * rf
+        np.subtract(1.0, f_short, out=f_short)
     return f_long, f_short
 
 
 def step_account(
     state: AccountState, w: float, x: float, config: PolicyConfig
 ) -> AccountState:
-    """Advance one stage: each leg scales by its factor from leg_factors.
+    """Advance one stage: a one-stage fold_legs of state and the factors of leg_factors.
 
     Raises AdmissibilityError when w falls outside [0, w_max] or x
-    outside the market bounds.
+    outside the market bounds, and ValueError when the account value
+    leaves the float range.
     """
-    validate_weights(w, config.w_max)
-    validate_returns(x, config.bounds)
-    f_long, f_short = leg_factors(w, x, config.rf)
-    return AccountState(state.v_long * f_long, state.v_short * f_short, state.stage + 1)
+    w, x = validate_weights(w, config.w_max), validate_returns(x, config.bounds)
+    legs = np.empty((2, 2))
+    leg_factors(w, x, config.rf, out=legs[:, 1:])
+    v_long, v_short = fold_legs(legs, state)
+    return AccountState(float(v_long[-1]), float(v_short[-1]), state.stage + 1)
 
 
 def fold_legs(legs: np.ndarray, start: AccountState) -> tuple[np.ndarray, np.ndarray]:
@@ -264,8 +269,7 @@ def evolve(
     validate_weights(w, config.w_max)
     validate_returns(x, config.bounds)
     legs = np.empty((2, w.size + 1))
-    with np.errstate(over="ignore", invalid="ignore"):  # a total out of range is named by fold_legs
-        leg_factors(w, x, config.rf, out=legs[:, 1:])
+    leg_factors(w, x, config.rf, out=legs[:, 1:])
     return Trajectory(*fold_legs(legs, initial_state(config)), v0=config.v0)
 
 

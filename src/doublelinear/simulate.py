@@ -447,8 +447,7 @@ def monte_carlo_gain_loss(
                 if legs is None:
                     legs = np.empty((2, min(len(blocks) * BLOCK, n_paths - lo), horizon + 1))
                 row = len(weights) * BLOCK
-                with _unwarned():  # per block: a thread starts with NumPy's default error state
-                    leg_factors(w, x, config.rf, out=legs[:, row : row + len(x), 1:])
+                leg_factors(w, x, config.rf, out=legs[:, row : row + len(x), 1:])
             except Exception as exc:  # raised once the blocks before it are folded
                 failure = exc
                 break

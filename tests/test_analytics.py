@@ -20,7 +20,6 @@ from doublelinear import (
     eval_schedule,
     expected_gain_loss,
     expected_gain_loss_constant,
-    gain_loss_stats,
     rpe_scan,
     second_moment_gain_loss,
     sign_condition_gain,
@@ -133,14 +132,6 @@ class TestVariance:
             second = second_moment_gain_loss(cfg, w, moments, k)
             assert var == pytest.approx(second - mean * mean, rel=1e-10, abs=1e-13)
             assert var >= -1e-12
-
-    def test_stats_bundle(self):
-        cfg = make_config(alpha=0.6)
-        moments = ReturnMoments(0.05, 0.02)
-        stats = gain_loss_stats(cfg, [0.4, 0.8], moments, 2)
-        assert stats.mean == expected_gain_loss(cfg, [0.4, 0.8], 0.05, 2)
-        assert stats.variance == variance_gain_loss(cfg, [0.4, 0.8], moments, 2)
-        assert stats.horizon == 2
 
     def test_sigma2_must_be_positive(self):
         with pytest.raises(ValueError):

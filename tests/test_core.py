@@ -34,7 +34,6 @@ from doublelinear import (
     evolve,
     expected_gain_loss,
     expected_gain_loss_constant,
-    gain_loss_stats,
     ingest_csv,
     initial_state,
     ma_indicator_weight,
@@ -196,6 +195,7 @@ ANY_FLOAT = (
 # constructor, its argument strategy, and its accessors beyond the fields
 CONSTRUCTORS = [
     (MarketBounds, st.tuples(ANY_FLOAT, ANY_FLOAT), ()),
+    (AccountState, st.tuples(ANY_FLOAT, ANY_FLOAT, st.integers(0, 10)), ()),
     (
         lambda alpha, x_min, x_max, v0, rf: PolicyConfig(alpha, MarketBounds(x_min, x_max), v0, rf),
         st.tuples(*[ANY_FLOAT] * 5),
@@ -234,6 +234,19 @@ CONSTRUCTORS = [
 def test_constructors_reject_overflowing_accessors(make, kwargs):
     with pytest.raises(ValueError, match="overflows"):
         make(**kwargs)
+
+
+@pytest.mark.parametrize(
+    "v_long, v_short, message",
+    [
+        (-1.0, 0.5, "legs must be finite and >= 0, got -1.0 and 0.5"),
+        (0.5, -5e-324, "legs must be finite and >= 0, got 0.5 and -5e-324"),
+        ("half", 0.5, "could not convert string to float: 'half'"),
+    ],
+)
+def test_account_state_rejects_a_negative_or_non_numeric_leg(v_long, v_short, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        AccountState(v_long, v_short)
 
 
 def all_finite(value) -> bool:
@@ -316,7 +329,6 @@ COUNTS = {
     "second_moment_gain_loss.k": (
         lambda v: second_moment_gain_loss(CONFIG, LONG_W, MOMENTS, v), "k", 1, 5000
     ),
-    "gain_loss_stats.k": (lambda v: gain_loss_stats(CONFIG, LONG_W, MOMENTS, v), "k", 1, 5000),
     "expected_gain_loss_constant.k": (
         lambda v: expected_gain_loss_constant(CONFIG, 0.5, 0.1, v), "k", 1, 5000
     ),
@@ -393,10 +405,9 @@ def test_counts_are_stored_as_python_ints():
         GbmJumpParams(mu_star=0.1, n_periods=n).n_periods,
         WeightSpec("ma_indicator", w=0.5, d=n).d,
         *rpe_scan(CONFIG, LONG_W, [0.1], n).k_range,
-        gain_loss_stats(CONFIG, LONG_W, MOMENTS, n).horizon,
         AccountState(0.5, 0.5, n).stage,
     ]
-    assert [type(value) for value in stored] == [int] * 6
+    assert [type(value) for value in stored] == [int] * 5
 
 
 @pytest.mark.parametrize(
@@ -769,6 +780,18 @@ class TestOneFactorForm:
         np.testing.assert_array_equal(traj.gains, traj.values - CONFIG.v0)
         assert [s.v_long for s in traj.states] == traj.v_long.tolist()
         assert traj.horizon == 3
+
+
+def test_step_account_and_evolve_name_a_value_past_the_float_range():
+    cfg = PolicyConfig(alpha=1.0, bounds=BOUNDS, v0=1.7e308)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in (
+            lambda: evolve(cfg, [0.5], [0.9]),
+            lambda: step_account(initial_state(cfg), 0.5, 0.9, cfg),
+        ):
+            with pytest.raises(ValueError, match="account value leaves the float range"):
+                call()
 
 
 class TestHorizonVectors:

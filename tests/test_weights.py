@@ -68,6 +68,11 @@ class TestNamedSchedules:
         with pytest.raises(ValueError, match="unknown schedule kind 'bogus'"):
             WeightSpec("bogus")
 
+    @pytest.mark.parametrize("kind, d", [("constant", None), ("ma_indicator", 3)])
+    def test_weight_value_required(self, kind, d):
+        with pytest.raises(ValueError, match=f"{kind} spec needs a weight value w"):
+            WeightSpec(kind, d=d)
+
     def test_n_validation(self):
         with pytest.raises(ValueError):
             eval_schedule(WeightSpec("constant", w=0.5), 0)
