@@ -245,8 +245,8 @@ def _pair_logs(config, weights, moments: ReturnMoments, k):
         t = np.negative(x)
         down = _log1p_cumsum(t)[..., idx]
         up = _log1p_cumsum(x)[..., idx]
-        up += np.log(config.alpha * config.v0)
-        down += np.log((1.0 - config.alpha) * config.v0)
+        up += np.log(config.split[0])
+        down += np.log(config.split[1])
     logs = (2.0 * up, 2.0 * down, math.log(2.0) + up + down)
     r = [np.where(a == -np.inf, 0.0, s) for a, s in zip(logs, (r_up, r_down, r_cross))]
     return logs, r, sign

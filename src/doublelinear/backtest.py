@@ -24,7 +24,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .policy import MarketBounds, PolicyConfig, evolve, validate_prices
+from .policy import MarketBounds, PolicyConfig, check_values, evolve, validate_prices
 from .simulate import _sample_stats, prices_to_returns
 from .tables import read_columns
 from .weights import WeightSpec, eval_schedule
@@ -153,11 +153,13 @@ def _return_stats(r: np.ndarray) -> tuple[float, float, bool]:
     sd = math.sqrt(variance)
     if sd == 0.0:
         return 0.0, 0.0, True
-    return sd * sd, mean / sd, False
+    return variance, mean / sd, False
 
 
 def _report(values: np.ndarray, v0: float, weights_used) -> BacktestReport:
-    """Report of one account-value curve V(0..n); no return follows a V of 0 before stage n."""
+    """Report of one account-value curve V(0..n), each value finite; no return follows
+    a V of 0 before stage n."""
+    check_values(values)
     ruined = values[:-1] == 0.0
     if ruined.any():
         raise ValueError(f"the account value reaches 0 at stage {int(np.argmax(ruined))}, "
@@ -223,7 +225,8 @@ def buy_and_hold_report(config: PolicyConfig, series: PriceSeries) -> BacktestRe
     """
     if len(series) < 2:
         raise ValueError("series must contain at least two prices")
-    values = config.v0 * series.prices / series.prices[0]
+    with np.errstate(over="ignore"):  # _report names a value past the float range
+        values = config.v0 * series.prices / series.prices[0]
     return _report(values, config.v0, np.ones(len(series) - 1))
 
 

@@ -27,11 +27,8 @@ __all__ = [
     "AdmissibilityError",
     "MarketBounds",
     "PolicyConfig",
-    "AccountState",
     "Trajectory",
     "derive_w_max",
-    "initial_state",
-    "step_account",
     "evolve",
     "survivability_bound",
 ]
@@ -86,29 +83,15 @@ class PolicyConfig:
     def w_max(self) -> float:
         return derive_w_max(self.bounds)
 
-
-@dataclass(frozen=True)
-class AccountState:
-    """Long and short sub-account values, each finite and >= 0, after `stage` completed periods."""
-
-    v_long: float
-    v_short: float
-    stage: int = 0
-
-    def __post_init__(self):
-        object.__setattr__(self, "stage", check_count("stage", self.stage, 0))
-        legs = np.asarray((self.v_long, self.v_short), dtype=float)  # a non-number is a ValueError
-        if not (legs.min() >= 0.0 and legs.max() < np.inf):  # NaN fails too
-            raise ValueError(f"legs must be finite and >= 0, got {self.v_long} and {self.v_short}")
-
     @property
-    def total(self) -> float:
-        return self.v_long + self.v_short
+    def split(self) -> tuple:
+        """The stage-0 legs (long, short), alpha*v0 and (1 - alpha)*v0; Fractions stay exact."""
+        return self.alpha * self.v0, (1 - self.alpha) * self.v0
 
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Per-leg account values for stages 0..k; totals, gains and states derive from them."""
+    """Per-leg account values for stages 0..k; totals and gains derive from them."""
 
     v_long: np.ndarray
     v_short: np.ndarray
@@ -125,24 +108,12 @@ class Trajectory:
         return self.values - self.v0
 
     @property
-    def states(self) -> tuple[AccountState, ...]:
-        return tuple(
-            AccountState(lo, sh, j)
-            for j, (lo, sh) in enumerate(zip(self.v_long.tolist(), self.v_short.tolist()))
-        )
-
-    @property
     def horizon(self) -> int:
         return len(self.v_long) - 1
 
     @property
     def final_gain(self) -> float:
         return float(self.v_long[-1] + self.v_short[-1] - self.v0)
-
-
-def initial_state(config: PolicyConfig) -> AccountState:
-    """The stage-0 split: alpha*v0 long, (1-alpha)*v0 short (Fractions stay exact)."""
-    return AccountState(config.alpha * config.v0, (1 - config.alpha) * config.v0, 0)
 
 
 def _reject_outside(values, lo: float, hi: float, what: str) -> np.ndarray:
@@ -197,9 +168,9 @@ def leg_factors(w, x, rf: float, out):
     1 - w*x, into out = (long, short), two arrays of the shape of w*x; return them.
 
     The long leg earns rf on its uninvested fraction; short proceeds earn
-    nothing.  step_account, evolve and every Monte Carlo group write their
-    factors here and fold_legs multiplies them out, so they agree bit for
-    bit; a factor past the float range passes without a warning.
+    nothing.  evolve and every Monte Carlo group write their factors here
+    and fold_legs multiplies them out, so they agree bit for bit; a factor
+    past the float range passes without a warning.
     """
     f_long, f_short = out
     with np.errstate(over="ignore", invalid="ignore"):
@@ -211,39 +182,26 @@ def leg_factors(w, x, rf: float, out):
     return f_long, f_short
 
 
-def step_account(
-    state: AccountState, w: float, x: float, config: PolicyConfig
-) -> AccountState:
-    """Advance one stage: a one-stage fold_legs of state and the factors of leg_factors.
-
-    Raises AdmissibilityError when w falls outside [0, w_max] or x
-    outside the market bounds, and ValueError when the account value
-    leaves the float range.
-    """
-    w, x = validate_weights(w, config.w_max), validate_returns(x, config.bounds)
-    legs = np.empty((2, 2))
-    leg_factors(w, x, config.rf, out=legs[:, 1:])
-    v_long, v_short = fold_legs(legs, state)
-    return AccountState(float(v_long[-1]), float(v_short[-1]), state.stage + 1)
-
-
-def fold_legs(legs: np.ndarray, start: AccountState) -> tuple[np.ndarray, np.ndarray]:
-    """Write start's split, the one place it is written, into the stage-0 slot of
-    each row of legs, (2, ..., n+1), long then short, each slot followed by its n
-    leg_factors, and multiply the rows out in place in one accumulate.  Returns the
-    two folded legs; a final total past the float range (inf or nan) is a
-    ValueError naming the first such total."""
-    legs[0, ..., 0], legs[1, ..., 0] = start.v_long, start.v_short
-    with np.errstate(over="ignore", invalid="ignore"):  # a total out of range is named below
+def fold_legs(legs: np.ndarray, config: PolicyConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Write config.split into the stage-0 slot of each row of legs, (2, ..., n+1),
+    long then short, each slot followed by its n leg_factors, and multiply the rows
+    out in place in one accumulate.  Returns the two folded legs; a leg past the
+    float range is inf or nan, without a warning, for the caller to name."""
+    legs[0, ..., 0], legs[1, ..., 0] = config.split
+    with np.errstate(over="ignore", invalid="ignore"):
         np.multiply.accumulate(legs, axis=-1, out=legs)
-        total = legs[0, ..., -1] + legs[1, ..., -1]
-    finite = np.isfinite(total)
-    if not finite.all():
-        raise ValueError(
-            f"the account value leaves the float range: a final value is "
-            f"{np.ravel(total)[np.argmin(finite)]}"
-        )
     return legs[0], legs[1]
+
+
+def check_values(values: np.ndarray) -> None:
+    """ValueError naming the first stage of the account-value curve V(0..n) whose
+    value is past the float range (inf or nan)."""
+    finite = np.isfinite(values)
+    if not finite.all():
+        stage = int(np.argmin(finite))
+        raise ValueError(
+            f"the account value leaves the float range at stage {stage}: {values[stage]}"
+        )
 
 
 def evolve(
@@ -255,8 +213,9 @@ def evolve(
 
     weights[k] is applied to returns[k]; both sequences must have equal
     length.  Every element is validated up front so rejection errors
-    cite the offending stage.  The legs are leg_factors folded by
-    fold_legs, so with rf = 0 the terminal value is v0*(alpha*prod(1 +
+    cite the offending stage, and so does the ValueError of a stage whose
+    account value leaves the float range.  The legs are leg_factors folded
+    by fold_legs, so with rf = 0 the terminal value is v0*(alpha*prod(1 +
     w*x) + (1-alpha)*prod(1 - w*x)) up to floating-point accumulation.
     """
     w = np.asarray(weights, dtype=float)
@@ -270,7 +229,10 @@ def evolve(
     validate_returns(x, config.bounds)
     legs = np.empty((2, w.size + 1))
     leg_factors(w, x, config.rf, out=legs[:, 1:])
-    return Trajectory(*fold_legs(legs, initial_state(config)), v0=config.v0)
+    v_long, v_short = fold_legs(legs, config)
+    with np.errstate(over="ignore"):  # a total out of range is named
+        check_values(v_long + v_short)
+    return Trajectory(v_long, v_short, v0=config.v0)
 
 
 def survivability_bound(config: PolicyConfig, k: int) -> tuple[float, float]:
@@ -282,6 +244,7 @@ def survivability_bound(config: PolicyConfig, k: int) -> tuple[float, float]:
     """
     check_count("k", k, 0)
     w_max = config.w_max
-    lo_long = config.v0 * config.alpha * (1.0 + w_max * config.bounds.x_min) ** k
-    lo_short = config.v0 * (1.0 - config.alpha) * (1.0 - w_max * config.bounds.x_max) ** k
+    v_long, v_short = config.split
+    lo_long = v_long * (1.0 + w_max * config.bounds.x_min) ** k
+    lo_short = v_short * (1.0 - w_max * config.bounds.x_max) ** k
     return lo_long, lo_short

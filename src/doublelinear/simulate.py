@@ -51,7 +51,6 @@ from .policy import (
     PolicyConfig,
     check_count,
     fold_legs,
-    initial_state,
     leg_factors,
     validate_prices,
     validate_weights,
@@ -419,7 +418,6 @@ def monte_carlo_gain_loss(
         with _unwarned():
             coefficients = _compensator_coefficients(config, static_w, generator.mu)
 
-    start = initial_state(config)
     group = _GROUP if 2 * _GROUP * BLOCK * (horizon + 1) * 8 <= _GROUP_BYTES else 1
 
     def trade(blocks: range, legs: Optional[np.ndarray]) -> Optional[np.ndarray]:
@@ -454,10 +452,17 @@ def monte_carlo_gain_loss(
             weights.append(w)
         filled = min(len(weights) * BLOCK, n_paths - lo)
         if filled:  # each row folds as evolve folds it, a lower block's error first
-            v_long, v_short = fold_legs(legs[:, :filled], start)
+            v_long, v_short = fold_legs(legs[:, :filled], config)
+            with _unwarned():
+                final = v_long[:, -1] + v_short[:, -1]
+            if not np.isfinite(final).all():
+                raise ValueError(
+                    "the account value leaves the float range: a final value is "
+                    f"{final[~np.isfinite(final)][0]}"
+                )
         if failure is not None:
             raise failure
-        gains[lo : lo + filled] = v_long[:, -1] + v_short[:, -1] - config.v0
+        gains[lo : lo + filled] = final - config.v0
         if compensators is not None:
             with _unwarned():  # per group: a thread starts with NumPy's default error state
                 for first, w in zip(range(0, filled, BLOCK), weights):
@@ -547,8 +552,8 @@ def _compensator_coefficients(config: PolicyConfig, w, mu):
     ahead, r_ahead = _suffix_sums(w), _suffix_sums(r)
     a_short = mu * w * ahead * mu  # mu last: 0, not nan, at the last stage if mu*mu overflows
     a_long = a_short + mu * r * ahead + (mu * w + r) * r_ahead
-    start = initial_state(config)
-    c0 = mu * (start.v_long - start.v_short) * w.sum() + start.v_long * r.sum()
+    v_long, v_short = config.split
+    c0 = mu * (v_long - v_short) * w.sum() + v_long * r.sum()
     return c0, a_long, a_short
 
 

@@ -169,6 +169,8 @@ def ma_indicator_weight(prices: Sequence[float], k: int, d: int, w: float) -> fl
     check_count("window d", d)
     p = validate_prices(prices)
     if k < d - 1 and p.ndim == 1:  # ma_value refuses prices that are not 1-d
+        if k >= p.size:
+            raise ValueError(f"k={k} outside the price history of length {p.size}")
         return 0.0
     return w if ma_value(p, k, d) < float(p[k]) else 0.0  # ma_value refuses k past the prices
 

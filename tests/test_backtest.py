@@ -1,6 +1,7 @@
 """CSV ingestion, backtest metrics, batch reports."""
 
 import io
+import re
 import warnings
 
 import numpy as np
@@ -230,6 +231,20 @@ class TestBuyAndHold:
             warnings.simplefilter("error")
             report = buy_and_hold_report(make_config(), series([1.0, 1e200, 1.0]))
         assert (report.variance, report.sharpe, report.degenerate_sharpe) == (np.inf, 0.0, False)
+
+    def test_variance_is_exactly_the_sample_variance_of_its_returns(self):
+        prices = np.array([100.0, 101.0, 101.0, 105.0])
+        values = 1.0 * prices / prices[0]
+        report = buy_and_hold_report(make_config(), series(prices))
+        assert report.variance == np.var(values[1:] / values[:-1] - 1.0, ddof=1)
+
+    def test_value_past_the_float_range_names_its_stage(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=re.escape(
+                "the account value leaves the float range at stage 1: inf"
+            )):
+                buy_and_hold_report(make_config(v0=1e308), series([1.0, 2.0, 1.0]))
 
     def test_equals_policy_at_alpha_one_on_admissible_data(self):
         s = series([100.0, 108.0, 95.0, 101.0])

@@ -1,8 +1,8 @@
 """The shared core: one validator, one factor form, cumulative products.
 
 Non-finite inputs must be rejected wherever weights, returns or prices
-enter; evolve, a fold of step_account and the Monte Carlo path gain must
-agree exactly at every rf; horizon vectors must equal the scalar calls.
+enter; evolve and the Monte Carlo path gain must agree exactly at every
+rf; horizon vectors must equal the scalar calls.
 """
 
 import dataclasses
@@ -14,11 +14,10 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from doublelinear import (
-    AccountState,
     AdmissibilityError,
     GbmJumpParams,
     MarketBounds,
@@ -35,7 +34,6 @@ from doublelinear import (
     expected_gain_loss,
     expected_gain_loss_constant,
     ingest_csv,
-    initial_state,
     ma_indicator_weight,
     ma_value,
     monte_carlo_gain_loss,
@@ -49,7 +47,6 @@ from doublelinear import (
     simulate_path,
     simulate_returns,
     simulate_two_point,
-    step_account,
     survivability_bound,
     sweep_mu_star,
     variance_gain_loss,
@@ -74,13 +71,6 @@ class TestNonFiniteInputsRejected:
     def test_evolve_return(self, bad):
         with pytest.raises(AdmissibilityError, match="return .* at stage 2"):
             evolve(CONFIG, [0.5, 0.5, 0.5], [0.1, 0.1, bad])
-
-    def test_step_account(self, bad):
-        state = initial_state(CONFIG)
-        with pytest.raises(AdmissibilityError, match="weight"):
-            step_account(state, bad, 0.1, CONFIG)
-        with pytest.raises(AdmissibilityError, match="return"):
-            step_account(state, 0.5, bad, CONFIG)
 
     def test_expected_gain_loss(self, bad):
         with pytest.raises(AdmissibilityError, match="at stage 1"):
@@ -195,11 +185,10 @@ ANY_FLOAT = (
 # constructor, its argument strategy, and its accessors beyond the fields
 CONSTRUCTORS = [
     (MarketBounds, st.tuples(ANY_FLOAT, ANY_FLOAT), ()),
-    (AccountState, st.tuples(ANY_FLOAT, ANY_FLOAT, st.integers(0, 10)), ()),
     (
         lambda alpha, x_min, x_max, v0, rf: PolicyConfig(alpha, MarketBounds(x_min, x_max), v0, rf),
         st.tuples(*[ANY_FLOAT] * 5),
-        ("w_max",),
+        ("w_max", "split"),
     ),
     (
         GbmJumpParams,
@@ -234,19 +223,6 @@ CONSTRUCTORS = [
 def test_constructors_reject_overflowing_accessors(make, kwargs):
     with pytest.raises(ValueError, match="overflows"):
         make(**kwargs)
-
-
-@pytest.mark.parametrize(
-    "v_long, v_short, message",
-    [
-        (-1.0, 0.5, "legs must be finite and >= 0, got -1.0 and 0.5"),
-        (0.5, -5e-324, "legs must be finite and >= 0, got 0.5 and -5e-324"),
-        ("half", 0.5, "could not convert string to float: 'half'"),
-    ],
-)
-def test_account_state_rejects_a_negative_or_non_numeric_leg(v_long, v_short, message):
-    with pytest.raises(ValueError, match=re.escape(message)):
-        AccountState(v_long, v_short)
 
 
 def all_finite(value) -> bool:
@@ -319,7 +295,6 @@ def mc(n_paths, seed, **options):
 
 
 COUNTS = {
-    "AccountState.stage": (lambda v: AccountState(0.5, 0.5, v), "stage", 0, 5000),
     "survivability_bound.k": (lambda v: survivability_bound(CONFIG, v), "k", 0, 5000),
     "expected_gain_loss.k": (lambda v: expected_gain_loss(CONFIG, LONG_W, 0.1, v), "k", 1, 5000),
     "sign_condition_gain.k": (lambda v: sign_condition_gain(CONFIG, LONG_W, 0.1, v), "k", 1, 5000),
@@ -405,9 +380,8 @@ def test_counts_are_stored_as_python_ints():
         GbmJumpParams(mu_star=0.1, n_periods=n).n_periods,
         WeightSpec("ma_indicator", w=0.5, d=n).d,
         *rpe_scan(CONFIG, LONG_W, [0.1], n).k_range,
-        AccountState(0.5, 0.5, n).stage,
     ]
-    assert [type(value) for value in stored] == [int] * 5
+    assert [type(value) for value in stored] == [int] * 4
 
 
 @pytest.mark.parametrize(
@@ -622,6 +596,12 @@ FLOAT_RANGE_RUNS = {
         ["backtest", "--csv", "{csv}", "--bounds-from-data"],
         "a price ratio leaves the float range: returns must lie in (-1, inf), got -1.0",
     ),
+    # stage 1's legs are finite, their sum is not; stage 2 is back in range
+    "backtest account value": (
+        ["backtest", "--csv", "{steep}", "--v0", "1.79e308", "--alpha", "0.6",
+         "--w", "constant:0.5"],
+        "the account value leaves the float range at stage 1: inf",
+    ),
 }
 
 
@@ -630,10 +610,13 @@ class TestFloatRange:
     def test_is_one_error_line_without_warning(self, tmp_path, capsys, argv, message):
         csv_path = tmp_path / "prices.csv"
         csv_path.write_text("timestamp,price\n1,1e300\n2,1e-300\n3,1e300\n")
+        steep_path = tmp_path / "steep.csv"
+        steep_path.write_text("timestamp,price\n1,100\n2,150\n3,75\n")
         outdir = tmp_path / "out"
+        argv = [arg.format(csv=csv_path, steep=steep_path) for arg in argv]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            code = main([arg.format(csv=csv_path) for arg in argv] + ["--outdir", str(outdir)])
+            code = main(argv + ["--outdir", str(outdir)])
         captured = capsys.readouterr()
         assert (code, captured.out) == (1, "")
         assert captured.err.startswith(f"error: {message}")
@@ -709,21 +692,16 @@ class TestOneFactorForm:
         rf=st.one_of(st.just(0.0), st.floats(1e-6, 0.01)),
     )
     @settings(max_examples=200, deadline=None)
-    def test_evolve_step_fold_and_monte_carlo_agree_exactly(self, path, alpha, v0, rf):
+    def test_evolve_and_monte_carlo_agree_exactly(self, path, alpha, v0, rf):
         model, w, seed = path
         cfg = PolicyConfig(alpha=alpha, bounds=BOUNDS, v0=v0, rf=rf)
         x = simulate_two_point(model, len(w), seed, 0)
 
         traj = evolve(cfg, w, x)
-        states = [initial_state(cfg)]
-        for wk, xk in zip(w, x.tolist()):
-            states.append(step_account(states[-1], wk, xk, cfg))
         mc = monte_carlo_gain_loss(
             cfg, WeightSpec("table", values=tuple(w)), model, 1, seed, n_periods=len(w)
         )
 
-        assert traj.states == tuple(states)
-        assert traj.final_gain == states[-1].total - v0
         assert traj.final_gain == mc.mean_gain
         assert traj.gains[-1] == traj.final_gain
 
@@ -778,20 +756,49 @@ class TestOneFactorForm:
         traj = evolve(CONFIG, [0.2, 0.8, 0.5], [0.05, -0.1, 0.3])
         np.testing.assert_array_equal(traj.values, traj.v_long + traj.v_short)
         np.testing.assert_array_equal(traj.gains, traj.values - CONFIG.v0)
-        assert [s.v_long for s in traj.states] == traj.v_long.tolist()
         assert traj.horizon == 3
 
 
 def test_step_account_and_evolve_name_a_value_past_the_float_range():
-    cfg = PolicyConfig(alpha=1.0, bounds=BOUNDS, v0=1.7e308)
+    # the first stage past the range is named, also when its legs are finite
+    # and the curve comes back into the range later
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for call in (
-            lambda: evolve(cfg, [0.5], [0.9]),
-            lambda: step_account(initial_state(cfg), 0.5, 0.9, cfg),
-        ):
-            with pytest.raises(ValueError, match="account value leaves the float range"):
-                call()
+        for alpha, v0, returns in [
+            (1.0, 1.7e308, [0.9]), (0.6, 1.79e308, [0.5, -0.5]), (0.6, 1.79e308, [0.5, 0.5]),
+        ]:
+            with pytest.raises(ValueError, match=re.escape(
+                "the account value leaves the float range at stage 1: inf"
+            )):
+                evolve(PolicyConfig(alpha, BOUNDS, v0), [0.5] * len(returns), returns)
+
+
+@given(
+    fields=st.tuples(*[ANY_FLOAT] * 5) | st.tuples(
+        st.floats(0.0, 1.0), st.floats(-0.99, -0.01), st.floats(0.01, 1.0),
+        st.floats(1.7e308, 1.7976931348623157e308), st.floats(0.0, 0.01),
+    ),
+    path=st.lists(
+        st.tuples(ANY_FLOAT, ANY_FLOAT) | st.tuples(st.floats(0.0, 1.0), st.floats(-0.99, 1.0)),
+        max_size=4,
+    ),
+)
+@example(fields=(0.6, -0.5, 1.0, 1.79e308, 0.0), path=[(0.5, 0.5), (0.9, -0.5)])
+@settings(max_examples=300, deadline=None)
+def test_evolve_raises_value_error_or_stays_finite(fields, path):
+    # any float anywhere, or a config, weights and returns inside their ranges
+    # with v0 near the top of the float range
+    alpha, x_min, x_max, v0, rf = fields
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            cfg = PolicyConfig(alpha, MarketBounds(x_min, x_max), v0, rf)
+            traj = evolve(cfg, [w for w, _ in path], [x for _, x in path])
+        except ValueError:
+            return
+        values = traj.values
+    assert np.isfinite(values).all(), (cfg, path, values)
+    assert (traj.v_long >= 0.0).all() and (traj.v_short >= 0.0).all(), (cfg, path)
 
 
 class TestHorizonVectors:

@@ -6,14 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from doublelinear import (
-    AccountState,
     AdmissibilityError,
     MarketBounds,
     PolicyConfig,
     derive_w_max,
     evolve,
-    initial_state,
-    step_account,
     survivability_bound,
 )
 
@@ -66,34 +63,31 @@ class TestPolicyConfig:
 
 
 class TestStepAccount:
+    """One stage of the account from the stage-0 split: a one-stage evolve."""
+
     def test_symmetric_split_step(self):
         # long leg gains w*x, short leg loses it
-        state = AccountState(v_long=0.5, v_short=0.5)
-        nxt = step_account(state, w=0.5, x=0.1, config=make_config())
-        assert nxt.v_long == pytest.approx(0.525, abs=1e-15)
-        assert nxt.v_short == pytest.approx(0.475, abs=1e-15)
-        assert nxt.stage == 1
+        traj = evolve(make_config(), [0.5], [0.1])
+        assert traj.v_long[-1] == pytest.approx(0.525, abs=1e-15)
+        assert traj.v_short[-1] == pytest.approx(0.475, abs=1e-15)
+        assert traj.horizon == 1
 
     def test_riskless_rate_accrues_on_unallocated_long_capital(self):
-        state = AccountState(v_long=1.0, v_short=0.0)
-        cfg = make_config(alpha=1.0, rf=0.01)
-        nxt = step_account(state, w=0.5, x=0.0, config=cfg)
-        assert nxt.v_long == pytest.approx(1.005, abs=1e-15)
-        assert nxt.v_short == 0.0
+        traj = evolve(make_config(alpha=1.0, rf=0.01), [0.5], [0.0])
+        assert traj.v_long[-1] == pytest.approx(1.005, abs=1e-15)
+        assert traj.v_short[-1] == 0.0
 
     def test_rejects_inadmissible_weight(self):
-        state = initial_state(make_config(bounds=MarketBounds(-0.2, 2.0)))
         with pytest.raises(AdmissibilityError, match="weight"):
-            step_account(state, w=0.6, x=0.1, config=make_config(bounds=MarketBounds(-0.2, 2.0)))
+            evolve(make_config(bounds=MarketBounds(-0.2, 2.0)), [0.6], [0.1])
         with pytest.raises(AdmissibilityError, match="weight"):
-            step_account(state, w=-0.1, x=0.1, config=make_config())
+            evolve(make_config(), [-0.1], [0.1])
 
     def test_rejects_out_of_bounds_return(self):
-        state = initial_state(make_config())
         with pytest.raises(AdmissibilityError, match="return"):
-            step_account(state, w=0.5, x=1.5, config=make_config())
+            evolve(make_config(), [0.5], [1.5])
         with pytest.raises(AdmissibilityError, match="return"):
-            step_account(state, w=0.5, x=-0.7, config=make_config())
+            evolve(make_config(), [0.5], [-0.7])
 
 
 class TestEvolve:
@@ -107,9 +101,9 @@ class TestEvolve:
     def test_gain_series_matches_totals(self):
         cfg = make_config(alpha=0.3, v0=2.0)
         traj = evolve(cfg, [0.2, 0.8, 0.5], [0.05, -0.1, 0.3])
-        totals = np.array([s.total for s in traj.states])
+        totals = traj.v_long + traj.v_short
         np.testing.assert_allclose(traj.gains, totals - cfg.v0, atol=1e-15)
-        assert len(traj.states) == 4
+        assert len(totals) == 4
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError, match="length"):
@@ -135,8 +129,8 @@ class TestEvolve:
         x = rng.uniform(BOUNDS.x_min, BOUNDS.x_max, size=len(w))
         cfg = make_config(alpha=alpha)
         traj = evolve(cfg, w, x)
-        assert all(s.total > 0.0 for s in traj.states)
-        assert all(s.v_long >= 0.0 and s.v_short >= 0.0 for s in traj.states)
+        assert (traj.v_long + traj.v_short > 0.0).all()
+        assert (traj.v_long >= 0.0).all() and (traj.v_short >= 0.0).all()
 
 
 class TestSurvivabilityBound:
@@ -174,6 +168,5 @@ class TestSurvivabilityBound:
         x = rng.choice([cfg.bounds.x_min, cfg.bounds.x_max], size=k)
         traj = evolve(cfg, w, x)
         lo_long, lo_short = survivability_bound(cfg, k)
-        final = traj.states[-1]
-        assert final.v_long >= lo_long - 1e-12
-        assert final.v_short >= lo_short - 1e-12
+        assert traj.v_long[-1] >= lo_long - 1e-12
+        assert traj.v_short[-1] >= lo_short - 1e-12

@@ -159,6 +159,12 @@ class TestMovingAverage:
         assert ma_indicator_weight(self.PRICES, 0, 3, 0.8) == 0.0
         assert ma_indicator_weight(self.PRICES, 1, 3, 0.8) == 0.0
 
+    def test_k_past_the_prices_is_refused_in_warm_up_too(self):
+        # d = 10 makes k = 5 a warm-up stage; d = 2 does not
+        for d in (10, 2):
+            with pytest.raises(ValueError, match="^k=5 outside the price history of length 2$"):
+                ma_indicator_weight([1.0, 2.0], 5, d, 0.5)
+
     def test_eval_schedule_needs_prices(self):
         with pytest.raises(ValueError, match="price"):
             eval_schedule(WeightSpec("ma_indicator", w=0.8, d=3), 5)
