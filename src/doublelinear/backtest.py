@@ -164,7 +164,9 @@ def _report(values: np.ndarray, v0: float, weights_used) -> BacktestReport:
     if ruined.any():
         raise ValueError(f"the account value reaches 0 at stage {int(np.argmax(ruined))}, "
                          "so its per-period returns are undefined")
-    variance, sharpe, degenerate = _return_stats(values[1:] / values[:-1] - 1.0)
+    with np.errstate(over="ignore"):  # a return past the float range: _write_json refuses it
+        returns = values[1:] / values[:-1] - 1.0
+    variance, sharpe, degenerate = _return_stats(returns)
     gains = values - v0
     return BacktestReport(
         gain_loss=float(gains[-1]),
@@ -226,7 +228,7 @@ def buy_and_hold_report(config: PolicyConfig, series: PriceSeries) -> BacktestRe
     if len(series) < 2:
         raise ValueError("series must contain at least two prices")
     with np.errstate(over="ignore"):  # _report names a value past the float range
-        values = config.v0 * series.prices / series.prices[0]
+        values = config.v0 * (series.prices / series.prices[0])
     return _report(values, config.v0, np.ones(len(series) - 1))
 
 

@@ -36,7 +36,6 @@ from .simulate import (
     GbmJumpParams,
     dump_paths_csv,
     monte_carlo_gain_loss,
-    sweep_mu_star,
 )
 from .tables import CSV_ROWS, format_rows, output, outputs, write_rows, write_series, write_text
 from .weights import WeightSpec, dump_weight_table, eval_schedule, parse_weight_spec
@@ -428,7 +427,7 @@ def cmd_simulate(args, effective: dict) -> int:
         drifts = DEFAULT_MU_STAR_GRID if grid is None else grid
         flags = {**_MODEL_FLAGS, "mu_star": "--grid"}
     try:  # every cell's model is built, and so checked, before any path is drawn
-        params, *_ = [
+        models = [
             GbmJumpParams(
                 mu_star=mu_star,
                 sigma_star=effective["sigma_star"],
@@ -448,13 +447,12 @@ def cmd_simulate(args, effective: dict) -> int:
     if dump and not single:
         raise _UsageError("--dump-paths needs a single --mu-star run, not a sweep")
     seed = effective["seed"]
-    mc = {"clip_returns": effective["clip"]}
-
-    if single:
-        result = monte_carlo_gain_loss(config, spec, params, effective["paths"], seed, **mc)
-        cells = [(params.mu_star, result)]
-    else:
-        cells = sweep_mu_star(config, spec, params, drifts, effective["paths"], seed, **mc)
+    cells = [  # one seed rule: a sweep's cell is the --mu-star run at its drift
+        (m.mu_star, monte_carlo_gain_loss(
+            config, spec, m, effective["paths"], seed, clip_returns=effective["clip"]
+        ))
+        for m in models
+    ]
 
     # The answer is the control-variate estimate; the plain sample
     # statistics ride along under sample_*.
@@ -482,7 +480,7 @@ def cmd_simulate(args, effective: dict) -> int:
             values = np.array([[r[name] for name in header] for r in rows])
             write_text(outdir / "sweep.csv", comments, header, format_rows(values, 3, *CSV_ROWS))
         if dump:
-            dump_paths_csv(outdir / "paths.csv", params, seed, dump, comment=comments[0])
+            dump_paths_csv(outdir / "paths.csv", models[0], seed, dump, comment=comments[0])
     sys.stdout.writelines(pieces)
     return 0
 

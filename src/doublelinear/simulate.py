@@ -38,7 +38,6 @@ schedules and path dumps.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import threading
 from dataclasses import dataclass
@@ -67,7 +66,6 @@ __all__ = [
     "prices_to_returns",
     "simulate_two_point",
     "monte_carlo_gain_loss",
-    "sweep_mu_star",
 ]
 
 # Default sweep grid: evenly spaced drifts strictly inside (-1, 1).
@@ -580,36 +578,6 @@ def _sample_stats(values: np.ndarray) -> tuple[float, float, float]:
         variance = float(np.var(values, ddof=1)) if values.size > 1 else 0.0
         mean = float(np.mean(values))
     return mean, math.sqrt(variance / values.size), variance
-
-
-def sweep_mu_star(
-    config: PolicyConfig,
-    spec: WeightSpec,
-    params: GbmJumpParams,
-    mu_star_grid: Optional[Sequence[float]] = None,
-    n_paths: int = 10_000,
-    seed: int = 0,
-    *,
-    clip_returns: bool = False,
-) -> list[tuple[float, MonteCarloResult]]:
-    """Monte Carlo mean gain across a grid of annualized drifts.
-
-    Every grid cell gets an independent family of substreams: the cell
-    seed is derived from SeedSequence([seed, cell_index]), so for a
-    fixed (seed, grid) the whole sweep is deterministic and cells do not
-    share paths.  The default grid is DEFAULT_MU_STAR_GRID.
-    """
-    check_count("seed", seed, 0)
-    grid = DEFAULT_MU_STAR_GRID if mu_star_grid is None else tuple(float(m) for m in mu_star_grid)
-    results = []
-    for index, mu_star in enumerate(grid):
-        cell = dataclasses.replace(params, mu_star=mu_star)
-        cell_seed = int(np.random.SeedSequence([seed, index]).generate_state(1, np.uint64)[0])
-        outcome = monte_carlo_gain_loss(
-            config, spec, cell, n_paths, cell_seed, clip_returns=clip_returns
-        )
-        results.append((mu_star, outcome))
-    return results
 
 
 def dump_paths_csv(

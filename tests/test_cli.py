@@ -324,6 +324,27 @@ class TestSimulate:
                 results[cpus, threads] = payload["results"]
         assert len({json.dumps(r) for r in results.values()}) == 1
 
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("w", ["constant:0.8", "ma:5"])
+    def test_grid_rows_are_the_single_runs_at_the_same_seed(
+        self, tmp_path, capsys, monkeypatch, w, cpus
+    ):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        common = ("--w", w, "--paths", "150", "--n", "12", "--seed", "5")
+        code, _, _ = run(
+            capsys, "simulate", "--grid", "-0.5,0,0.5", *common, "--outdir", str(tmp_path / "grid")
+        )
+        assert code == 0
+        rows = read_json(tmp_path / "grid" / "simulate.json")["results"]
+        assert [row["seed"] for row in rows] == [5, 5, 5]
+        for mu_star, row in zip(("-0.5", "0", "0.5"), rows):
+            outdir = tmp_path / mu_star
+            code, _, _ = run(
+                capsys, "simulate", "--mu-star", mu_star, *common, "--outdir", str(outdir)
+            )
+            assert code == 0
+            assert read_json(outdir / "simulate.json")["results"] == [row]
+
     def test_import_loads_no_thread_pool(self):
         env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
         probe = "import sys, doublelinear.cli; print('concurrent.futures' in sys.modules)"
@@ -404,6 +425,18 @@ class TestBacktestCommand:
         assert out == ""
         assert err.startswith("error: --w ma:2 ") and err.count("\n") == 1
         assert not outdir.exists()
+
+    def test_buy_and_hold_near_the_top_of_the_float_range(self, tmp_path, capsys):
+        # v0 * prices alone would pass the float range; the curve 1e307, 1.01e307 does not
+        csv_path = tmp_path / "prices.csv"
+        csv_path.write_text("timestamp,price\n1,100\n2,101\n")
+        code, out, err = run(
+            capsys, "backtest", "--csv", str(csv_path), "--v0", "1e307", "--with-buy-hold",
+            "--outdir", str(tmp_path),
+        )
+        assert (code, err) == (0, "")
+        gain = json.loads(out)["reports"]["buy_and_hold"]["gain_loss"]
+        assert gain == pytest.approx(1e305, rel=1e-12)
 
     @pytest.mark.parametrize("name", ["w,1.csv", 'w"1.csv', "w.csv"])
     def test_rows_are_as_wide_as_the_header(self, tmp_path, capsys, name):

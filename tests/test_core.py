@@ -26,6 +26,7 @@ from doublelinear import (
     ReturnMoments,
     TwoPointModel,
     WeightSpec,
+    batch_backtest,
     brute_force_moments,
     clamp_admissible,
     esp_naive,
@@ -37,6 +38,7 @@ from doublelinear import (
     ma_indicator_weight,
     ma_value,
     monte_carlo_gain_loss,
+    parse_weight_spec,
     path_rng,
     prices_to_returns,
     rpe_scan,
@@ -48,7 +50,6 @@ from doublelinear import (
     simulate_returns,
     simulate_two_point,
     survivability_bound,
-    sweep_mu_star,
     variance_gain_loss,
 )
 from doublelinear.cli import main
@@ -333,12 +334,6 @@ COUNTS = {
         lambda v: monte_carlo_gain_loss(CONFIG, LOG_RAMP, TWO_POINT, 3, 0, n_periods=v),
         "n_periods", 1, 500,
     ),
-    "sweep_mu_star.n_paths": (
-        lambda v: sweep_mu_star(CONFIG, LOG_RAMP, SHORT_GBM, [0.1], v), "n_paths", 1, 300
-    ),
-    "sweep_mu_star.seed": (
-        lambda v: sweep_mu_star(CONFIG, LOG_RAMP, SHORT_GBM, [0.1], 3, v), "seed", 0, 2**64 - 1
-    ),
     "dump_paths_csv.seed": (
         lambda v: dump_paths_csv(os.devnull, SHORT_GBM, v, 3), "seed", 0, 2**64 - 1
     ),
@@ -409,8 +404,6 @@ def test_counts_are_stored_as_python_ints():
         ("k must be an integer, got 2.5", lambda: ma_value(RISING, 2.5, 2)),
         ("n must be an integer, got 2.5", lambda: ma_indicator_weights(RISING, 2.5, 2, 0.5)),
         ("j must be an integer, got 1.5", lambda: esp_naive([0.5, 0.5], 1.5)),
-        ("n_paths must be an integer, got 2.5",
-         lambda: sweep_mu_star(CONFIG, LOG_RAMP, SHORT_GBM, [0.1], 2.5)),
         ("n_paths must be an integer, got 2.5",
          lambda: dump_paths_csv(os.devnull, SHORT_GBM, 0, 2.5)),
         ("k_max must be an integer, got 5.5", lambda: rpe_scan(CONFIG, LONG_W, [0.1], 5.5)),
@@ -799,6 +792,35 @@ def test_evolve_raises_value_error_or_stays_finite(fields, path):
         values = traj.values
     assert np.isfinite(values).all(), (cfg, path, values)
     assert (traj.v_long >= 0.0).all() and (traj.v_short >= 0.0).all(), (cfg, path)
+
+
+POSITIVE_FLOAT = st.floats(0.0, exclude_min=True, allow_infinity=False)
+
+
+@given(
+    prices=st.lists(POSITIVE_FLOAT, min_size=2, max_size=8),
+    v0=POSITIVE_FLOAT,
+    alpha=st.sampled_from([0.0, 0.3, 0.5, 1.0]),
+    bounds_from_data=st.booleans(),
+)
+@example(prices=[1.0, 1e-10, 1e300], v0=1e-300, alpha=0.5, bounds_from_data=True)
+@settings(max_examples=300, deadline=None)
+def test_batch_backtest_raises_value_error_or_stays_finite(prices, v0, alpha, bounds_from_data):
+    # prices and v0 anywhere in the float range; buy-and-hold runs first, and its
+    # account returns may pass the float range even where the prices' do not
+    specs = {text: parse_weight_spec(text) for text in ("constant:0.0", "constant:0.5", "ma:2")}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            reports = batch_backtest(
+                PolicyConfig(alpha, BOUNDS, v0), specs,
+                PriceSeries(np.arange(len(prices)), prices),
+                include_buy_hold=True, bounds_from_data=bounds_from_data,
+            )
+        except ValueError:
+            return
+    for name, report in reports.items():
+        assert all(map(math.isfinite, report.to_dict().values())), (name, report, prices, v0)
 
 
 class TestHorizonVectors:

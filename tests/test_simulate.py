@@ -30,7 +30,6 @@ from doublelinear import (
     simulate_path,
     simulate_returns,
     simulate_two_point,
-    sweep_mu_star,
 )
 from doublelinear import simulate
 from doublelinear.simulate import BLOCK, DEFAULT_MU_STAR_GRID, dump_paths_csv
@@ -400,32 +399,6 @@ class TestSweep:
         assert len(DEFAULT_MU_STAR_GRID) == 41
         assert DEFAULT_MU_STAR_GRID[0] == pytest.approx(-0.95)
         assert DEFAULT_MU_STAR_GRID[-1] == pytest.approx(0.95)
-
-    def test_sweep_deterministic_and_cell_independent(self):
-        cfg = make_config()
-        spec = WeightSpec("constant", w=0.8)
-        params = GbmJumpParams(mu_star=0.0, n_periods=10)
-        grid = [-0.2, 0.0, 0.2]
-        a = sweep_mu_star(cfg, spec, params, grid, n_paths=50, seed=13)
-        b = sweep_mu_star(cfg, spec, params, grid, n_paths=50, seed=13)
-        assert a == b
-        # distinct cells draw from distinct substream families
-        assert a[0][1].mean_gain != a[2][1].mean_gain
-        assert [mu for mu, _ in a] == grid
-
-    def test_sweep_cell_matches_direct_run(self):
-        import dataclasses
-
-        cfg = make_config()
-        spec = WeightSpec("constant", w=0.8)
-        params = GbmJumpParams(mu_star=0.0, n_periods=10)
-        cells = sweep_mu_star(cfg, spec, params, [0.3], n_paths=20, seed=13)
-        mu_star, res = cells[0]
-        cell_seed = int(np.random.SeedSequence([13, 0]).generate_state(1, np.uint64)[0])
-        direct = monte_carlo_gain_loss(
-            cfg, spec, dataclasses.replace(params, mu_star=0.3), 20, cell_seed
-        )
-        assert res == direct
 
 
 class TestPathDump:
