@@ -204,7 +204,7 @@ def _merge(args) -> dict:
     effective = _defaults(args.cmd)
     if args.config:
         try:
-            with open(args.config) as fh:
+            with open(args.config, encoding="utf-8-sig") as fh:
                 loaded = json.load(fh)
         except OSError as exc:
             raise _UsageError(f"cannot read config file: {exc}")

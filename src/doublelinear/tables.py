@@ -87,7 +87,7 @@ def read_columns(source, header, fault):
     float() (non-ASCII text, '#' after the start of a line), where it fails, or where
     fault finds a bad row, the table is read again row by row.
     """
-    with nullcontext(source) if hasattr(source, "read") else open(source) as fh:
+    with nullcontext(source) if hasattr(source, "read") else open(source, encoding="utf-8-sig") as fh:
         if not fh.seekable():
             return _scan(fh, header, fault)
         start = fh.tell()

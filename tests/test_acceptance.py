@@ -117,7 +117,7 @@ def test_criterion_03_coefficient_recurrence_matches_enumeration():
         weights = rng.uniform(0.0, 2.0, size=k)
         table = esp_all(weights)
         for j in range(1, k + 1):
-            assert table.e(j) == pytest.approx(esp_naive(weights, j), rel=1e-14, abs=0.0)
+            assert table[j] == pytest.approx(esp_naive(weights, j), rel=1e-14, abs=0.0)
 
 
 def test_criterion_04_pairwise_coefficient_positive_iff_two_weights():
@@ -133,10 +133,10 @@ def test_criterion_04_pairwise_coefficient_positive_iff_two_weights():
         weights = np.where(active, magnitudes, 0.0)
         if int(np.count_nonzero(weights)) >= 2:
             assert e2_positive(weights)
-            assert esp_all(weights).e(2) > 0.0
+            assert esp_all(weights)[2] > 0.0
         else:
             assert not e2_positive(weights)
-            assert esp_all(weights).e(2) == 0.0
+            assert esp_all(weights)[2] == 0.0
 
 
 def _random_two_point_case(rng):

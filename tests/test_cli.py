@@ -83,6 +83,15 @@ class TestConfigPrecedence:
         assert payload["results"][0]["k"] == 3  # config wins over default 10
         assert payload["config"]["mu"] == "0.1"  # untouched default
 
+    def test_config_may_start_with_a_byte_order_mark(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(b"\xef\xbb\xbf" + json.dumps({"k": "3"}).encode())
+        code, out, _ = run(
+            capsys, "analyze", "--config", str(cfg), "--w", "constant:0.5", "--outdir", str(tmp_path)
+        )
+        assert code == 0
+        assert json.loads(out)["results"][0]["k"] == 3
+
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"aplha": 0.3}))

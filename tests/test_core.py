@@ -29,11 +29,15 @@ from doublelinear import (
     batch_backtest,
     brute_force_moments,
     clamp_admissible,
+    e2_positive,
+    esp_all,
     esp_naive,
     eval_schedule,
     evolve,
     expected_gain_loss,
     expected_gain_loss_constant,
+    expected_growth_esp,
+    expected_growth_product,
     ingest_csv,
     ma_indicator_weight,
     ma_value,
@@ -492,6 +496,66 @@ def test_closed_forms_return_finite_or_inf_without_warning(form, w, n, alpha, gr
         except ValueError:
             return
     assert (np.isfinite(values) | (values == np.inf)).all(), values
+
+
+# the ESP table e_0 .. e_k, from the recurrence and from enumeration
+ESP_TABLES = {
+    "esp_all": esp_all,
+    "esp_naive": lambda w: np.array([1.0] + [esp_naive(w, j) for j in range(1, len(w) + 1)]),
+}
+# zeros and huge weights drawn often: a zero weight after an overflow adds nothing, not nan
+ESP_WEIGHTS = st.lists(st.just(0.0) | ANY_FLOAT.map(abs) | ANY_FLOAT, min_size=1, max_size=12)
+
+
+@pytest.mark.parametrize("table", ESP_TABLES.values(), ids=ESP_TABLES.keys())
+@given(w=ESP_WEIGHTS)
+@example(w=[1e300, 1e300, 0.0])
+@settings(max_examples=200, deadline=None)
+def test_esp_table_is_nonnegative_and_never_nan(table, w):
+    # e_j sums products of nonnegative weights: finite or +inf, and 0 past the positive count
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            e = table(w)
+        except ValueError:
+            return
+    assert (e >= 0.0).all(), e  # nan fails the comparison
+    assert e[0] == 1.0 and (e[np.count_nonzero(np.array(w) > 0.0) + 1 :] == 0.0).all(), e
+
+
+@given(w=ESP_WEIGHTS)
+@settings(max_examples=200, deadline=None)
+def test_e2_positive_counts_positive_weights(w):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            positive = e2_positive(w)
+        except ValueError:
+            return
+    assert positive is (sum(x > 0.0 for x in w) >= 2)
+
+
+GROWTH_FORMS = {
+    "expected_growth_product": expected_growth_product,
+    "expected_growth_esp": lambda w, mu, sign: expected_growth_esp(esp_all(w), mu, sign),
+}
+
+
+@pytest.mark.parametrize("form", GROWTH_FORMS.values(), ids=GROWTH_FORMS.keys())
+@given(
+    w=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=12),
+    mu=ANY_FLOAT,
+    sign=st.sampled_from(["+", "-", 1, -1]),
+)
+@settings(max_examples=200, deadline=None)
+def test_growth_factor_raises_value_error_or_is_finite(form, w, mu, sign):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            value = form(w, mu, sign)
+        except ValueError:
+            return
+    assert math.isfinite(value), value
 
 
 # Closed forms whose value leaves the float range, with the factors that carry it there.

@@ -1,6 +1,7 @@
 """Elementary symmetric polynomials and the two growth-factor formulations."""
 
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -8,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from doublelinear import (
-    EspTable,
     e2_positive,
     esp_all,
     esp_naive,
@@ -20,21 +20,32 @@ from doublelinear import (
 class TestEspAll:
     def test_two_weight_example(self):
         table = esp_all([0.3, 0.5])
-        assert table.e(0) == 1.0
-        assert table.e(1) == pytest.approx(0.8, abs=1e-15)
-        assert table.e(2) == pytest.approx(0.15, abs=1e-15)
+        assert table[0] == 1.0
+        assert table[1] == pytest.approx(0.8, abs=1e-15)
+        assert table[2] == pytest.approx(0.15, abs=1e-15)
 
     def test_all_ones(self):
         # e_j of k ones is the binomial coefficient C(k, j)
         table = esp_all([1.0, 1.0, 1.0])
-        assert [table.e(j) for j in (1, 2, 3)] == [3.0, 3.0, 1.0]
+        assert [table[j] for j in (1, 2, 3)] == [3.0, 3.0, 1.0]
 
     def test_index_bounds(self):
-        table = esp_all([0.5])
         with pytest.raises(IndexError):
-            table.e(2)
-        with pytest.raises(IndexError):
-            table.e(-1)
+            esp_all([0.5])[2]
+
+    @pytest.mark.parametrize("weights", [[0.3], [0.3, 0.0, 0.5], np.zeros(7), np.ones(40)])
+    def test_shape_is_k_plus_one_from_e0(self, weights):
+        table = esp_all(weights)
+        assert table.shape == (len(weights) + 1,)
+        assert table[0] == 1.0
+
+    @pytest.mark.parametrize("weights", [[1e300, 1e300, 0.0], [0.0, 1e300, 1e300]])
+    def test_zero_weight_leaves_no_nan_wherever_it_sits(self, weights):
+        # e_3 of two positive weights is exactly 0; inf * 0.0 must not reach it
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert esp_all(weights).tolist() == [1.0, 2e300, np.inf, 0.0]
+            assert esp_naive(weights, 3) == 0.0
 
     def test_rejects_empty_weights(self):
         with pytest.raises(ValueError, match="nonempty"):
@@ -76,7 +87,7 @@ class TestEspAll:
 
     def test_large_weights_stay_admissible(self):
         # verification device: no upper bound on the weights
-        assert esp_all([2.0, 1e300]).e(1) == 1e300
+        assert esp_all([2.0, 1e300])[1] == 1e300
 
     @given(
         weights=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=12),
@@ -87,7 +98,7 @@ class TestEspAll:
         for j in range(1, len(weights) + 1):
             expected = esp_naive(weights, j)
             scale = max(abs(expected), 1.0)
-            assert abs(table.e(j) - expected) <= 1e-14 * scale
+            assert abs(table[j] - expected) <= 1e-14 * scale
 
 
 class TestE2Positive:
@@ -168,6 +179,14 @@ class TestGrowthFormulations:
         via_esp = expected_growth_esp(esp_all(w), mu_signed, sign)
         assert via_esp == pytest.approx(via_product, rel=1e-12)
 
+    @pytest.mark.parametrize(
+        "table", [np.ones((2, 2)), np.array([]), np.array([0.5, 0.3]), [2.0, 1.0]],
+        ids=["2-d", "empty", "e0-not-1", "list-e0-not-1"],
+    )
+    def test_esp_refuses_a_table_that_is_not_e0_to_ek(self, table):
+        with pytest.raises(ValueError, match="e_0 = 1"):
+            expected_growth_esp(table, 0.1, "+")
+
     def test_table_is_reusable_across_mu(self):
         w = [0.2, 0.6, 0.4, 0.9]
         table = esp_all(w)
@@ -175,11 +194,3 @@ class TestGrowthFormulations:
             assert expected_growth_esp(table, mu, "+") == pytest.approx(
                 expected_growth_product(w, mu, "+"), rel=1e-12
             )
-
-
-class TestEspTableType:
-    def test_values_hold_e1_through_ek(self):
-        table = EspTable(k=2, values=np.array([0.8, 0.15]))
-        assert table.e(0) == 1.0
-        assert table.e(1) == 0.8
-        assert table.e(2) == 0.15

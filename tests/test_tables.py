@@ -183,6 +183,22 @@ def test_price_and_weight_readers_agree(tmp_path, case):
     assert str(weight_error.value) == f"weight table {weights}: {price_text}"
 
 
+@pytest.mark.parametrize("note", ["", "# naïve\n"], ids=["bulk pass", "row scan"])
+def test_readers_drop_a_leading_byte_order_mark(tmp_path, monkeypatch, note):
+    # a non-ASCII comment sends the table to the row scan; without one the bulk pass reads it
+    def no_scan(*args):
+        raise AssertionError("the table was read row by row")
+
+    if not note:
+        monkeypatch.setattr("doublelinear.tables._scan", no_scan)
+    prices = tmp_path / "prices.csv"
+    prices.write_bytes(b"\xef\xbb\xbf" + f"{note}timestamp,price\n1,0.25\n2,0.5\n".encode())
+    weights = tmp_path / "weights.csv"
+    weights.write_bytes(b"\xef\xbb\xbf" + f"{note}stage,weight\n1,0.25\n2,0.5\n".encode())
+    assert ingest_csv(prices).prices.tolist() == [0.25, 0.5]
+    assert load_weight_table(weights).tolist() == [0.25, 0.5]
+
+
 @pytest.mark.parametrize(
     "cells",
     [
@@ -229,8 +245,11 @@ def test_tables_without_data_warn_nothing(tmp_path, text):
 #      skipped; the old reader also dropped any row whose first cell was blank
 #      or started with '#' (",999" or '"#x",1' were lost, not refused);
 #   2. a weight table names a cell that does not parse as a price table does,
-#      "could not parse [...]" (it said "malformed data row [...]").
-# A third one the tables below avoid: a quoted cell now ends with its line,
+#      "could not parse [...]" (it said "malformed data row [...]");
+#   3. (below) a quoted cell ends with its line;
+#   4. a file is read as UTF-8 with a leading byte order mark dropped; the old
+#      reader used the locale's encoding and kept the mark in the header.
+# Difference 3 the tables below avoid: a quoted cell now ends with its line,
 # where csv let it run on over line ends.  Underscores and non-ASCII digits
 # read as int() and float() read them: the bulk pass hands such tables to the
 # row scan, so the readers accept no less than before.
@@ -248,7 +267,7 @@ def old_read_rows(source, header):
             raw.append(line)
             yield line
 
-    with open(source, newline="") as fh:
+    with open(source, newline="", encoding="utf-8-sig") as fh:  # difference 4
         reader = csv.reader(lines(fh))
         for row in reader:
             if raw[-1].lstrip()[:1] in ("", "#"):  # difference 1
