@@ -13,9 +13,9 @@ ignoring the rate: the formulas are only valid in the frictionless
 setting.
 
 The module also carries its own independent oracle, brute_force_moments,
-which enumerates every path of a two-point return distribution and
-touches none of the closed forms; triangulating the formulas against it
-is the basis of the test suite.
+which enumerates every path of a two-point return distribution, folds each
+path's legs with policy.leg_factors and touches none of the closed forms;
+triangulating the formulas against it is the basis of the test suite.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .policy import PolicyConfig, check_count, check_mu, validate_weights
+from .policy import PolicyConfig, check_count, check_mu, leg_factors, validate_weights
 
 __all__ = [
     "BRUTE_FORCE_MAX_K",
@@ -303,33 +303,33 @@ def brute_force_moments(
 ) -> tuple[float, float]:
     """Exact (mean, variance) of the terminal gain by path enumeration.
 
-    Walks all 2^k return paths of the two-point model: path i assigns
-    x_up to stage j when bit j of i is set, and carries probability
-    p_up^(#up) * (1-p_up)^(k-#up).  Only the account recursion is used,
-    none of the closed forms above, so agreement with them is evidence,
-    not circularity.  Exponential in k; capped at k = 25.
+    Walks all 2^k return paths of the two-point model: path i assigns x_up to stage j
+    when bit j of i is set, and carries probability p_up^(#up) * (1-p_up)^(k-#up).  Its
+    legs fold leg_factors from config.split, as evolve does, and touch none of the closed
+    forms above, so agreement with them is evidence, not circularity.  Exponential in k;
+    capped at k = 25.  A variance past the float range is inf, a mean past it a ValueError.
     """
     if check_count("horizon k", k) > BRUTE_FORCE_MAX_K:
         raise ValueError(f"k={k} exceeds the 2^k enumeration cap of {BRUTE_FORCE_MAX_K}")
     w, _ = _schedule_head(config, weights, k)
-    n = 1 << k
-    idx = np.arange(n, dtype=np.uint32)
-    growth_long = np.ones(n)
-    growth_short = np.ones(n)
-    ups = np.zeros(n, dtype=np.int64)
-    for j in range(k):
-        bit = (idx >> j) & np.uint32(1)
-        x = np.where(bit == 1, model.x_up, model.x_down)
-        growth_long *= 1.0 + w[j] * x
-        growth_short *= 1.0 - w[j] * x
-        ups += bit
-    prob = model.p_up ** ups * (1.0 - model.p_up) ** (k - ups)
-    gains = config.v0 * (
-        config.alpha * growth_long + (1.0 - config.alpha) * growth_short - 1.0
-    )
-    mean = float(prob @ gains)
-    second = float(prob @ (gains * gains))
-    return mean, second - mean * mean
+    idx = np.arange(1 << k, dtype=np.uint32)
+    legs, factors = np.empty((2, idx.size)), np.empty((2, idx.size))
+    legs[0], legs[1] = config.split
+    ups = np.zeros(idx.size, dtype=np.uint8)  # at most BRUTE_FORCE_MAX_K
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite mean is refused below
+        for j in range(k):
+            bit = (idx >> j) & np.uint32(1)
+            leg_factors(w[j], np.where(bit == 1, model.x_up, model.x_down), config.rf, out=factors)
+            legs *= factors
+            ups += bit
+        prob = model.p_up ** ups * (1.0 - model.p_up) ** (k - ups)
+        likely = prob > 0.0  # a path of probability 0 adds nothing, however large its gain
+        gains = np.where(likely, legs[0] + legs[1] - config.v0, 0.0)
+        mean = float(prob @ gains)
+        variance = float(prob @ np.where(likely, (gains - mean) ** 2, 0.0))
+    if not math.isfinite(mean):
+        raise ValueError(f"an account value leaves the float range: the mean gain is {mean}")
+    return mean, variance
 
 
 @dataclass(frozen=True)

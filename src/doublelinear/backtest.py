@@ -148,12 +148,18 @@ def sharpe_ratio(period_returns: Sequence[float]) -> float:
 def _return_stats(r: np.ndarray) -> tuple[float, float, bool]:
     """(variance, sharpe, degenerate) as the module docstring defines them.
 
-    One return has no spread to measure: degenerate."""
+    One return has no spread to measure: degenerate.  Returns whose mean passes the float
+    range are measured again as r / 2^e, 2^e >= max|r|: the ratio is scale-free."""
     mean, _, variance = _sample_stats(r)
+    e = 0
+    if not math.isfinite(mean):
+        e = int(np.frexp(np.max(np.abs(r)))[1])
+        mean, _, variance = _sample_stats(np.ldexp(r, -e))
     sd = math.sqrt(variance)
     if sd == 0.0:
         return 0.0, 0.0, True
-    return variance, mean / sd, False
+    with np.errstate(over="ignore"):
+        return float(np.ldexp(variance, 2 * e)), mean / sd, False
 
 
 def _report(values: np.ndarray, v0: float, weights_used) -> BacktestReport:

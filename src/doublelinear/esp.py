@@ -100,11 +100,11 @@ def expected_growth_esp(e, mu: float, sign) -> float:
     by both legs, which is why the two legs average to 1 + (even block).
     """
     s = _sign_factor(sign)
-    check_mu(float(mu))  # one drift, not a grid
+    check_mu(mu := float(mu))  # one drift, not a grid
     e = np.asarray(e, dtype=float)
     if e.ndim != 1 or e.size == 0 or e[0] != 1.0:
         raise ValueError("e must be a one-dimensional array e_0 .. e_k with e_0 = 1")
-    terms = [ej * mu**j for j, ej in enumerate(e.tolist())]
+    terms = [ej * mu**j if mu or not j else 0.0 for j, ej in enumerate(e.tolist())]  # not 0 * inf
     return terms[0] + s * sum(terms[1::2]) + sum(terms[2::2])
 
 

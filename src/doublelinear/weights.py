@@ -26,7 +26,6 @@ from .tables import read_columns, write_series
 __all__ = [
     "WeightSpec",
     "eval_schedule",
-    "ma_value",
     "ma_indicator_weight",
     "clamp_admissible",
     "load_weight_table",
@@ -133,20 +132,6 @@ def eval_schedule(
     return clamped
 
 
-def ma_value(prices: Sequence[float], k: int, d: int) -> float:
-    """Trailing d-period simple moving average at index k of a 1-d price series."""
-    check_count("k", k, 0)
-    check_count("window d", d)
-    p = validate_prices(prices)
-    if p.ndim != 1:
-        raise ValueError(f"prices must be a 1-d series, got {p.ndim} dimensions")
-    if k < d - 1:
-        raise ValueError(f"insufficient history: k={k} < d-1={d - 1}")
-    if not 0 <= k < p.size:
-        raise ValueError(f"k={k} outside the price history of length {p.size}")
-    return float(_window_means(p[None, k - d + 1 : k + 1])[0])
-
-
 def _window_means(windows: np.ndarray) -> np.ndarray:
     """The mean of each d-window, the last axis of windows.  A window whose sum passes the
     float range is averaged again from its prices divided by a power of two over d: exact
@@ -168,11 +153,13 @@ def ma_indicator_weight(prices: Sequence[float], k: int, d: int, w: float) -> fl
     check_count("k", k, 0)
     check_count("window d", d)
     p = validate_prices(prices)
-    if k < d - 1 and p.ndim == 1:  # ma_value refuses prices that are not 1-d
-        if k >= p.size:
-            raise ValueError(f"k={k} outside the price history of length {p.size}")
+    if p.ndim != 1:
+        raise ValueError(f"prices must be a 1-d series, got {p.ndim} dimensions")
+    if k >= p.size:
+        raise ValueError(f"k={k} outside the price history of length {p.size}")
+    if k < d - 1:
         return 0.0
-    return w if ma_value(p, k, d) < float(p[k]) else 0.0  # ma_value refuses k past the prices
+    return float(w) if _window_means(p[None, k - d + 1 : k + 1])[0] < p[k] else 0.0
 
 
 def ma_indicator_weights(prices, n: int, d: int, w: float) -> np.ndarray:
@@ -180,7 +167,7 @@ def ma_indicator_weights(prices, n: int, d: int, w: float) -> np.ndarray:
     row of a price matrix, in one pass over sliding d-windows.
 
     Bit-identical to the scalar oracle: each window mean is the same
-    reduction ma_value makes, and the comparison is the same strict >.
+    reduction ma_indicator_weight makes, and the comparison is the same strict >.
     """
     validate_weights(w, 1.0)
     check_count("n", n)

@@ -131,6 +131,13 @@ class TestSharpe:
     def test_sign_follows_mean(self):
         assert sharpe_ratio([-0.02, -0.01, -0.03]) == pytest.approx(-2.0, abs=1e-12)
 
+    def test_finite_returns_whose_mean_overflows(self):
+        # equal returns have sd 0; returns a, a and about 0 have mean 2a/3 and sd a/sqrt(3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert sharpe_ratio([1e308, 1e308]) == 0.0
+            assert sharpe_ratio([1.7e308, 1.7e308, 0.1]) == pytest.approx(2.0 / np.sqrt(3.0))
+
 
 class TestRunBacktest:
     def test_three_price_hand_example(self):

@@ -765,3 +765,20 @@ def test_price_driven_refusal_names_both_commands(tmp_path, capsys, command):
     assert err.startswith(f"error: {command} ")
     assert "backtest" in err and "simulate" in err
 
+
+@pytest.mark.parametrize("module", ["doublelinear", "doublelinear.cli"])
+def test_module_entry_points_run_a_command(tmp_path, module):
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+
+    def run_module(*argv):
+        return subprocess.run(
+            [sys.executable, "-W", "error", "-m", module, "analyze", "--w", "constant:0.5", *argv],
+            env=env, capture_output=True, text=True,
+        )
+
+    done = run_module("--outdir", str(tmp_path / "ok"))
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == read_json(tmp_path / "ok" / "analyze.json")
+    refused = run_module("--k", "0", "--outdir", str(tmp_path / "refused"))
+    assert refused.returncode == 1 and refused.stdout == ""
+    assert refused.stderr.splitlines() == ["error: --k must be >= 1, got 0"]

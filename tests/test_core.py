@@ -40,7 +40,6 @@ from doublelinear import (
     expected_growth_product,
     ingest_csv,
     ma_indicator_weight,
-    ma_value,
     monte_carlo_gain_loss,
     parse_weight_spec,
     path_rng,
@@ -116,7 +115,6 @@ class TestNonFiniteInputsRejected:
         prices = [100.0, 101.0, 102.0, sign * bad, 104.0]
         spec = WeightSpec("ma_indicator", w=0.8, d=2)
         for call in (
-            lambda: ma_value(prices, 4, 2),
             lambda: ma_indicator_weight(prices, 4, 2, 0.8),
             lambda: ma_indicator_weights(prices, 5, 2, 0.8),
             lambda: ma_indicator_weights(np.array([prices, prices]), 5, 2, 0.8),
@@ -125,7 +123,7 @@ class TestNonFiniteInputsRejected:
             with pytest.raises(ValueError, match="nonpositive or non-finite price"):
                 call()
         with pytest.raises(ValueError, match="nonpositive or non-finite price"):
-            ma_value([100.0, -1.0, 102.0], 2, 2)
+            ma_indicator_weight([100.0, -1.0, 102.0], 2, 2, 0.8)
 
     def test_moving_average_weight(self, bad):
         with pytest.raises(AdmissibilityError, match="weight"):
@@ -347,8 +345,6 @@ COUNTS = {
     "WeightSpec.d": (lambda v: WeightSpec("ma_indicator", w=0.5, d=v), "d", 1, 5000),
     "eval_schedule.n": (lambda v: eval_schedule(LOG_RAMP, v), "n", 1, 5000),
     # k runs past the 40 prices, n does not: a short history names n
-    "ma_value.k": (lambda v: ma_value(RISING, v, 3), "k", 0, 60),
-    "ma_value.d": (lambda v: ma_value(RISING, 39, v), "d", 1, 60),
     "ma_indicator_weight.k": (lambda v: ma_indicator_weight(RISING, v, 3, 0.5), "k", 0, 60),
     "ma_indicator_weight.d": (lambda v: ma_indicator_weight(RISING, 39, v, 0.5), "d", 1, 60),
     "ma_indicator_weights.n": (lambda v: ma_indicator_weights(RISING, v, 3, 0.5), "n", 1, 40),
@@ -405,7 +401,7 @@ def test_counts_are_stored_as_python_ints():
         ("path_index must be >= 0, got -1", lambda: simulate_path(SHORT_GBM, 0, -1)),
         ("window d must be an integer, got 2.5",
          lambda: WeightSpec("ma_indicator", w=0.5, d=2.5)),
-        ("k must be an integer, got 2.5", lambda: ma_value(RISING, 2.5, 2)),
+        ("k must be an integer, got 2.5", lambda: ma_indicator_weight(RISING, 2.5, 2, 0.5)),
         ("n must be an integer, got 2.5", lambda: ma_indicator_weights(RISING, 2.5, 2, 0.5)),
         ("j must be an integer, got 1.5", lambda: esp_naive([0.5, 0.5], 1.5)),
         ("n_paths must be an integer, got 2.5",
@@ -885,6 +881,82 @@ def test_batch_backtest_raises_value_error_or_stays_finite(prices, v0, alpha, bo
             return
     for name, report in reports.items():
         assert all(map(math.isfinite, report.to_dict().values())), (name, report, prices, v0)
+
+
+def value_error_or(call):
+    """call() with warnings as errors, or None when it raises ValueError."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            return call()
+        except ValueError:
+            return None
+
+
+@given(
+    w=st.lists(st.floats(0.0, 1.0) | ANY_FLOAT, min_size=1, max_size=6),
+    v0=ANY_FLOAT.map(abs),
+    alpha=st.floats(0.0, 1.0),
+    fields=st.tuples(*[ANY_FLOAT] * 3),
+)
+@example(w=[0.5] * 3, v0=1e300, alpha=0.5, fields=(0.5, -0.4, 0.5))
+@settings(max_examples=300, deadline=None)
+def test_enumeration_oracle_raises_value_error_or_returns_no_nan(w, v0, alpha, fields):
+    # the horizon is the schedule's length: a mean past the float range is refused,
+    # a variance past it is inf
+    moments = value_error_or(lambda: brute_force_moments(
+        PolicyConfig(alpha, BOUNDS, v0), w, TwoPointModel(*fields), len(w)
+    ))
+    assert moments is None or (
+        math.isfinite(moments[0]) and 0.0 <= moments[1] <= math.inf
+    ), (w, v0, alpha, fields, moments)
+
+
+@given(returns=st.lists(ANY_FLOAT, min_size=2, max_size=6))
+@example(returns=[1e308, 1e308])
+@settings(max_examples=300, deadline=None)
+def test_sharpe_ratio_raises_value_error_or_is_finite(returns):
+    ratio = value_error_or(lambda: sharpe_ratio(returns))
+    assert ratio is None or math.isfinite(ratio), (returns, ratio)
+
+
+# price series and two-row price matrices anywhere in the float range, positive often
+PRICE_LISTS = st.lists(ANY_FLOAT.map(abs) | ANY_FLOAT, min_size=1, max_size=8)
+PRICES = PRICE_LISTS | PRICE_LISTS.map(lambda p: [p, p[::-1]])
+
+
+@given(prices=PRICES)
+@settings(max_examples=300, deadline=None)
+def test_prices_to_returns_raise_value_error_or_stay_finite(prices):
+    x = value_error_or(lambda: prices_to_returns(prices))
+    assert x is None or (np.isfinite(x).all() and (x > -1.0).all()), (prices, x)
+
+
+@given(prices=PRICES, k=st.integers(-1, 9), d=st.integers(-1, 9), w=st.floats(0.0, 1.0) | ANY_FLOAT)
+@settings(max_examples=300, deadline=None)
+def test_moving_average_weights_raise_value_error_or_are_0_or_w(prices, k, d, w):
+    # k is the stage of the scalar form and the stage count of the vector form
+    weight = value_error_or(lambda: ma_indicator_weight(prices, k, d, w))
+    assert weight is None or (type(weight) is float and weight in (0.0, w)), (prices, k, d, w)
+    weights = value_error_or(lambda: ma_indicator_weights(prices, k, d, w))
+    assert weights is None or np.isin(weights, [0.0, w]).all(), (prices, k, d, w)
+
+
+@given(values=st.lists(ANY_FLOAT, max_size=8), w_max=ANY_FLOAT)
+@settings(max_examples=300, deadline=None)
+def test_clamp_admissible_raises_value_error_or_stays_admissible(values, w_max):
+    clamped = value_error_or(lambda: clamp_admissible(values, w_max))
+    assert clamped is None or ((clamped >= 0.0) & (clamped <= w_max)).all(), (values, w_max)
+
+
+@given(fields=st.tuples(*[ANY_FLOAT] * 4), k=st.integers(-1, 10**6))
+@settings(max_examples=300, deadline=None)
+def test_survivability_bound_raises_value_error_or_is_finite_and_nonnegative(fields, k):
+    alpha, x_min, x_max, v0 = fields
+    bounds = value_error_or(
+        lambda: survivability_bound(PolicyConfig(alpha, MarketBounds(x_min, x_max), v0), k)
+    )
+    assert bounds is None or all(0.0 <= b < math.inf for b in bounds), (fields, k, bounds)
 
 
 class TestHorizonVectors:

@@ -187,6 +187,13 @@ class TestGrowthFormulations:
         with pytest.raises(ValueError, match="e_0 = 1"):
             expected_growth_esp(table, 0.1, "+")
 
+    @pytest.mark.parametrize("mu", [0.0, -0.0, np.float64(0.0)], ids=["0", "-0", "float64"])
+    @pytest.mark.parametrize("sign", ["+", "-"])
+    def test_zero_drift_is_exactly_one_beside_huge_coefficients(self, mu, sign):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert expected_growth_esp(esp_all([1e300, 1e300]), mu, sign) == 1.0
+
     def test_table_is_reusable_across_mu(self):
         w = [0.2, 0.6, 0.4, 0.9]
         table = esp_all(w)

@@ -14,10 +14,9 @@ from doublelinear import (
     eval_schedule,
     load_weight_table,
     ma_indicator_weight,
-    ma_value,
     parse_weight_spec,
 )
-from doublelinear.weights import ma_indicator_weights
+from doublelinear.weights import _window_means, ma_indicator_weights
 
 
 class TestNamedSchedules:
@@ -138,14 +137,6 @@ class TestTableSchedules:
 class TestMovingAverage:
     PRICES = [10.0, 11.0, 12.0, 11.5, 11.0, 12.5]
 
-    def test_ma_value(self):
-        assert ma_value(self.PRICES, 2, 3) == pytest.approx(11.0)
-        assert ma_value(self.PRICES, 5, 3) == pytest.approx((11.5 + 11.0 + 12.5) / 3.0)
-
-    def test_ma_value_needs_history(self):
-        with pytest.raises(ValueError, match="history"):
-            ma_value(self.PRICES, 1, 3)
-
     def test_indicator_weight_on_when_price_above_ma(self):
         # price 12 > ma(10,11,12) = 11 -> weight w
         assert ma_indicator_weight(self.PRICES, 2, 3, 0.8) == 0.8
@@ -154,6 +145,11 @@ class TestMovingAverage:
         assert ma_indicator_weight(self.PRICES, 4, 3, 0.8) == 0.0
         # strictly-above comparison: equality stays off
         assert ma_indicator_weight([10.0, 10.0], 1, 2, 0.8) == 0.0
+
+    def test_weight_is_a_float(self):
+        # an int multiplier comes back as a float, as ma_indicator_weights writes it
+        value = ma_indicator_weight(self.PRICES, 2, 3, 1)
+        assert type(value) is float and value == 1.0
 
     def test_warm_up_stages_are_zero(self):
         assert ma_indicator_weight(self.PRICES, 0, 3, 0.8) == 0.0
@@ -185,7 +181,6 @@ class TestMovingAverage:
     def test_price_matrix_refused(self):
         matrix = [[1.0, 2.0, 3.0], [1.0, 1.5, 2.0]]
         for call in (
-            lambda: ma_value(matrix, 2, 2),
             lambda: ma_indicator_weight(matrix, 2, 2, 0.5),
             lambda: ma_indicator_weight(matrix, 0, 2, 0.5),  # a warm-up stage too
         ):
@@ -215,11 +210,12 @@ class TestWindowSumsPastTheFloatRange:
             assert rows.tolist() == [expected, expected]
 
     def test_means(self):
+        p = np.array(self.PRICES)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert ma_value(self.PRICES, 1, 2) == 2.0 * np.mean(np.array(self.PRICES[:2]) / 2.0)
-            assert ma_value(self.PRICES, 3, 4) == 8.0 * np.mean(np.array(self.PRICES) / 8.0)
-            assert ma_value(self.PRICES, 3, 4) == pytest.approx(1.6375e308, rel=1e-15)
+            assert _window_means(p[None, :2])[0] == 2.0 * np.mean(p[:2] / 2.0)
+            assert _window_means(p[None, :4])[0] == 8.0 * np.mean(p / 8.0)
+            assert _window_means(p[None, :4])[0] == pytest.approx(1.6375e308, rel=1e-15)
 
 
 class TestVectorizedIndicator:
